@@ -22,7 +22,11 @@ Contracts wired in today:
   prepared LP indexes real columns, one per row, without duplicates;
 * **batched row agreement** — a batched ``propagate_many`` result
   agrees with the row-sliced scalar propagation on a sampled query row
-  (:mod:`repro.bounds.propagator`).
+  (:mod:`repro.bounds.propagator`);
+* **stacked LP solves** — every block of a block-diagonal multi-objective
+  LP satisfies the unstacked system, and one seeded objective re-solved
+  alone agrees with its stacked value
+  (:meth:`repro.milp.session.SolverSession.solve_objectives`).
 
 Violations raise :class:`SanitizerError` (an ``AssertionError``
 subclass: a sanitizer failure is a bug in this codebase, never a user
@@ -226,3 +230,69 @@ def check_basis(
         if int(entry) in seen:
             _fail("warm-basis", f"{what}: duplicate basis column {entry}")
         seen.add(int(entry))
+
+
+def check_lp_feasible(
+    x: np.ndarray,
+    a_ub: Any,
+    b_ub: np.ndarray,
+    a_eq: Any,
+    b_eq: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    what: str,
+    tol: float = 1e-6,
+) -> None:
+    """``x`` must satisfy ``a_ub x <= b_ub``, ``a_eq x == b_eq``, ``lo <= x <= hi``.
+
+    Guards the stacked multi-objective LP: a block read back at the wrong
+    offset, or from a wrongly tiled system, is a point of some *other*
+    polytope, and its objective is then no bound of the certified one.
+    Residuals are measured relative to ``1 + |rhs|``.
+    """
+    x = np.asarray(x, dtype=float)
+    checks = (
+        ("a_ub x <= b_ub", np.asarray(a_ub @ x) - b_ub, b_ub),
+        ("a_eq x == b_eq", np.abs(np.asarray(a_eq @ x) - b_eq), b_eq),
+        ("x >= lo", lo - x, lo),
+        ("x <= hi", x - hi, hi),
+    )
+    for name, excess, rhs in checks:
+        scale = 1.0 + np.abs(np.where(np.isfinite(rhs), rhs, 0.0))
+        bad = excess > tol * scale
+        if bool(np.any(bad)):
+            _fail(
+                "lp-stack",
+                f"{what}: violates {name} at indices "
+                f"{np.flatnonzero(bad)[:5].tolist()}",
+            )
+
+
+def check_stack_agreement(
+    stacked_status: str,
+    stacked: float,
+    alone_status: str,
+    alone: float,
+    what: str,
+    rel_tol: float = 1e-7,
+) -> None:
+    """A stacked LP result must match the same objective solved alone.
+
+    Only proven outcomes are compared: a re-solve stopped by its time
+    limit says nothing about the stacked optimum.
+    """
+    proven = {"optimal", "infeasible"}
+    if alone_status not in proven:
+        return
+    if stacked_status != alone_status:
+        _fail(
+            "lp-stack",
+            f"{what}: stacked status {stacked_status} != alone {alone_status}",
+        )
+    if alone_status == "optimal" and abs(stacked - alone) > rel_tol * max(
+        1.0, abs(alone)
+    ):
+        _fail(
+            "lp-stack",
+            f"{what}: stacked objective {stacked!r} != alone {alone!r}",
+        )

@@ -60,8 +60,9 @@ class CertifierConfig:
         workers: Worker processes for the per-neuron solve batches.
             Each layer's min/max objectives are independent, so with
             ``workers > 1`` they are fanned across processes via
-            :func:`repro.runtime.batch.parallel_solve_many` (results are
-            identical to the serial path; 1 = serial, the default).
+            :func:`repro.runtime.batch.parallel_solve_many` in chunks of
+            whole LP stacks (results are bit-identical to the serial
+            path; 1 = serial, the default).
         verbose: Print per-layer progress.
     """
 

@@ -667,7 +667,9 @@ class Model:
         Args:
             objectives: Pairs ``(expression, "min"|"max")``.
             backend: Backend name.  Both built-in backends implement
-                ``solve_objectives`` (export once, swap only ``c``);
+                ``solve_objectives`` (export once, swap only ``c``;
+                scipy/HiGHS also stacks pure-LP objectives into
+                block-diagonal solves);
                 third-party backends without it fall back to repeated
                 solves with the model's objective restored afterwards.
             time_limit: Per-solve time limit.

@@ -161,6 +161,7 @@ class SolverSession:
         self._num_extra = 0
         self._cache = None  # assembled (a_ub_all, b_ub_all)
         self._closed = False
+        self._stack_rng: np.random.Generator | None = None  # sanitizer sampling
 
     # -- lifecycle -------------------------------------------------------
 
@@ -374,13 +375,13 @@ class SolverSession:
         self._cache = (a_ub, b_ub)
         return self._cache
 
-    def _infeasible(self) -> SolveResult:
+    def _infeasible(self, sense: str, constant: float) -> SolveResult:
         result = SolveResult(
             status=SolveStatus.INFEASIBLE,
             backend=getattr(self._backend, "name", ""),
             message="conflicting session variable bounds",
         )
-        return finalize_user_sense(result, self._sense, self._constant)
+        return finalize_user_sense(result, sense, constant)
 
     def solve(
         self, time_limit: float | None = None, mip_gap: float | None = None
@@ -395,7 +396,7 @@ class SolverSession:
         if _faults.ENABLED:
             _faults.fault_point("session.solve")
         if (self._lo > self._hi).any():
-            return self._infeasible()
+            return self._infeasible(self._sense, self._constant)
         a_ub, b_ub = self._assembled()
         bounds = list(zip(self._lo, self._hi))
         result = self._solve_current(
@@ -420,17 +421,116 @@ class SolverSession:
             time_limit, mip_gap,
         )
 
+    def objectives_per_stack(self) -> int:
+        """Objectives :meth:`solve_objectives` hands the backend per call.
+
+        1 unless the session is a pure LP on a backend that stacks LPs
+        (``objectives_per_stack``/``solve_lp_stack``, as scipy/HiGHS
+        does); then as many copies of the current system, appended rows
+        included, as the backend's nonzero budget allows.
+        """
+        self._require_open()
+        per_stack = getattr(self._backend, "objectives_per_stack", None)
+        if per_stack is None or self._integrality.any():
+            return 1
+        a_ub, _ = self._assembled()
+        return int(per_stack(a_ub, self._a_eq))
+
     def solve_objectives(
         self,
         objectives: 'Sequence[tuple["LinExpr | Var", str]]',
         time_limit: float | None = None,
     ) -> list[SolveResult]:
-        """Solve the current state under several objectives, in order."""
-        results = []
-        for expr, sense in objectives:
-            self.set_objective(expr, sense)
-            results.append(self.solve(time_limit=time_limit))
+        """Solve the current state under several objectives, in order.
+
+        The objectives go to the backend in consecutive stacks of
+        :meth:`objectives_per_stack`.  A stack of one is a plain
+        :meth:`solve`; a larger stack is one block-diagonal LP whose
+        result k is what :meth:`solve` reports for objective k alone,
+        up to the solver's tolerances.  A stack that comes back neither
+        optimal nor infeasible is re-solved one objective at a time, so
+        unbounded and limited solves report exactly what :meth:`solve`
+        reports.  The session is left holding the last objective.
+        """
+        objectives = list(objectives)
+        per_stack = self.objectives_per_stack() if len(objectives) > 1 else 1
+        results: list[SolveResult] = []
+        for start in range(0, len(objectives), per_stack):
+            group = objectives[start : start + per_stack]
+            solved = self._solve_stack(group, time_limit) if len(group) > 1 else None
+            if solved is None:
+                solved = []
+                for expr, sense in group:
+                    self.set_objective(expr, sense)
+                    solved.append(self.solve(time_limit=time_limit))
+            results.extend(solved)
         return results
+
+    def _solve_stack(
+        self,
+        group: 'Sequence[tuple["LinExpr | Var", str]]',
+        time_limit: float | None,
+    ) -> list[SolveResult] | None:
+        """Solve ``group`` in one backend call (see :meth:`solve_objectives`).
+
+        Returns ``None`` when the stack came back neither optimal nor
+        infeasible: the caller then solves the group one at a time.
+        """
+        self._require_open()
+        if _faults.ENABLED:
+            _faults.fault_point("session.solve")
+        vectors = [self._model.objective_vector(expr, sense) for expr, sense in group]
+        senses = [sense for _, sense in group]
+        constants = [expr.constant for _, expr in vectors]
+        self._c, self._sense, self._constant = vectors[-1][0], senses[-1], constants[-1]
+        if (self._lo > self._hi).any():
+            return [self._infeasible(s, k) for s, k in zip(senses, constants)]
+        a_ub, b_ub = self._assembled()
+        stacked = self._backend.solve_lp_stack(
+            [c for c, _ in vectors], a_ub, b_ub, self._a_eq, self._b_eq,
+            self._lo, self._hi, time_limit,
+        )
+        if stacked is None:
+            return None
+        results = [
+            finalize_user_sense(result, s, k)
+            for result, s, k in zip(stacked, senses, constants)
+        ]
+        if _sanitize.ENABLED:
+            self._check_stack(group, results, a_ub, b_ub, time_limit)
+        return results
+
+    def _check_stack(
+        self,
+        group: 'Sequence[tuple["LinExpr | Var", str]]',
+        results: list[SolveResult],
+        a_ub: object,
+        b_ub: np.ndarray,
+        time_limit: float | None,
+    ) -> None:
+        """Sanitizer contract of one stacked solve.
+
+        Every block's solution must satisfy the unstacked system, and
+        one seeded objective, re-solved alone, must agree with its
+        stacked result.
+        """
+        for k, result in enumerate(results):
+            if result.is_optimal:
+                _sanitize.check_lp_feasible(
+                    result.values, a_ub, b_ub, self._a_eq, self._b_eq,
+                    self._lo, self._hi, f"stacked LP block {k}",
+                )
+        if self._stack_rng is None:
+            self._stack_rng = np.random.default_rng(0)
+        pick = int(self._stack_rng.integers(len(group)))
+        self.set_objective(*group[pick])
+        alone = self.solve(time_limit=time_limit)
+        self.set_objective(*group[-1])
+        _sanitize.check_stack_agreement(
+            results[pick].status.value, results[pick].objective,
+            alone.status.value, alone.objective,
+            f"stacked LP objective {pick}",
+        )
 
 
 class WarmStartSession(SolverSession):

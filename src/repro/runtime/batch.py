@@ -1240,6 +1240,20 @@ def _solve_chunk(payload):
     return model.solve_many(objectives, backend=backend, time_limit=time_limit)
 
 
+def _objectives_per_stack(model, backend) -> int:
+    """Stack size of the serial ``solve_many`` path (1 without sessions)."""
+    from repro.milp.session import open_session
+
+    try:
+        session = open_session(model, backend=backend)
+    except TypeError:
+        return 1
+    try:
+        return session.objectives_per_stack()
+    finally:
+        session.close()
+
+
 def parallel_solve_many(
     model,
     objectives,
@@ -1251,10 +1265,13 @@ def parallel_solve_many(
 
     The objective list is split into one contiguous chunk per worker;
     each worker pickles the model once and runs the backend's
-    export-once ``solve_objectives`` fast path on its chunk, so the
-    per-objective cost stays identical to the serial path.  This is the
-    engine behind ``CertifierConfig.workers`` — Algorithm 1's four
-    min/max LPs per neuron of a layer are independent and fan perfectly.
+    export-once ``solve_objectives`` fast path on its chunk.  Chunk
+    boundaries fall on the serial path's stack boundaries (see
+    :meth:`~repro.milp.session.SolverSession.objectives_per_stack`), so
+    every block-diagonal LP a worker solves is the one the serial path
+    solves.  This is the engine behind ``CertifierConfig.workers`` —
+    Algorithm 1's four min/max LPs per neuron of a layer are
+    independent and fan perfectly.
 
     Args:
         model: The shared :class:`~repro.milp.model.Model`.
@@ -1268,11 +1285,12 @@ def parallel_solve_many(
         input order — bit-identical to the serial ``solve_many``.
     """
     objectives = list(objectives)
-    workers = max_workers or os.cpu_count() or 1
-    workers = min(workers, len(objectives))
-    if workers <= 1 or len(objectives) <= 1:
+    per_stack = _objectives_per_stack(model, backend) if len(objectives) > 1 else 1
+    stacks = math.ceil(len(objectives) / per_stack)
+    workers = min(max_workers or os.cpu_count() or 1, stacks)
+    if workers <= 1:
         return model.solve_many(objectives, backend=backend, time_limit=time_limit)
-    chunk = math.ceil(len(objectives) / workers)
+    chunk = math.ceil(stacks / workers) * per_stack
     chunks = [objectives[k : k + chunk] for k in range(0, len(objectives), chunk)]
     parts: list[list | None] = [None] * len(chunks)
     try:

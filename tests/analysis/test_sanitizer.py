@@ -9,6 +9,8 @@ from repro._sanitize import (
     check_basis,
     check_containment,
     check_finite,
+    check_lp_feasible,
+    check_stack_agreement,
     check_tiling,
     sanitizing,
 )
@@ -135,6 +137,45 @@ class TestBasis:
             check_basis([0, 1, 1], num_rows=3, num_cols=6, what="dup")
 
 
+class TestLpStack:
+    A_UB = np.array([[1.0, 1.0]])
+    A_EQ = np.zeros((0, 2))
+
+    def check(self, x):
+        check_lp_feasible(
+            np.asarray(x, dtype=float), self.A_UB, np.array([1.0]),
+            self.A_EQ, np.zeros(0), np.zeros(2), np.array([1.0, np.inf]),
+            "block",
+        )
+
+    def test_feasible_point_passes(self):
+        self.check([0.5, 0.5])
+        self.check([1.0 + 1e-8, 0.0])  # within the feasibility tolerance
+
+    @pytest.mark.parametrize("x", [[0.8, 0.8], [-0.1, 0.0], [1.5, -0.6]])
+    def test_infeasible_point_fails(self, x):
+        with pytest.raises(SanitizerError, match="lp-stack"):
+            self.check(x)
+
+    def test_equality_rows_checked(self):
+        with pytest.raises(SanitizerError, match="a_eq"):
+            check_lp_feasible(
+                np.array([0.2, 0.2]), np.zeros((0, 2)), np.zeros(0),
+                np.array([[1.0, -1.0]]), np.array([0.5]),
+                np.zeros(2), np.ones(2), "eq",
+            )
+
+    def test_agreement(self):
+        check_stack_agreement("optimal", 1.0 + 1e-9, "optimal", 1.0, "ok")
+        check_stack_agreement("infeasible", np.nan, "infeasible", np.nan, "ok")
+        # A re-solve stopped by its limit proves nothing: skipped.
+        check_stack_agreement("optimal", 5.0, "time_limit", np.nan, "skip")
+        with pytest.raises(SanitizerError, match="objective"):
+            check_stack_agreement("optimal", 1.001, "optimal", 1.0, "off")
+        with pytest.raises(SanitizerError, match="status"):
+            check_stack_agreement("infeasible", np.nan, "optimal", 1.0, "st")
+
+
 # -- hook-site integration ----------------------------------------------------
 
 
@@ -235,3 +276,59 @@ class TestHookSites:
                 second = session.solve()
         assert first.is_optimal and second.is_optimal
         assert second.objective == pytest.approx(1.0)
+
+    @staticmethod
+    def _stacked_model():
+        from repro.milp import Model
+
+        model = Model("stack")
+        x = model.add_var(lb=0.0, ub=2.0)
+        y = model.add_var(lb=-1.0, ub=2.0)
+        model.add_constr(x + y <= 2.0)
+        model.add_constr(x - 2.0 * y >= -3.0)
+        objectives = [(x, "max"), (y, "min"), (x + y, "max"), (x - y, "min")]
+        return model, objectives
+
+    def test_stacked_session_passes_clean_under_sanitizer(self):
+        from repro.milp import open_session
+
+        model, objectives = self._stacked_model()
+        with sanitizing(), open_session(model, backend="scipy") as session:
+            assert session.objectives_per_stack() >= len(objectives)
+            results = session.solve_objectives(objectives)
+        assert [r.objective for r in results] == pytest.approx(
+            [2.0, -1.0, 2.0, -1.5]
+        )
+
+    @pytest.mark.parametrize(
+        "corrupt,contract",
+        [
+            # a block read back at the wrong offset: not a feasible point
+            (lambda r: setattr(r, "values", r.values + 5.0), "violates"),
+            # a value that is not the block's own optimum
+            (lambda r: setattr(r, "objective", r.objective - 0.5), "objective"),
+        ],
+    )
+    def test_stack_hook_catches_corruption(self, corrupt, contract):
+        from unittest import mock
+
+        from repro.milp import open_session
+        from repro.milp.scipy_backend import ScipyBackend
+
+        real = ScipyBackend.solve_lp_stack
+
+        def corrupted(backend, *args):
+            results = real(backend, *args)
+            for result in results:
+                corrupt(result)
+            return results
+
+        model, objectives = self._stacked_model()
+        with open_session(model, backend="scipy") as session, mock.patch.object(
+            ScipyBackend, "solve_lp_stack", corrupted
+        ):
+            with sanitizing():
+                with pytest.raises(SanitizerError, match=contract):
+                    session.solve_objectives(objectives)
+            with sanitizing(False):
+                session.solve_objectives(objectives)  # off: no check

@@ -10,14 +10,18 @@ neuron-splitting semantics of :meth:`SolverSession.fix_relu_phase` end
 to end on an encoded network.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._sanitize import sanitizing
 from repro.bounds import Box
 from repro.encoding import encode_single_network
 from repro.milp import Model, SolveStatus, as_expr, get_backend, open_session
+from repro.milp.solution import SolveResult
 from repro.milp.session import solve_objectives as session_solve_objectives
 from repro.nn.affine import AffineLayer
 
@@ -404,3 +408,272 @@ def test_fix_relu_phase_requires_metadata():
     with pytest.raises(ValueError, match="unknown ReLU phase"):
         with_info.fix_relu_phase(*first_unstable(enc), "sideways")
     with_info.close()
+
+
+# -- stacked multi-objective solves (scipy/HiGHS) -------------------------
+
+
+def random_objectives(inst, xs, count):
+    """``count`` random ``(expression, sense)`` pairs over ``xs``."""
+    objectives = []
+    for _ in range(count):
+        c = inst.rng.standard_normal(len(xs))
+        constant = float(inst.rng.standard_normal())
+        sense = "min" if inst.rng.integers(0, 2) == 0 else "max"
+        objectives.append((linexpr(xs, c, constant), sense))
+    return objectives
+
+
+def one_at_a_time(session, objectives, time_limit=None):
+    """The unstacked reference: one ``solve`` per objective."""
+    results = []
+    for expr, sense in objectives:
+        session.set_objective(expr, sense)
+        results.append(session.solve(time_limit=time_limit))
+    return results
+
+
+def assert_stacked_matches(stacked, singles):
+    __tracebackhide__ = True
+    assert [r.status for r in stacked] == [r.status for r in singles]
+    for got, want in zip(stacked, singles):
+        if want.status is SolveStatus.OPTIMAL:
+            scale = max(1.0, abs(want.objective))
+            assert abs(got.objective - want.objective) <= 1e-9 * scale
+            assert abs(got.sound_bound() - want.sound_bound()) <= 1e-9 * scale
+
+
+class SolveSpy:
+    """Records every scipy backend call: ``(num_columns, time_limit)``.
+
+    The sanitizer is off inside: its per-stack re-solve would add calls.
+    """
+
+    def __init__(self):
+        self.calls = []
+        self.stacks = 0
+
+    def __enter__(self):
+        from repro.milp.scipy_backend import ScipyBackend
+
+        real_std = ScipyBackend._solve_std
+        real_stack = ScipyBackend.solve_lp_stack
+
+        def solve_std(backend, c, *args):
+            self.calls.append((c.shape[0], args[6]))
+            return real_std(backend, c, *args)
+
+        def solve_lp_stack(backend, *args):
+            self.stacks += 1
+            return real_stack(backend, *args)
+
+        self._patches = [
+            mock.patch.object(ScipyBackend, "_solve_std", solve_std),
+            mock.patch.object(ScipyBackend, "solve_lp_stack", solve_lp_stack),
+            sanitizing(False),
+        ]
+        for patch in self._patches:
+            patch.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        for patch in reversed(self._patches):
+            patch.__exit__(*exc)
+
+
+def stacked_and_singles(inst, edit=None, count=6, time_limit=None):
+    """Solve the same objectives stacked and one at a time, under ``edit``."""
+    model, xs = inst.build()
+    objectives = random_objectives(inst, xs, count)
+    with open_session(model, backend="scipy") as stacked_session, open_session(
+        model, backend="scipy"
+    ) as single_session:
+        if edit is not None:
+            edit(stacked_session)
+            edit(single_session)
+        with SolveSpy() as spy:
+            stacked = stacked_session.solve_objectives(
+                objectives, time_limit=time_limit
+            )
+        singles = one_at_a_time(single_session, objectives, time_limit)
+        per_stack = stacked_session.objectives_per_stack()
+    return stacked, singles, spy, per_stack
+
+
+@given(seed=st.integers(0, 10**6), count=st.integers(2, 12))
+@settings(max_examples=15, deadline=None)
+def test_stacked_objectives_match_one_at_a_time(seed, count):
+    stacked, singles, spy, per_stack = stacked_and_singles(
+        RandomInstance(seed, n=6, m=4), count=count
+    )
+    assert per_stack >= count  # a tiny LP: every objective in one stack
+    assert spy.stacks == 1 and len(spy.calls) == 1
+    assert all(r.status is SolveStatus.OPTIMAL for r in stacked)
+    assert_stacked_matches(stacked, singles)
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=8, deadline=None)
+def test_stacked_objectives_with_appended_rows(seed):
+    inst = RandomInstance(seed, n=6, m=3)
+    rows = [inst.random_rows(k=3), inst.random_rows(k=2)]
+
+    def append(session):
+        for block in rows:
+            session.append_rows(*block)
+
+    stacked, singles, spy, _ = stacked_and_singles(inst, edit=append)
+    assert spy.stacks == 1
+    assert_stacked_matches(stacked, singles)
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=8, deadline=None)
+def test_stacked_infeasible_system_marks_every_objective(seed):
+    inst = RandomInstance(seed, n=5, m=3)
+
+    def make_infeasible(session):
+        # sum(x) >= sum(hi) + 1 cannot hold inside the variable box.
+        session.append_rows(np.ones((1, inst.n)), ">=", inst.hi.sum() + 1.0)
+
+    stacked, singles, spy, _ = stacked_and_singles(inst, edit=make_infeasible)
+    assert spy.stacks == 1 and len(spy.calls) == 1
+    assert all(r.status is SolveStatus.INFEASIBLE for r in stacked)
+    assert_stacked_matches(stacked, singles)
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=8, deadline=None)
+def test_stack_with_an_unbounded_objective_falls_back(seed):
+    inst = RandomInstance(seed, n=5, m=3)
+    model, xs = inst.build()
+    free = model.add_var(lb=0.0, ub=np.inf)  # in no constraint
+    objectives = random_objectives(inst, xs, 4)
+    objectives.insert(2, (as_expr(free), "max"))
+    with open_session(model, backend="scipy") as session, SolveSpy() as spy:
+        stacked = session.solve_objectives(objectives)
+        singles = one_at_a_time(session, objectives)
+    # One stacked call, then one call per objective for the fallback
+    # and one per objective for the reference.
+    assert spy.stacks == 1
+    assert len(spy.calls) == 1 + 2 * len(objectives)
+    assert stacked[2].status is not SolveStatus.OPTIMAL
+    assert all(r.is_optimal for k, r in enumerate(stacked) if k != 2)
+    assert_stacked_matches(stacked, singles)
+
+
+@pytest.mark.parametrize("count", [1, 5])
+def test_conflicting_session_bounds_never_reach_the_solver(count):
+    inst = RandomInstance(3)
+
+    def conflict(session):
+        session.set_var_bounds([0], 1.0, -1.0)
+
+    stacked, singles, spy, _ = stacked_and_singles(
+        inst, edit=conflict, count=count
+    )
+    assert spy.calls == []
+    assert all(r.status is SolveStatus.INFEASIBLE for r in stacked)
+    assert_stacked_matches(stacked, singles)
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=5, deadline=None)
+def test_stack_time_limit_scales_and_limited_stack_falls_back(seed):
+    inst = RandomInstance(seed, n=5, m=3)
+    stacked, singles, spy, _ = stacked_and_singles(
+        inst, count=4, time_limit=30.0
+    )
+    assert spy.calls == [(4 * inst.n, 4 * 30.0)]
+    assert_stacked_matches(stacked, singles)
+
+    # A stack that runs out of time is re-solved one objective at a
+    # time, each under the caller's per-solve limit.
+    from repro.milp.scipy_backend import ScipyBackend
+
+    real_std = ScipyBackend._solve_std
+
+    def stack_times_out(backend, c, *args):
+        if c.shape[0] > inst.n:
+            return SolveResult(status=SolveStatus.TIME_LIMIT, backend="scipy")
+        return real_std(backend, c, *args)
+
+    model, xs = inst.build()
+    objectives = random_objectives(inst, xs, 4)
+    with open_session(model, backend="scipy") as session:
+        reference = one_at_a_time(session, objectives, time_limit=30.0)
+        with mock.patch.object(ScipyBackend, "_solve_std", stack_times_out):
+            with SolveSpy() as spy:
+                limited = session.solve_objectives(objectives, time_limit=30.0)
+    assert spy.calls[0] == (4 * inst.n, 4 * 30.0)
+    assert spy.calls[1:] == [(inst.n, 30.0)] * 4
+    assert_stacked_matches(limited, reference)
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=5, deadline=None)
+def test_model_above_the_budget_is_solved_singly(seed):
+    from repro.milp import scipy_backend
+
+    inst = RandomInstance(seed, n=5, m=3)
+    with mock.patch.object(scipy_backend, "STACK_NNZ", 1):
+        stacked, singles, spy, per_stack = stacked_and_singles(inst, count=5)
+    assert per_stack == 1
+    assert spy.stacks == 0 and len(spy.calls) == 5
+    assert_stacked_matches(stacked, singles)
+
+
+def test_stack_boundaries_follow_the_budget():
+    from repro.milp import scipy_backend
+
+    inst = RandomInstance(9, n=5, m=3)
+    model, xs = inst.build()
+    objectives = random_objectives(inst, xs, 7)
+    with open_session(model, backend="scipy") as session:
+        nnz = int(np.count_nonzero(inst.A))
+        with mock.patch.object(scipy_backend, "STACK_NNZ", 3 * nnz):
+            assert session.objectives_per_stack() == 3
+            with SolveSpy() as spy:
+                stacked = session.solve_objectives(objectives)
+        singles = one_at_a_time(session, objectives)
+    assert [cols for cols, _ in spy.calls] == [15, 15, 5]
+    assert_stacked_matches(stacked, singles)
+
+
+def test_single_objective_is_never_stacked():
+    inst = RandomInstance(4)
+    stacked, singles, spy, _ = stacked_and_singles(inst, count=1)
+    assert spy.stacks == 0 and spy.calls == [(inst.n, None)]
+    assert_stacked_matches(stacked, singles)
+
+
+def test_milp_sessions_are_never_stacked():
+    inst = RandomInstance(6, n=5, m=2, n_bin=2)
+    stacked, singles, spy, per_stack = stacked_and_singles(inst, count=4)
+    assert per_stack == 1 and spy.stacks == 0 and len(spy.calls) == 4
+    assert_stacked_matches(stacked, singles)
+
+
+def test_stacked_solve_leaves_the_last_objective_set():
+    inst = RandomInstance(8)
+    model, xs = inst.build()
+    objectives = random_objectives(inst, xs, 3)
+    with open_session(model, backend="scipy") as session:
+        last = session.solve_objectives(objectives)[-1]
+        again = session.solve()
+    assert again.status is last.status
+    assert again.objective == pytest.approx(last.objective, rel=1e-9, abs=1e-9)
+
+
+def test_backend_and_model_solve_many_share_the_session_path():
+    inst = RandomInstance(2, n=6, m=4)
+    model, xs = inst.build()
+    objectives = random_objectives(inst, xs, 5)
+    with SolveSpy() as spy:
+        via_model = model.solve_many(objectives, backend="scipy")
+        via_session = session_solve_objectives(model, objectives, backend="scipy")
+    assert spy.stacks == 2
+    for a, b in zip(via_model, via_session):
+        assert a.status is b.status
+        assert a.objective == b.objective
+        assert np.array_equal(a.values, b.values)

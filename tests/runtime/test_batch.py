@@ -352,6 +352,53 @@ class TestParallelSolveMany:
         out = parallel_solve_many(enc.model, [(expr, "max")], max_workers=4)
         assert len(out) == 1 and out[0].is_optimal
 
+    def test_lp_only_certifier_workers_are_bit_identical(self, monkeypatch):
+        """Chunks fall on stack boundaries, so fan-out changes no bit."""
+        import repro.runtime.batch as batch_module
+
+        rng = np.random.default_rng(5)
+        dims = [7, 40, 40, 2]
+        wide = [
+            AffineLayer(
+                rng.standard_normal((dims[i + 1], dims[i])) / np.sqrt(dims[i]),
+                0.1 * rng.standard_normal(dims[i + 1]),
+                relu=i < 2,
+            )
+            for i in range(3)
+        ]
+        fanned_layers = []
+        real_per_stack = batch_module._objectives_per_stack
+        real_fan_out = batch_module.parallel_solve_many
+
+        def per_stack(model, backend):
+            stack = real_per_stack(model, backend)
+            fanned_layers[-1].append(stack)
+            return stack
+
+        def fan_out(model, objectives, **kwargs):
+            fanned_layers.append([len(objectives)])
+            return real_fan_out(model, objectives, **kwargs)
+
+        monkeypatch.setattr(batch_module, "_objectives_per_stack", per_stack)
+        monkeypatch.setattr(batch_module, "parallel_solve_many", fan_out)
+        box = Box.uniform(7, 0.0, 1.0)
+        serial = GlobalRobustnessCertifier(
+            wide, CertifierConfig(window=2)
+        ).certify(box, 0.01)
+        fanned = GlobalRobustnessCertifier(
+            wide, CertifierConfig(window=2, workers=2)
+        ).certify(box, 0.01)
+        # At least one layer spans several stacks, so two workers each
+        # solved some of them.
+        assert any(count > stack for count, stack in fanned_layers)
+        assert np.array_equal(fanned.epsilons, serial.epsilons)
+        for i in range(1, len(wide) + 1):
+            got = fanned.detail["range_table"].layer(i)
+            want = serial.detail["range_table"].layer(i)
+            for name in ("y", "dy", "x", "dx"):
+                assert np.array_equal(getattr(got, name).lo, getattr(want, name).lo)
+                assert np.array_equal(getattr(got, name).hi, getattr(want, name).hi)
+
     def test_certifier_workers_match_serial(self, layers):
         box = Box.uniform(3, 0.0, 1.0)
         serial = GlobalRobustnessCertifier(

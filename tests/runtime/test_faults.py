@@ -344,6 +344,32 @@ class TestPoolSupervisor:
         assert engine.fault_stats["degraded"] == 2
 
 
+# -- solver fault points ------------------------------------------------------
+
+
+class TestSolverFaultPoints:
+    def test_solver_points_fire_once_per_stacked_lp(self):
+        """Four LP objectives over one system are one HiGHS call."""
+        from repro._sanitize import sanitizing
+        from repro.milp import Model, open_session
+
+        model = Model("lp")
+        x = model.add_var(lb=0.0, ub=1.0)
+        y = model.add_var(lb=0.0, ub=1.0)
+        model.add_constr(x + y <= 1.5)
+        objectives = [(x, "max"), (y, "max"), (x + y, "min"), (x - y, "max")]
+        plan = faults.FaultPlan.parse("scipy.solve:raise@2; session.solve:raise@2")
+        # The sanitizer's per-stack re-solve would be a second hit.
+        with sanitizing(False), faults.injected(plan), open_session(
+            model, backend="scipy"
+        ) as session:
+            results = session.solve_objectives(objectives)
+            assert plan.hits("scipy.solve") == plan.hits("session.solve") == 1
+            with pytest.raises(faults.InjectedFault):
+                session.solve()  # the second hit
+        assert [r.objective for r in results] == pytest.approx([1.0, 1.0, 0.0, 1.0])
+
+
 # -- mid-computation salvage in the objective / leaf fan-outs -----------------
 
 
