@@ -6,7 +6,7 @@ PYTHON ?= python
 BASE_REF ?= origin/main
 LINT_PATHS := src benchmarks tests
 
-.PHONY: test test-chaos lint lint-diff lint-sarif ratchet bench-smoke
+.PHONY: test test-chaos lint lint-diff lint-sarif ratchet bench-smoke perfbench-smoke
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -41,3 +41,14 @@ bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m benchmarks.bench_warmstart --smoke
 	PYTHONPATH=src $(PYTHON) -m benchmarks.bench_batch_bounds --smoke
 	PYTHONPATH=src $(PYTHON) -m benchmarks.bench_faults --smoke
+
+# CI perfbench job: every end-to-end workload briefly, traced.  A run
+# exits non-zero only when one of its correctness checks fails
+# ("correct": false); its timings are not gated here, because shared
+# runners are too noisy for the benchmark's bounds.
+PERFBENCH_WORKLOADS := alg1-lp alg1-refine local-batch
+
+perfbench-smoke:
+	for w in $(PERFBENCH_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$w --seconds 5 --trace 1 || exit 1; \
+	done

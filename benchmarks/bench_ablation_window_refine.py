@@ -77,7 +77,7 @@ def test_ablation_refinement(setup, report, json_report, benchmark):
         records.append(
             {"refine_count": refine, "epsilon": cert.epsilon,
              "solve_time_s": cert.solve_time,
-             "solves": cert.milp_count or cert.lp_count}
+             "solves": cert.lp_count + cert.milp_count}
         )
         rows.append(
             [
@@ -85,7 +85,7 @@ def test_ablation_refinement(setup, report, json_report, benchmark):
                 f"{cert.epsilon:.5f}",
                 f"{cert.epsilon / exact.epsilon:.2f}x",
                 f"{cert.solve_time:.2f}s",
-                cert.milp_count or cert.lp_count,
+                cert.lp_count + cert.milp_count,
             ]
         )
     json_report("ablation_window_refine", {"refinement": records})

@@ -26,7 +26,11 @@ Contracts wired in today:
 * **stacked LP solves** — every block of a block-diagonal multi-objective
   LP satisfies the unstacked system, and one seeded objective re-solved
   alone agrees with its stacked value
-  (:meth:`repro.milp.session.SolverSession.solve_objectives`).
+  (:meth:`repro.milp.session.SolverSession.solve_objectives`);
+* **Algorithm-1 shortcuts** — for one seeded neuron per layer, the
+  closed-form depth-1 bounds and the first-copy ``y`` bounds agree with,
+  and contain, the optimum of the same objective over the full ITNE
+  model (:mod:`repro.certify.global_cert`).
 
 Violations raise :class:`SanitizerError` (an ``AssertionError``
 subclass: a sanitizer failure is a bug in this codebase, never a user
@@ -295,4 +299,41 @@ def check_stack_agreement(
         _fail(
             "lp-stack",
             f"{what}: stacked objective {stacked!r} != alone {alone!r}",
+        )
+
+
+def check_shortcut_bound(
+    bound: float | None,
+    sense: str,
+    reference_status: str,
+    reference: float,
+    what: str,
+    rel_tol: float = 1e-7,
+    slack: float = 0.0,
+) -> None:
+    """A shortcut Algorithm-1 bound must contain and match the ITNE optimum.
+
+    ``bound`` is a closed-form or first-copy bound (``sense`` ``"min"``:
+    a lower bound) and ``reference`` the optimum of the same objective
+    over the full ITNE model.  The reference is attained by a feasible
+    point, so a sound bound never passes it (beyond ``rel_tol``); and the
+    shortcut is exact, so it may trail the reference by no more than
+    ``rel_tol`` plus ``slack`` (the MIP gaps of the two solves).  Only a
+    proven-optimal reference is compared, and a missing bound (the
+    interval value then stands) has nothing to check.
+    """
+    if bound is None or reference_status != "optimal":
+        return
+    tol = rel_tol * max(1.0, abs(reference))
+    tighter = bound - reference if sense == "min" else reference - bound
+    if tighter > tol:
+        _fail(
+            "alg1-shortcut",
+            f"{what}: bound {bound!r} cuts off the ITNE optimum {reference!r}",
+        )
+    if -tighter > tol + slack:
+        _fail(
+            "alg1-shortcut",
+            f"{what}: bound {bound!r} is looser than the ITNE optimum "
+            f"{reference!r}",
         )

@@ -7,32 +7,43 @@ Combines the three ingredients of the paper:
 * **ND** — the network is processed layer by layer; for each layer a
   depth-``W`` sub-network ending at that layer is encoded, with input
   ranges taken from the already-tightened table (``LpRelaxY`` /
-  ``LpRelaxX`` of Algorithm 1, batched per layer so the constraint
+  ``LpRelaxX`` of Algorithm 1, batched per layer so each constraint
   matrix is built once and only the objective vector changes);
 * **LPR + selective refinement** — all ReLU and distance relations are
   relaxed (Eq. 4 / Eq. 6) except the ``refine_count`` worst-scored
   neurons, which keep exact big-M encodings.
 
+``LpRelaxY`` solves only what it needs.  A depth-1 sub-network (layer 1,
+or every layer at ``W = 1``) has a closed-form answer, so it builds no
+model.  Deeper ones solve ``Δy`` min/max over the ITNE model and ``y``
+min/max over its first copy alone, which is exactly as tight.  The
+``y`` range of a ReLU-free output layer is never solved: ``ε̄`` reads
+only ``Δx``.
+
 The result is a sound, deterministic over-approximation ``ε̄ ≥ ε`` whose
-cost grows polynomially with network size (one small LP/MILP per neuron)
-instead of exponentially.
+cost grows polynomially with network size (at most four small LPs/MILPs
+per neuron of a layer at depth two or more) instead of exponentially.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro import _sanitize
 from repro.bounds.interval import Box
 from repro.bounds.ranges import RangeTable
 from repro.bounds.twin_ibp import relu_distance_interval
 from repro.certify.decomposition import decompose, subnetwork_ranges
 from repro.certify.refinement import select_refinement
 from repro.certify.results import GlobalCertificate
-from repro.encoding.itne import encode_itne
-from repro.milp.expr import as_expr
+from repro.encoding.itne import ItneEncoding, encode_first_copy, encode_itne
+from repro.milp import Model
+from repro.milp.expr import LinExpr, as_expr
+from repro.milp.solution import SolveResult
 from repro.nn.affine import AffineLayer
 from repro.nn.network import Network
 
@@ -58,11 +69,14 @@ class CertifierConfig:
             sound for range certification, so limits never cost
             soundness — only tightness.
         workers: Worker processes for the per-neuron solve batches.
-            Each layer's min/max objectives are independent, so with
-            ``workers > 1`` they are fanned across processes via
+            A layer solves up to two batches — ``Δy`` min/max over the
+            ITNE model, ``y`` min/max over the first-copy model — whose
+            objectives are independent, so with ``workers > 1`` each
+            batch is fanned across processes via
             :func:`repro.runtime.batch.parallel_solve_many` in chunks of
             whole LP stacks (results are bit-identical to the serial
-            path; 1 = serial, the default).
+            path; 1 = serial, the default).  Closed-form layers solve
+            nothing and never start a pool.
         verbose: Print per-layer progress.
     """
 
@@ -117,11 +131,9 @@ class GlobalRobustnessCertifier:
 
         for i in range(1, len(self.layers) + 1):
             layer = self.layers[i - 1]
-            solves, used_binaries = self._tighten_layer(table, i)
-            if used_binaries:
-                milp_count += solves
-            else:
-                lp_count += solves
+            lps, milps = self._tighten_layer(table, i)
+            lp_count += lps
+            milp_count += milps
             self._finalize_layer(table, i, layer)
             if cfg.verbose:
                 rec = table.layer(i)
@@ -129,7 +141,7 @@ class GlobalRobustnessCertifier:
                     f"layer {i}/{len(self.layers)}: "
                     f"|dy| <= {np.abs(rec.dy.hi).max():.4g}, "
                     f"|dx| <= {max(abs(rec.dx.lo.min()), abs(rec.dx.hi.max())):.4g} "
-                    f"({solves} solves)"
+                    f"({lps} LPs, {milps} MILPs)"
                 )
 
         return GlobalCertificate(
@@ -157,89 +169,124 @@ class GlobalRobustnessCertifier:
             tag += f"-{self.config.bounds}"
         return tag
 
-    def _tighten_layer(self, table: RangeTable, i: int) -> tuple[int, bool]:
+    def _tighten_layer(self, table: RangeTable, i: int) -> tuple[int, int]:
         """LpRelaxY for every neuron of layer ``i`` (batched).
 
-        Encodes one depth-``w`` sub-network whose output is the whole
-        pre-activation layer ``y(i)`` and solves min/max of ``y_j`` and
-        ``Δy_j`` for each neuron, updating the table in place.
+        Bounds ``y_j`` and ``Δy_j`` of every neuron over the depth-``w``
+        sub-network ending at the whole pre-activation layer ``y(i)``,
+        solving only the LPs that are needed, and intersects them with
+        the table in place:
+
+        * a depth-1 sub-network is answered in closed form (see
+          :func:`_depth_one_bounds`), with no model at all;
+        * otherwise ``Δy`` min/max are solved over the ITNE model and
+          ``y`` min/max over its first copy alone
+          (:func:`~repro.encoding.itne.encode_first_copy`, equally
+          tight and about half the size);
+        * ``y`` of a last layer without a ReLU is never read (``ε̄``
+          comes from ``Δx``), so it is not solved.
 
         Returns:
-            ``(num_solves, used_binaries)``.
+            ``(lp_solves, milp_solves)`` actually made.
         """
         cfg = self.config
         sub = decompose(self.layers, i, cfg.window, output_relu=False)
+        input_rec = table.layer(sub.input_layer_index)
+        x_in = Box(input_rec.x.lo, input_rec.x.hi)  # Box copies its arrays
+        dx_in = Box(input_rec.dx.lo, input_rec.dx.hi)
+        rec = table.layer(i)
+        if sub.depth == 1:
+            y_box, dy_box = _depth_one_bounds(sub.layers[0], x_in, dx_in)
+            if _sanitize.ENABLED:
+                enc = encode_itne(
+                    sub.layers, x_in, dx_in, ranges=subnetwork_ranges(table, sub),
+                    couple_second_copy=cfg.couple_second_copy, clip_second_input=True,
+                )
+                j = _seeded_neuron(i, y_box.dim)
+                self._check_shortcut(
+                    enc, [enc.y[-1][j], enc.dy[-1][j]],
+                    [y_box.lo[j], y_box.hi[j], dy_box.lo[j], dy_box.hi[j]],
+                    [0.0] * 4, f"layer {i} closed-form neuron {j}",
+                )
+            _intersect(rec.y, y_box.lo, y_box.hi)
+            _intersect(rec.dy, dy_box.lo, dy_box.hi)
+            return 0, 0
+
         sub_table = subnetwork_ranges(table, sub)
         masks = select_refinement(
             sub, sub_table, cfg.refine_count, include_output_layer=False
         )
-        input_rec = table.layer(sub.input_layer_index)
         enc = encode_itne(
             sub.layers,
-            Box(input_rec.x.lo.copy(), input_rec.x.hi.copy()),
-            Box(input_rec.dx.lo.copy(), input_rec.dx.hi.copy()),
+            x_in,
+            dx_in,
             ranges=sub_table,
             refine_mask=masks,
             couple_second_copy=cfg.couple_second_copy,
             clip_second_input=True,
         )
-        used_binaries = enc.model.num_binary > 0
+        dy_results = self._solve(enc.model, _min_max_objectives(enc.dy[-1]))
+        _intersect(rec.dy, *_sound_bounds(dy_results))
+        solved = [(enc.model, len(dy_results))]
+        if i < len(self.layers) or self.layers[i - 1].relu:
+            first = encode_first_copy(sub.layers, x_in, sub_table, refine_mask=masks)
+            y_results = self._solve(first.model, _min_max_objectives(first.y[-1]))
+            if _sanitize.ENABLED:
+                j = _seeded_neuron(i, len(first.y[-1]))
+                mine = y_results[2 * j : 2 * j + 2]
+                self._check_shortcut(
+                    enc, [enc.y[-1][j]], [r.sound_bound() for r in mine],
+                    [_gap(r) for r in mine], f"layer {i} first-copy neuron {j}",
+                )
+            _intersect(rec.y, *_sound_bounds(y_results))
+            solved.append((first.model, len(y_results)))
+        lps = sum(n for model, n in solved if model.num_binary == 0)
+        return lps, sum(n for _, n in solved) - lps
 
-        m_i = self.layers[i - 1].out_dim
-        objectives = []
-        for j in range(m_i):
-            y_expr = as_expr(enc.y[-1][j])
-            dy_expr = as_expr(enc.dy[-1][j])
-            objectives.extend(
-                [(y_expr, "min"), (y_expr, "max"), (dy_expr, "min"), (dy_expr, "max")]
-            )
-        time_limit = cfg.milp_time_limit if used_binaries else cfg.lp_time_limit
+    def _solve(self, model: Model, objectives: list) -> list[SolveResult]:
+        """Solve ``objectives`` over ``model``, fanned across workers if set."""
+        cfg = self.config
+        time_limit = cfg.milp_time_limit if model.num_binary > 0 else cfg.lp_time_limit
         if cfg.workers > 1:
             from repro.runtime.batch import parallel_solve_many
 
-            results = parallel_solve_many(
-                enc.model,
+            return parallel_solve_many(
+                model,
                 objectives,
                 backend=cfg.backend,
                 time_limit=time_limit,
                 max_workers=cfg.workers,
             )
-        else:
-            # Serial path: one SolverSession per sub-network — the
-            # export is cached once for all 4·m_i objective solves.
-            from repro.milp.session import solve_objectives
+        # Serial path: one SolverSession per model — the export is cached
+        # once for all of its objective solves.
+        from repro.milp.session import solve_objectives
 
-            results = solve_objectives(
-                enc.model, objectives, backend=cfg.backend, time_limit=time_limit
-            )
+        return solve_objectives(
+            model, objectives, backend=cfg.backend, time_limit=time_limit
+        )
 
-        rec = table.layer(i)
-        for j in range(m_i):
-            r_ylo, r_yhi, r_dlo, r_dhi = results[4 * j : 4 * j + 4]
-            # Intersect with the (sound) interval values so bounds never
-            # loosen, using each solve's *dual bound* — sound even when a
-            # refined MILP stopped at a gap or time limit.  Solves with
-            # no usable bound fall back to the interval value.
-            y_lo, y_hi = rec.y.scalar(j)
-            dy_lo, dy_hi = rec.dy.scalar(j)
-            lo_c = r_ylo.sound_bound()
-            hi_c = r_yhi.sound_bound()
-            if lo_c is not None:
-                y_lo = max(y_lo, lo_c)
-            if hi_c is not None:
-                y_hi = min(y_hi, hi_c)
-            lo_c = r_dlo.sound_bound()
-            hi_c = r_dhi.sound_bound()
-            if lo_c is not None:
-                dy_lo = max(dy_lo, lo_c)
-            if hi_c is not None:
-                dy_hi = min(dy_hi, hi_c)
-            rec.set_neuron(
-                j,
-                y=(min(y_lo, y_hi), max(y_lo, y_hi)),
-                dy=(min(dy_lo, dy_hi), max(dy_lo, dy_hi)),
+    def _check_shortcut(
+        self,
+        enc: ItneEncoding,
+        handles: list,
+        bounds: list[float | None],
+        slacks: list[float],
+        what: str,
+    ) -> None:
+        """Sanitizer contract ``alg1-shortcut`` for one neuron.
+
+        ``bounds`` are the shortcut's min/max bounds of ``handles`` (in
+        ``_min_max_objectives`` order) and ``slacks`` their own MIP gaps;
+        each must contain and match the same objective solved over the
+        full ITNE model ``enc``.
+        """
+        refs = self._solve(enc.model, _min_max_objectives(handles))
+        for k, (bound, slack, ref) in enumerate(zip(bounds, slacks, refs)):
+            sense = _SENSES[k % 2]
+            _sanitize.check_shortcut_bound(
+                bound, sense, ref.status.value, ref.objective,
+                f"{what} objective {k} ({sense})", slack=slack + _gap(ref),
             )
-        return len(objectives), used_binaries
 
     @staticmethod
     def _finalize_layer(table: RangeTable, i: int, layer: AffineLayer) -> None:
@@ -267,3 +314,63 @@ class GlobalRobustnessCertifier:
             )
 
 
+_SENSES = ("min", "max")
+
+
+def _depth_one_bounds(layer: AffineLayer, x_in: Box, dx_in: Box) -> tuple[Box, Box]:
+    """Exact ``y``/``Δy`` ranges of a depth-1 ITNE sub-problem.
+
+    With one affine layer (ReLU stripped) the only coupling between the
+    inputs is the clip ``x + Δx ∈ [lo, hi]``.  It leaves every ``x`` in
+    its box reachable (with ``Δx = 0``) and every ``Δx`` in
+    ``Δx-box ∩ [lo − hi, hi − lo]`` reachable, coordinate by coordinate,
+    so the four LP optima per neuron are the interval images of ``W``
+    over those boxes.  Interval arithmetic is also never tighter than
+    the exact image, which an LP answer within its tolerance can be.
+    """
+    clipped = Box(
+        np.maximum(dx_in.lo, x_in.lo - x_in.hi), np.minimum(dx_in.hi, x_in.hi - x_in.lo)
+    )
+    return x_in.affine(layer.weight, layer.bias), clipped.affine(layer.weight)
+
+
+def _min_max_objectives(handles: list) -> list[tuple[LinExpr, str]]:
+    """``[(h₀, min), (h₀, max), (h₁, min), ...]``."""
+    objectives = []
+    for handle in handles:
+        expr = as_expr(handle)
+        objectives.extend((expr, sense) for sense in _SENSES)
+    return objectives
+
+
+def _sound_bounds(results: list[SolveResult]) -> tuple[np.ndarray, np.ndarray]:
+    """Sound ``(lo, hi)`` arrays from alternating min/max results.
+
+    Each solve contributes its *dual bound* — sound even when a refined
+    MILP stopped at a gap or time limit.  A solve with no usable bound
+    gives ``∓inf``, so the table's interval value stands.
+    """
+    bounds = [r.sound_bound() for r in results]
+    lo = [-math.inf if b is None else b for b in bounds[0::2]]
+    hi = [math.inf if b is None else b for b in bounds[1::2]]
+    return np.array(lo, dtype=float), np.array(hi, dtype=float)
+
+
+def _intersect(box: Box, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Tighten ``box`` in place by ``[lo, hi]`` (bounds never loosen)."""
+    new_lo = np.maximum(box.lo, lo)
+    new_hi = np.minimum(box.hi, hi)
+    box.lo[:] = np.minimum(new_lo, new_hi)
+    box.hi[:] = np.maximum(new_lo, new_hi)
+
+
+def _seeded_neuron(layer_index: int, width: int) -> int:
+    """The neuron of a layer that the ``alg1-shortcut`` contract re-checks."""
+    return int(np.random.default_rng(layer_index).integers(width))
+
+
+def _gap(result: SolveResult) -> float:
+    """Distance between a solve's objective and its dual bound (0 for LPs)."""
+    if math.isfinite(result.objective) and math.isfinite(result.bound):
+        return abs(result.objective - result.bound)
+    return 0.0 if result.is_optimal else math.inf

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.encoding.assembly import RowBlockBuilder, affine_link_rows, row_dot
 from repro.encoding.bigm import encode_relu_exact, relu_exact_rows
 from repro.encoding.btne import BtneEncoding, encode_btne
-from repro.encoding.itne import ItneEncoding, encode_itne
+from repro.encoding.itne import ItneEncoding, encode_first_copy, encode_itne
 from repro.encoding.relaxation import (
     couple_triangle_rows,
     distance_relaxed_rows,
@@ -51,5 +51,6 @@ __all__ = [
     "BtneEncoding",
     "encode_btne",
     "ItneEncoding",
+    "encode_first_copy",
     "encode_itne",
 ]

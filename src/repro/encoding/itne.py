@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bounds.interval import Box
-from repro.bounds.ranges import RangeTable
+from repro.bounds.ranges import LayerRanges, RangeTable
 from repro.encoding.assembly import RowBlockBuilder, affine_link_rows, row_dot
 from repro.encoding.bigm import encode_relu_exact, relu_exact_rows
 from repro.encoding.relaxation import (
@@ -41,6 +41,7 @@ from repro.encoding.relaxation import (
     encode_relu_triangle,
     relu_triangle_rows,
 )
+from repro.encoding.single import SingleEncoding
 from repro.milp import Model, Sense
 from repro.milp.expr import LinExpr, Var, as_expr
 from repro.nn.affine import AffineLayer
@@ -172,44 +173,23 @@ def encode_itne(
         layer_ranges = ranges.layer(i + 1)
         mask = None if refine_mask is None else refine_mask[i]
         m_i = layer.out_dim
-        # Range cuts: Algorithm 1 lists the hidden-neuron ranges
-        # y(i−k), Δy(i−k) as prerequisites of every sub-network
-        # problem.  They are globally valid (derived from the full
-        # network earlier), so imposing them is sound — and necessary:
-        # inside a decomposed slice the box-relaxed inputs can
-        # otherwise reach y/Δy values outside these ranges, where the
-        # exact big-M encoding admits distance values the Eq. 6
-        # butterfly would have cut off (making a *refined* neuron
-        # paradoxically looser than a relaxed one).  With y/Δy as model
-        # variables the cuts are simply their bounds.
+        y_vars = _first_copy_link(model, layer, layer_ranges, cur_x, prefix, i, vectorized)
+        # Distance range cuts, as for y (see _first_copy_link).
         if layer.relu:
-            y_lo, y_hi = layer_ranges.y.lo, layer_ranges.y.hi
             dy_lo, dy_hi = layer_ranges.dy.lo, layer_ranges.dy.hi
         else:
-            y_lo = dy_lo = -math.inf
-            y_hi = dy_hi = math.inf
-        y_vars = model.add_vars_array(m_i, lb=y_lo, ub=y_hi, prefix=f"{prefix}.y{i}")
+            dy_lo, dy_hi = -math.inf, math.inf
         dy_vars = model.add_vars_array(
             m_i, lb=dy_lo, ub=dy_hi, prefix=f"{prefix}.dy{i}"
         )
-        zero_bias = np.zeros(m_i)
         rows: RowBlockBuilder | None = None
         if vectorized:
             affine_link_rows(
-                model, y_vars, layer.weight, cur_x, layer.bias,
-                name=f"{prefix}.l{i}.link",
-            )
-            affine_link_rows(
-                model, dy_vars, layer.weight, cur_dx, zero_bias,
+                model, dy_vars, layer.weight, cur_dx, np.zeros(m_i),
                 name=f"{prefix}.l{i}.dlink",
             )
             rows = RowBlockBuilder()
         else:
-            for j in range(m_i):
-                model.add_constr(
-                    y_vars[j]
-                    == row_dot(layer.weight[j], cur_x, float(layer.bias[j]))
-                )
             for j in range(m_i):
                 model.add_constr(
                     dy_vars[j] == row_dot(layer.weight[j], cur_dx, 0.0)
@@ -227,9 +207,10 @@ def encode_itne(
                 dy_lb, dy_ub = layer_ranges.dy.scalar(j)
                 tag = f"{prefix}.l{i}n{j}"
                 refine = True if mask is None else bool(mask[j])
+                x_var = _first_copy_relu(model, rows, y_var, y_lb, y_ub, refine, tag)
+                x_list.append(x_var)
                 if refine:
                     if rows is not None:
-                        x_var = relu_exact_rows(model, rows, y_var, y_lb, y_ub, name=tag)
                         xhat_var = relu_exact_rows(
                             model,
                             rows,
@@ -239,7 +220,6 @@ def encode_itne(
                             name=f"{tag}.hat",
                         )
                     else:
-                        x_var = encode_relu_exact(model, y_var, y_lb, y_ub, name=tag)
                         xhat_var = encode_relu_exact(
                             model,
                             y_var + dy_var,
@@ -247,13 +227,9 @@ def encode_itne(
                             y_ub + dy_ub,
                             name=f"{tag}.hat",
                         )
-                    x_list.append(x_var)
                     dx_list.append(as_expr(xhat_var) - as_expr(x_var))
                 else:
                     if rows is not None:
-                        x_var = relu_triangle_rows(
-                            model, rows, y_var, y_lb, y_ub, name=tag
-                        )
                         dx_var = distance_relaxed_rows(
                             model, rows, dy_var, dy_lb, dy_ub, name=tag
                         )
@@ -268,9 +244,6 @@ def encode_itne(
                                 y_ub + dy_ub,
                             )
                     else:
-                        x_var = encode_relu_triangle(
-                            model, y_var, y_lb, y_ub, name=tag
-                        )
                         dx_var = encode_distance_relaxed(
                             model, dy_var, dy_lb, dy_ub, name=tag
                         )
@@ -282,7 +255,6 @@ def encode_itne(
                                 y_lb + dy_lb,
                                 y_ub + dy_ub,
                             )
-                    x_list.append(x_var)
                     dx_list.append(dx_var)
         if rows is not None:
             rows.flush(model, name=f"{prefix}.l{i}.relu")
@@ -292,6 +264,121 @@ def encode_itne(
         enc.dx.append(dx_list)
         cur_x, cur_dx = x_list, dx_list
     return enc
+
+
+def encode_first_copy(
+    layers: list[AffineLayer],
+    input_box: Box,
+    ranges: RangeTable,
+    refine_mask: list[np.ndarray] | None = None,
+    vectorized: bool = True,
+) -> SingleEncoding:
+    """The first-copy rows of :func:`encode_itne`, without the twin.
+
+    Same input box, same ``y`` range cuts, same ReLU rows (big-M for
+    refined neurons, the Eq. 4 triangle for relaxed ones) — built by the
+    same helpers — but no distance variables, clip rows or second-copy
+    coupling.  Its constraints are a subset of the ITNE model's, so any
+    bound on ``y`` it proves is sound.  It is also exactly as tight for
+    objectives over ``y``: every feasible point extends to the ITNE
+    system with ``Δx ≡ 0`` (0 lies in every distance range, and a wider
+    second-copy triangle contains the first copy's).  Algorithm 1 solves
+    its ``y`` min/max objectives here.
+
+    Variables carry the names :func:`encode_itne` gives them by default.
+
+    Returns:
+        A :class:`~repro.encoding.single.SingleEncoding` (its
+        ``relu_vars`` metadata is left empty).
+    """
+    model = Model("first-copy")
+    prefix = "t"
+    input_vars = model.add_vars_array(
+        input_box.dim, lb=input_box.lo, ub=input_box.hi, prefix=f"{prefix}.x0"
+    )
+    enc = SingleEncoding(model=model, input_vars=input_vars)
+    cur_x: list[Var | LinExpr] = list(input_vars)
+    for i, layer in enumerate(layers):
+        layer_ranges = ranges.layer(i + 1)
+        mask = None if refine_mask is None else refine_mask[i]
+        y_vars = _first_copy_link(model, layer, layer_ranges, cur_x, prefix, i, vectorized)
+        x_list = list(y_vars)
+        if layer.relu:
+            rows = RowBlockBuilder() if vectorized else None
+            for j, y_var in enumerate(y_vars):
+                y_lb, y_ub = layer_ranges.y.scalar(j)
+                refine = True if mask is None else bool(mask[j])
+                x_list[j] = _first_copy_relu(
+                    model, rows, y_var, y_lb, y_ub, refine, f"{prefix}.l{i}n{j}"
+                )
+            if rows is not None:
+                rows.flush(model, name=f"{prefix}.l{i}.relu")
+        enc.y.append(y_vars)
+        enc.x.append(x_list)
+        cur_x = list(x_list)
+    return enc
+
+
+def _first_copy_link(
+    model: Model,
+    layer: AffineLayer,
+    layer_ranges: LayerRanges,
+    cur_x: list[Var | LinExpr],
+    prefix: str,
+    i: int,
+    vectorized: bool,
+) -> list[Var]:
+    """Pre-activation variables ``y(i)`` tied to ``cur_x`` by ``y − W x = b``.
+
+    Range cuts: Algorithm 1 lists the hidden-neuron ranges y(i−k),
+    Δy(i−k) as prerequisites of every sub-network problem.  They are
+    globally valid (derived from the full network earlier), so imposing
+    them is sound — and necessary: inside a decomposed slice the
+    box-relaxed inputs can otherwise reach y/Δy values outside these
+    ranges, where the exact big-M encoding admits distance values the
+    Eq. 6 butterfly would have cut off (making a *refined* neuron
+    paradoxically looser than a relaxed one).  With y/Δy as model
+    variables the cuts are simply their bounds; a layer without a ReLU
+    gets none.
+    """
+    if layer.relu:
+        y_lo, y_hi = layer_ranges.y.lo, layer_ranges.y.hi
+    else:
+        y_lo, y_hi = -math.inf, math.inf
+    y_vars = model.add_vars_array(layer.out_dim, lb=y_lo, ub=y_hi, prefix=f"{prefix}.y{i}")
+    if vectorized:
+        affine_link_rows(
+            model, y_vars, layer.weight, cur_x, layer.bias, name=f"{prefix}.l{i}.link"
+        )
+    else:
+        for j in range(layer.out_dim):
+            model.add_constr(
+                y_vars[j] == row_dot(layer.weight[j], cur_x, float(layer.bias[j]))
+            )
+    return y_vars
+
+
+def _first_copy_relu(
+    model: Model,
+    rows: RowBlockBuilder | None,
+    y: Var,
+    lb: float,
+    ub: float,
+    refine: bool,
+    name: str,
+) -> Var:
+    """The first copy's ``x = relu(y)``: exact big-M when ``refine``, else Eq. 4.
+
+    Appends to ``rows`` (block assembly) or, when it is ``None``, adds
+    the constraints one by one (reference path).
+    """
+    if refine:
+        if rows is not None:
+            return relu_exact_rows(model, rows, y, lb, ub, name=name)
+        return encode_relu_exact(model, y, lb, ub, name=name)
+    if rows is not None:
+        return relu_triangle_rows(model, rows, y, lb, ub, name=name)
+    return encode_relu_triangle(model, y, lb, ub, name=name)
 
 
 def _couple_triangle(

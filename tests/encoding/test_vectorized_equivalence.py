@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from repro.bounds import Box
-from repro.encoding import encode_btne, encode_itne, encode_single_network
+from repro.bounds.ranges import RangeTable
+from repro.encoding import (
+    encode_btne,
+    encode_first_copy,
+    encode_itne,
+    encode_single_network,
+)
 from repro.milp.expr import as_expr
 from repro.nn.affine import AffineLayer
 
@@ -111,6 +117,26 @@ class TestMatrixEquivalence:
             encode_itne(chain, box, 0.05, clip_second_input=False, vectorized=True).model,
             encode_itne(chain, box, 0.05, clip_second_input=False, vectorized=False).model,
         )
+
+    def test_first_copy_partial_refinement(self, chain, box):
+        rng = np.random.default_rng(7)
+        mask = [rng.random(l.out_dim) < 0.5 for l in chain]
+        ranges = RangeTable.from_interval_propagation(chain, box, 0.05)
+        assert_same_formulation(
+            encode_first_copy(chain, box, ranges, refine_mask=mask, vectorized=True).model,
+            encode_first_copy(chain, box, ranges, refine_mask=mask, vectorized=False).model,
+        )
+
+    def test_first_copy_variables_are_the_itne_first_copy(self, chain, box):
+        """Same names, bounds and types as the ITNE model's first copy."""
+        rng = np.random.default_rng(9)
+        mask = [rng.random(l.out_dim) < 0.5 for l in chain]
+        ranges = RangeTable.from_interval_propagation(chain, box, 0.05)
+        first = encode_first_copy(chain, box, ranges, refine_mask=mask).model
+        itne = encode_itne(chain, box, 0.05, ranges=ranges, refine_mask=mask).model
+        twin = {v.name: (v.lb, v.ub, v.vtype) for v in itne.variables}
+        assert all(twin[v.name] == (v.lb, v.ub, v.vtype) for v in first.variables)
+        assert first.num_binary < itne.num_binary
 
     def test_btne(self, chain, box):
         assert_same_formulation(

@@ -367,6 +367,7 @@ class TestParallelSolveMany:
             for i in range(3)
         ]
         fanned_layers = []
+        fanned_models = []
         real_per_stack = batch_module._objectives_per_stack
         real_fan_out = batch_module.parallel_solve_many
 
@@ -377,6 +378,7 @@ class TestParallelSolveMany:
 
         def fan_out(model, objectives, **kwargs):
             fanned_layers.append([len(objectives)])
+            fanned_models.append(model.name)
             return real_fan_out(model, objectives, **kwargs)
 
         monkeypatch.setattr(batch_module, "_objectives_per_stack", per_stack)
@@ -391,6 +393,8 @@ class TestParallelSolveMany:
         # At least one layer spans several stacks, so two workers each
         # solved some of them.
         assert any(count > stack for count, stack in fanned_layers)
+        # Both per-layer models fan out: Δy over ITNE, y over the first copy.
+        assert {"itne", "first-copy"} <= set(fanned_models)
         assert np.array_equal(fanned.epsilons, serial.epsilons)
         for i in range(1, len(wide) + 1):
             got = fanned.detail["range_table"].layer(i)
