@@ -38,7 +38,6 @@ bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m benchmarks.bench_encoding --smoke
 	PYTHONPATH=src $(PYTHON) -m benchmarks.bench_bounds --smoke
 	PYTHONPATH=src $(PYTHON) -m benchmarks.bench_splitting --smoke
-	PYTHONPATH=src $(PYTHON) -m benchmarks.bench_warmstart --smoke
 	PYTHONPATH=src $(PYTHON) -m benchmarks.bench_batch_bounds --smoke
 	PYTHONPATH=src $(PYTHON) -m benchmarks.bench_faults --smoke
 

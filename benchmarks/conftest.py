@@ -74,9 +74,8 @@ def report():
 def json_report():
     """Callable ``(name, payload) -> Path`` writing ``BENCH_<name>.json``.
 
-    Stale JSON artifacts are removed once per session so a suite run
-    leaves exactly the files of the benchmarks that executed.
+    Each call merges into the named file (see :func:`write_bench_json`);
+    the JSON files of benchmarks that did not run are left untouched, so
+    a run never removes the committed ``compare_bench`` baselines.
     """
-    for stale in BENCH_DIR.glob("BENCH_*.json"):
-        stale.unlink()
     return write_bench_json

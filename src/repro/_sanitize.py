@@ -17,9 +17,6 @@ Contracts wired in today:
 * **split-tier tiling** — the terminal subdomains of a non-refuted
   branch-and-bound run exactly tile the root box
   (:mod:`repro.certify.splitting`);
-* **warm-start basis validity** — a
-  :class:`~repro.milp.session.WarmStartSession` basis re-entering the
-  prepared LP indexes real columns, one per row, without duplicates;
 * **batched row agreement** — a batched ``propagate_many`` result
   agrees with the row-sliced scalar propagation on a sampled query row
   (:mod:`repro.bounds.propagator`);
@@ -42,7 +39,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -205,35 +202,6 @@ def check_batch_row(
             f"{what}: batched row diverges from scalar propagation at "
             f"flat indices {worst.tolist()}",
         )
-
-
-def check_basis(
-    basis: Sequence[int] | None, num_rows: int, num_cols: int, what: str
-) -> None:
-    """A simplex basis must index one distinct real column per row.
-
-    A stale/corrupt warm-start basis does not fail loudly by itself —
-    phase-2 re-entry with a singular basis just pivots from garbage, so
-    the session could silently return a non-optimal "optimum".
-    """
-    if basis is None:
-        return
-    if len(basis) != num_rows:
-        _fail(
-            "warm-basis",
-            f"{what}: basis has {len(basis)} entries for {num_rows} rows",
-        )
-    seen: set[int] = set()
-    for entry in basis:
-        if not 0 <= int(entry) < num_cols:
-            _fail(
-                "warm-basis",
-                f"{what}: basis entry {entry} outside column range "
-                f"[0, {num_cols})",
-            )
-        if int(entry) in seen:
-            _fail("warm-basis", f"{what}: duplicate basis column {entry}")
-        seen.add(int(entry))
 
 
 def check_lp_feasible(

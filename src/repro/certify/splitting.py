@@ -93,15 +93,7 @@ class SplitConfig:
             verdict is ``"undecided"`` and ``exact=False``.
         leaf_workers: Process count for solving leaf MILPs concurrently
             (``None`` = serial; the batch engine grants its worker
-            budget here when a split query runs inline).  Ignored when
-            ``warm_start`` is set — a warm session is inherently serial.
-        warm_start: Solve all MILP leaves through one shared
-            :class:`~repro.milp.session.SolverSession` over the *root*
-            encoding: each leaf only tightens the input-variable bounds
-            and re-enters the simplex from the previous leaf's basis
-            (backend resolved via the capability registry, i.e.
-            ``python:simplex-warm``).  Identical verdicts to the cold
-            path; ``detail["simplex_pivots"]`` reports the pivots spent.
+            budget here when a split query runs inline).
         record_boxes: Record every terminal subdomain's ``(lo, hi)`` in
             ``detail["leaf_boxes"]`` — the tiling-invariant audit trail
             used by the property tests.
@@ -117,7 +109,6 @@ class SplitConfig:
     bounds: str = "symbolic"
     time_limit: float | None = None
     leaf_workers: int | None = None
-    warm_start: bool = False
     record_boxes: bool = False
     seed: int = 0
 
@@ -234,12 +225,7 @@ def _local_outcome(
     results,
     input_vars,
 ) -> _LeafOutcome:
-    """Assemble a local leaf's outcome from its 2-per-output solves.
-
-    Shared by the cold (fresh model per leaf) and warm (shared session)
-    paths so the sound-bound intersection and witness extraction cannot
-    drift between them.
-    """
+    """Assemble a local leaf's outcome from its 2-per-output solves."""
     out_dim = layers[-1].out_dim
     interval = leaf.bounds.output
     lo = np.empty(out_dim)
@@ -353,8 +339,7 @@ def _global_outcome(
 ) -> _LeafOutcome:
     """Assemble a global leaf's outcome from its 2-per-output solves.
 
-    Twin of :func:`_local_outcome` for the ITNE distance encoding
-    (shared by the cold and warm leaf paths).
+    Twin of :func:`_local_outcome` for the ITNE distance encoding.
     """
     out_dim = layers[-1].out_dim
     interval = leaf.bounds.output_distance
@@ -398,101 +383,6 @@ def _global_outcome(
     )
 
 
-class _SessionLeafSolver:
-    """Warm-started serial leaf solving through one shared root session.
-
-    Builds ONE encoding over the *root* box and opens one warm
-    :class:`~repro.milp.session.SolverSession` on it (backend resolved
-    from the capability registry:
-    ``find_backend(MIP | INCREMENTAL_ROWS | WARM_START)``).  Each leaf
-    then only tightens the input-variable bounds and re-solves: the
-    constraint matrix never changes, so the previous leaf's simplex
-    basis stays dual feasible and re-entry skips phase 1 entirely.
-
-    Soundness: the root encoding's big-M constants come from root-box
-    pre-activation bounds, which remain valid bounds on every sub-box —
-    the encoding restricted to a leaf box is still the *exact* big-M
-    formulation there, just with looser constants than a per-leaf
-    re-encoding would use.  Warm basis reuse is what buys back the
-    per-leaf tightening this forgoes.
-    """
-
-    def __init__(
-        self,
-        kind: str,
-        layers: list[AffineLayer],
-        root: Box,
-        root_bounds: LayerBounds,
-        extra,
-        config: SplitConfig,
-    ) -> None:
-        from repro.milp.backend import Capability, find_backend
-
-        backend = find_backend(
-            Capability.MIP | Capability.INCREMENTAL_ROWS | Capability.WARM_START
-        )
-        self.kind = kind
-        self.layers = layers
-        if kind == "local":
-            self.base = extra
-            enc = encode_single_network(
-                layers, root, pre_act_bounds=root_bounds.y
-            )
-            handles = enc.output
-            self.input_dist_vars = None
-        else:
-            delta, domain = extra
-            enc = encode_itne(
-                layers, root, delta,
-                ranges=root_bounds.to_range_table(),
-                clip_second_input=False,
-            )
-            for k, (x0, d0) in enumerate(
-                zip(enc.input_vars, enc.input_dist_vars)
-            ):
-                second = x0 + d0
-                enc.model.add_constr(second >= float(domain.lo[k]))
-                enc.model.add_constr(second <= float(domain.hi[k]))
-            handles = enc.output_distance
-            self.input_dist_vars = enc.input_dist_vars
-        self.input_vars = enc.input_vars
-        self.session = enc.model.open_session(
-            backend=backend,
-            relu_info=getattr(enc, "relu_vars", None),
-            warm_start=True,
-        )
-        self.objectives = []
-        for handle in handles:
-            expr = as_expr(handle)
-            self.objectives.extend([(expr, "min"), (expr, "max")])
-        self.pivots = 0
-
-    def solve(self, leaf: _Leaf, time_limit: float | None) -> _LeafOutcome:
-        """Re-solve the shared session restricted to ``leaf``'s box."""
-        self.session.set_var_bounds(
-            self.input_vars, leaf.box.lo, leaf.box.hi
-        )
-        results = self.session.solve_objectives(
-            self.objectives,
-            time_limit=_per_solve_limit(time_limit, len(self.objectives)),
-        )
-        if self.kind == "local":
-            outcome = _local_outcome(
-                self.layers, leaf, self.base, results, self.input_vars
-            )
-        else:
-            outcome = _global_outcome(
-                self.layers, leaf, results, self.input_vars,
-                self.input_dist_vars,
-            )
-        self.pivots += outcome.pivots
-        return outcome
-
-    def close(self) -> None:
-        """Release the shared root session (idempotent)."""
-        self.session.close()
-
-
 def _leaf_worker(payload) -> _LeafOutcome:
     """Picklable entry point for parallel leaf solving."""
     kind, layers, leaf, extra, backend, time_limit = payload
@@ -511,19 +401,13 @@ def _solve_leaves(
     extra,
     config: SplitConfig,
     deadline: float | None,
-    root: Box | None = None,
-    root_bounds: LayerBounds | None = None,
-    pivot_sink: dict | None = None,
 ) -> list[_LeafOutcome | None]:
     """Solve every leaf MILP, worst-excess first, optionally in parallel.
 
     Returns one outcome per leaf (input order); ``None`` marks a leaf
     the deadline prevented from being solved at all.  Parallel mode
     reuses the batch engine's pool machinery (and its fall-back-serial
-    contract on platforms that cannot fork).  With
-    ``config.warm_start`` the leaves run serially through one shared
-    :class:`_SessionLeafSolver` instead (total pivots reported via
-    ``pivot_sink["pivots"]``).
+    contract on platforms that cannot fork).
     """
     if not leaves:
         return []
@@ -531,23 +415,6 @@ def _solve_leaves(
         range(len(leaves)), key=lambda i: -float(leaves[i].eps_ub.max())
     )
     outcomes: list[_LeafOutcome | None] = [None] * len(leaves)
-    if config.warm_start and root is not None and root_bounds is not None:
-        solver = _SessionLeafSolver(
-            kind, layers, root, root_bounds, extra, config
-        )
-        try:
-            for i in order:
-                remaining = (
-                    None if deadline is None else deadline - time.perf_counter()
-                )
-                if remaining is not None and remaining <= 0:
-                    break  # deadline: remaining leaves stay undecided (sound)
-                outcomes[i] = solver.solve(leaves[i], remaining)
-            if pivot_sink is not None:
-                pivot_sink["pivots"] = solver.pivots
-            return outcomes
-        finally:
-            solver.close()
     from repro.runtime.batch import _POOL_FAILURES
 
     transient = _POOL_FAILURES + (_faults.InjectedFault,)
@@ -801,19 +668,13 @@ class _SplitRun:
             extra = (
                 self.base if self.kind == "local" else (self.delta, self.domain)
             )
-            pivot_sink: dict = {}
             outcomes = _solve_leaves(
                 self.kind, self.layers, self.milp_leaves, extra,
                 self.config, self.deadline,
-                root=self.root, root_bounds=self.root_bounds,
-                pivot_sink=pivot_sink,
             )
-            # Cold leaves also report their LP iteration counts (nonzero
-            # for the pure-python backends), so warm-vs-cold pivot
-            # comparisons read the same detail key either way.
-            self.simplex_pivots = pivot_sink.get(
-                "pivots", sum(o.pivots for o in outcomes if o is not None)
-            )
+            # LP iteration counts of the leaf solves (nonzero for the
+            # pure-python backends).
+            self.simplex_pivots = sum(o.pivots for o in outcomes if o is not None)
             for leaf, outcome in zip(self.milp_leaves, outcomes):
                 if outcome is None:
                     self.undecided.append((leaf.box, leaf.eps_ub))
@@ -884,9 +745,7 @@ class _SplitRun:
             "milp_limit_hits": self.milp_limit_hits,
             "undecided": len(self.undecided),
         }
-        if self.config.warm_start:
-            info["warm_start"] = True
-        if self.config.warm_start or self.simplex_pivots:
+        if self.simplex_pivots:
             info["simplex_pivots"] = self.simplex_pivots
         if self.config.record_boxes:
             terminal = [box for box, _, _ in self.proved]

@@ -56,10 +56,6 @@ def _add_split_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--split-depth", type=int, default=None,
                         help="split tier: bisection depth at which "
                         "subdomains drop to MILP leaves")
-    parser.add_argument("--warm-start", action="store_true",
-                        help="split tier: solve all MILP leaves through "
-                        "one shared warm solver session (serial; reuses "
-                        "the simplex basis across leaves)")
 
 
 def _positive_seconds(text: str) -> float:
@@ -300,7 +296,6 @@ def _cmd_certify(args) -> int:
                 None if args.time_limit in (None, float("inf"))
                 else args.time_limit
             ),
-            warm_start=args.warm_start,
         )
         if args.max_domains is not None:
             config.max_domains = args.max_domains
@@ -385,7 +380,7 @@ def _cmd_batch(args) -> int:
         window=args.window, epsilon=args.epsilon, bounds=args.bounds,
         presolve=not args.no_presolve, split=args.split,
         max_domains=args.max_domains, split_depth=args.split_depth,
-        warm_start=args.warm_start, time_limit=args.time_limit,
+        time_limit=args.time_limit,
     )
     if args.max_retries is not None and args.max_retries < 1:
         print("error: --max-retries must be >= 1", file=sys.stderr)

@@ -28,8 +28,6 @@ class Capability(enum.Flag):
         MIP: Integrality constraints (binaries / integers).
         SPARSE: Consumes ``to_standard_form(sparse=True)`` CSR matrices
             without densifying.
-        WARM_START: Sessions reuse a simplex basis across solves
-            (phase-2 / dual-simplex re-entry).
         INCREMENTAL_ROWS: Sessions accept appended rows and variable
             bound changes without a standard-form re-export.
         BATCH_OBJECTIVES: Multi-objective solves share one export.
@@ -38,7 +36,6 @@ class Capability(enum.Flag):
     NONE = 0
     MIP = enum.auto()
     SPARSE = enum.auto()
-    WARM_START = enum.auto()
     INCREMENTAL_ROWS = enum.auto()
     BATCH_OBJECTIVES = enum.auto()
 
@@ -126,9 +123,8 @@ def get_backend(name: "str | object" = "scipy") -> object:
 
     Args:
         name: ``"base"`` or ``"base:variant"`` — e.g. ``"scipy"``,
-            ``"highs"``, ``"python"``, ``"python:simplex"``,
-            ``"python:simplex-warm"`` — or an already-constructed
-            backend object, returned unchanged.
+            ``"highs"``, ``"python"``, ``"python:simplex"`` — or an
+            already-constructed backend object, returned unchanged.
 
     Raises:
         ValueError: Unknown base name, or a ``:variant`` suffix the
@@ -164,12 +160,6 @@ def find_backend(required: Capability) -> str:
     )
 
 
-def _make_python(variant: str | None) -> BranchBoundBackend:
-    if variant == "simplex-warm":
-        return BranchBoundBackend(lp_solver="simplex", warm_start=True)
-    return BranchBoundBackend(lp_solver=variant or "highs")
-
-
 _SCIPY_CAPS = (
     Capability.MIP
     | Capability.SPARSE
@@ -200,12 +190,9 @@ register_backend(
 register_backend(
     BackendSpec(
         name="python",
-        factory=_make_python,
+        factory=lambda variant: BranchBoundBackend(lp_solver=variant or "highs"),
         capabilities=_SCIPY_CAPS,  # default variant relaxes via HiGHS
-        variants=("highs", "simplex", "simplex-warm"),
-        variant_capabilities={
-            "simplex": _SIMPLEX_CAPS,
-            "simplex-warm": _SIMPLEX_CAPS | Capability.WARM_START,
-        },
+        variants=("highs", "simplex"),
+        variant_capabilities={"simplex": _SIMPLEX_CAPS},
     )
 )

@@ -43,10 +43,6 @@ class _Node:
     seq: int
     lo: np.ndarray = field(compare=False)
     hi: np.ndarray = field(compare=False)
-    # Parent relaxation's final basis; warm-starts this node's LP when
-    # the solver runs with a PreparedLp (dual-feasible re-entry: the
-    # matrix is unchanged, only the branching bounds tightened).
-    basis: list | None = field(compare=False, default=None)
 
 
 class BranchBoundBackend:
@@ -57,28 +53,15 @@ class BranchBoundBackend:
             constraint matrices), ``"simplex"`` to use
             :mod:`repro.milp.simplex` (fully self-contained, dense).
         max_nodes: Safety cap on explored nodes.
-        warm_start: Solve node relaxations on a shared
-            :class:`~repro.milp.simplex.PreparedLp`, warm-starting each
-            child from its parent's basis (``lp_solver="simplex"``
-            only).  Off by default: results are equal either way, this
-            only trades pivots.
     """
 
     name = "python"
 
-    def __init__(
-        self,
-        lp_solver: str = "highs",
-        max_nodes: int = 200000,
-        warm_start: bool = False,
-    ) -> None:
+    def __init__(self, lp_solver: str = "highs", max_nodes: int = 200000) -> None:
         if lp_solver not in ("highs", "simplex"):
             raise ValueError(f"unknown lp_solver {lp_solver!r}")
-        if warm_start and lp_solver != "simplex":
-            raise ValueError("warm_start requires lp_solver='simplex'")
         self.lp_solver = lp_solver
         self.max_nodes = max_nodes
-        self.warm_start = warm_start
 
     # -- public API ---------------------------------------------------------
 
@@ -105,62 +88,22 @@ class BranchBoundBackend:
         objectives: 'Sequence[tuple["LinExpr | Var", str]]',
         time_limit: float | None = None,
     ) -> list[SolveResult]:
-        """Multi-objective fast path: export matrices once, swap ``c``.
+        """Multi-objective fast path through one :class:`SolverSession`.
 
-        Mirrors :meth:`ScipyBackend.solve_objectives` so Algorithm 1's
-        per-neuron batches avoid one standard-form export per objective
-        on this backend as well.  With ``warm_start`` the objectives
-        additionally share one :class:`~repro.milp.simplex.PreparedLp`
-        and each root relaxation re-enters from the previous objective's
-        final basis (the constraints are identical — only ``c`` moves).
+        The matrices are exported once and only ``c`` moves between
+        solves, as in :meth:`ScipyBackend.solve_objectives`.
         """
-        _, a_ub, b_ub, a_eq, b_eq, bounds, integrality = model.to_standard_form(
-            sparse=self.lp_solver == "highs"
-        )
-        prepared = (
-            simplex.PreparedLp(a_ub, b_ub, a_eq, b_eq, bounds)
-            if self.warm_start
-            else None
-        )
-        results = []
-        warm = None
-        for expr, sense in objectives:
-            c, expr = model.objective_vector(expr, sense)
-            sink: dict = {}
-            res = self._solve_std(
-                c, a_ub, b_ub, a_eq, b_eq, bounds, integrality, time_limit, None,
-                prepared=prepared, warm_basis=warm, basis_sink=sink,
-            )
-            warm = sink.get("root", warm)
-            results.append(finalize_user_sense(res, sense, expr.constant))
-        return results
+        with self.open_session(model) as session:
+            return session.solve_objectives(objectives, time_limit=time_limit)
 
     def open_session(
         self,
         model: "Model",
         relu_info: object = None,
-        warm_start: bool = False,
     ) -> "SolverSession":
-        """Open an incremental :class:`~repro.milp.session.SolverSession`.
+        """Open a cached-export :class:`~repro.milp.session.SolverSession`."""
+        from repro.milp.session import SolverSession
 
-        With ``lp_solver="simplex"`` and warm starting requested (here or
-        at construction) the session is the *native* one: a shared
-        :class:`~repro.milp.simplex.PreparedLp` plus basis reuse across
-        solves.  Otherwise it is the cached-export re-solve session.
-        """
-        from repro.milp.session import SolverSession, WarmStartSession
-
-        if (warm_start or self.warm_start) and self.lp_solver == "simplex":
-            backend = (
-                self
-                if self.warm_start
-                else BranchBoundBackend(
-                    lp_solver="simplex",
-                    max_nodes=self.max_nodes,
-                    warm_start=True,
-                )
-            )
-            return WarmStartSession(backend, model, relu_info=relu_info)
         return SolverSession(
             self, model, sparse=self.lp_solver == "highs", relu_info=relu_info
         )
@@ -178,17 +121,11 @@ class BranchBoundBackend:
         integrality: np.ndarray,
         time_limit: float | None,
         mip_gap: float | None,
-        prepared: "simplex.PreparedLp | None" = None,
-        warm_basis: "list[int] | None" = None,
-        basis_sink: dict | None = None,
     ) -> SolveResult:
         """Run branch-and-bound on a minimization-sense standard form."""
         t0 = time.perf_counter()
-        if prepared is None and self.warm_start:
-            prepared = simplex.PreparedLp(a_ub, b_ub, a_eq, b_eq, bounds)
         result = self._branch_and_bound(
-            c, a_ub, b_ub, a_eq, b_eq, bounds, integrality, time_limit, mip_gap,
-            prepared=prepared, warm_basis=warm_basis, basis_sink=basis_sink,
+            c, a_ub, b_ub, a_eq, b_eq, bounds, integrality, time_limit, mip_gap
         )
         result.solve_time = time.perf_counter() - t0
         result.backend = f"{self.name}/{self.lp_solver}"
@@ -203,19 +140,11 @@ class BranchBoundBackend:
         b_eq: np.ndarray,
         lo: np.ndarray,
         hi: np.ndarray,
-        prepared: "simplex.PreparedLp | None" = None,
-        basis: "list[int] | None" = None,
-    ) -> tuple[SolveStatus, float, np.ndarray, "list[int] | None", int]:
+    ) -> tuple[SolveStatus, float, np.ndarray, int]:
         """LP-relax with the configured engine.
 
-        Returns ``(status, obj, x, basis, iterations)``; ``basis`` is a
-        warm-start handle for child nodes (``None`` outside the prepared
-        simplex path).
+        Returns ``(status, obj, x, iterations)``.
         """
-        if prepared is not None:
-            lp = prepared.solve(c, lo, hi, basis=basis)
-            if lp is not None:
-                return lp.status, lp.objective, lp.x, lp.basis, lp.iterations
         bounds = list(zip(lo, hi))
         if self.lp_solver == "highs":
             res = sopt.linprog(
@@ -235,9 +164,9 @@ class BranchBoundBackend:
             }.get(res.status, SolveStatus.ERROR)
             x = np.asarray(res.x) if res.x is not None else np.empty(0)
             obj = float(res.fun) if res.fun is not None else math.nan
-            return status, obj, x, None, 0
+            return status, obj, x, 0
         lp = simplex.solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
-        return lp.status, lp.objective, lp.x, None, lp.iterations
+        return lp.status, lp.objective, lp.x, lp.iterations
 
     def _branch_and_bound(
         self,
@@ -250,20 +179,14 @@ class BranchBoundBackend:
         integrality: np.ndarray,
         time_limit: float | None,
         mip_gap: float | None,
-        prepared: "simplex.PreparedLp | None" = None,
-        warm_basis: "list[int] | None" = None,
-        basis_sink: dict | None = None,
     ) -> SolveResult:
         int_cols = np.flatnonzero(integrality)
         lo0 = np.array([b[0] for b in bounds], dtype=float)
         hi0 = np.array([b[1] for b in bounds], dtype=float)
 
-        status, obj, x, root_basis, lp_iters = self._solve_relaxation(
-            c, a_ub, b_ub, a_eq, b_eq, lo0, hi0,
-            prepared=prepared, basis=warm_basis,
+        status, obj, x, lp_iters = self._solve_relaxation(
+            c, a_ub, b_ub, a_eq, b_eq, lo0, hi0
         )
-        if basis_sink is not None and root_basis is not None:
-            basis_sink["root"] = root_basis
         if status is not SolveStatus.OPTIMAL:
             return SolveResult(
                 status=status,
@@ -277,7 +200,7 @@ class BranchBoundBackend:
             )
 
         seq = itertools.count()
-        heap: list[_Node] = [_Node(obj, next(seq), lo0, hi0, basis=root_basis)]
+        heap: list[_Node] = [_Node(obj, next(seq), lo0, hi0)]
         incumbent_obj = math.inf
         incumbent_x: np.ndarray | None = None
         nodes_explored = 0
@@ -314,9 +237,8 @@ class BranchBoundBackend:
                     break
             if node.bound >= incumbent_obj - 1e-12:
                 continue  # pruned by bound
-            status, obj, x, node_basis, iters = self._solve_relaxation(
-                c, a_ub, b_ub, a_eq, b_eq, node.lo, node.hi,
-                prepared=prepared, basis=node.basis,
+            status, obj, x, iters = self._solve_relaxation(
+                c, a_ub, b_ub, a_eq, b_eq, node.lo, node.hi
             )
             lp_iters += iters
             nodes_explored += 1
@@ -337,17 +259,12 @@ class BranchBoundBackend:
             hi_child = node.hi.copy()
             hi_child[frac_col] = math.floor(val)
             if lo_child[frac_col] <= hi_child[frac_col]:
-                heapq.heappush(
-                    heap, _Node(obj, next(seq), lo_child, hi_child, basis=node_basis)
-                )
+                heapq.heappush(heap, _Node(obj, next(seq), lo_child, hi_child))
             lo_child2 = node.lo.copy()
             hi_child2 = node.hi.copy()
             lo_child2[frac_col] = math.ceil(val)
             if lo_child2[frac_col] <= hi_child2[frac_col]:
-                heapq.heappush(
-                    heap,
-                    _Node(obj, next(seq), lo_child2, hi_child2, basis=node_basis),
-                )
+                heapq.heappush(heap, _Node(obj, next(seq), lo_child2, hi_child2))
 
         return self._finish(
             incumbent_obj, incumbent_x, nodes_explored, SolveStatus.INFEASIBLE,

@@ -696,21 +696,17 @@ class Model:
         self,
         backend: str = "scipy",
         relu_info: object = None,
-        warm_start: bool = False,
     ) -> "SolverSession":
         """Open an incremental :class:`~repro.milp.session.SolverSession`.
 
         The standard form is exported once; the session then supports
         bound tightening, appended rows, objective swaps and ReLU phase
-        fixes with re-solves that skip the export (and, with
-        ``warm_start`` on the ``python:simplex`` backend, reuse the
-        previous simplex basis).  See :func:`repro.milp.session.open_session`.
+        fixes with re-solves that skip the export.  See
+        :func:`repro.milp.session.open_session`.
         """
         from repro.milp.session import open_session
 
-        return open_session(
-            self, backend=backend, relu_info=relu_info, warm_start=warm_start
-        )
+        return open_session(self, backend=backend, relu_info=relu_info)
 
     def relaxed(self) -> "Model":
         """Return a copy with all integrality requirements dropped."""

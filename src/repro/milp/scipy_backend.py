@@ -108,15 +108,13 @@ class ScipyBackend:
         self,
         model: "Model",
         relu_info: object = None,
-        warm_start: bool = False,
     ) -> "SolverSession":
         """Open a cached-export :class:`~repro.milp.session.SolverSession`.
 
         The standard form is exported (sparse) exactly once; incremental
         bound changes and appended rows mutate the cached arrays and
         every :meth:`~repro.milp.session.SolverSession.solve` re-runs
-        HiGHS on them.  ``warm_start`` is accepted for signature parity
-        and ignored — HiGHS is re-entered cold (no basis handoff).
+        HiGHS on them.
         """
         from repro.milp.session import SolverSession
 

@@ -3,20 +3,12 @@
 A :class:`SolverSession` snapshots a :class:`~repro.milp.model.Model`'s
 standard form once and then answers a *sequence* of solves under
 incremental modifications — tightened variable bounds, appended rows,
-swapped objectives, fixed ReLU phases — without ever re-exporting (and,
-on the native simplex backend, without re-running phase 1: the previous
-basis re-enters phase 2 directly, or through the dual simplex after
-bound tightening).  This is the machinery behind warm-started split
-leaves and the neuron-splitting tier.
-
-Two implementations share the public API:
-
-* :class:`SolverSession` — the cached-export re-solve shim.  Works on
-  any backend exposing ``_solve_std`` (scipy/HiGHS, python B&B): the
-  cached matrices are mutated and handed back to the solver cold.
-* :class:`WarmStartSession` — native on ``python:simplex``: a shared
-  :class:`~repro.milp.simplex.PreparedLp` plus basis carried across
-  solves (and across branch-and-bound nodes for MILPs).
+swapped objectives, fixed ReLU phases — without ever re-exporting.
+Every backend exposing ``_solve_std`` (scipy/HiGHS, python B&B) shares
+this one class: the cached matrices are mutated and handed back to the
+solver cold.  It carries every multi-objective solve (Algorithm 1's LP
+stacks, the exact and global certifiers) and the incremental edits a
+neuron split needs.
 
 Sessions are *snapshots*: changes made to the model after the session
 was opened are not seen.  Appended rows are permanent for the session's
@@ -26,19 +18,16 @@ binary indicator are released by re-fixing with ``phase=None``.
 
 from __future__ import annotations
 
-import math
-import time
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro import _faults, _sanitize
-from repro.milp import simplex
 from repro.milp.expr import LinExpr, Var
 from repro.milp.model import _SENSE_EQ, _SENSE_GE, Model
 from repro.milp.solution import SolveResult, SolveStatus, finalize_user_sense
 
-__all__ = ["SolverSession", "WarmStartSession", "open_session", "solve_objectives"]
+__all__ = ["SolverSession", "open_session", "solve_objectives"]
 
 
 def _parse_le_rows(
@@ -51,9 +40,8 @@ def _parse_le_rows(
 
     Accepts the same shapes as :meth:`Model.add_linear_rows` (dense
     ``(k, n)`` array, scipy sparse matrix, or COO triplets).  ``>=``
-    rows are negated; ``==`` rows become a ``<=`` / ``>=`` *pair* so the
-    session only ever appends inequality rows (which is what keeps an
-    old simplex basis extendable — each new row gets a basic slack).
+    rows are negated; ``==`` rows become a ``<=`` / ``>=`` *pair*, since
+    the session assembles appended rows into ``A_ub`` only.
 
     Returns:
         ``(data, row, col, rhs)`` with ``row`` local to the result.
@@ -100,14 +88,12 @@ def _parse_le_rows(
     if not eq.any():
         return data, row, col, rhs_arr
     # Duplicate each == row with flipped sign: x == b  <=>  x <= b, -x <= -b.
-    order = np.argsort(row, kind="stable")
     dup_sel = eq[row]
     new_index = np.cumsum(eq) - 1 + num_rows  # extra row per eq row
     out_data = np.concatenate([data, -data[dup_sel]])
     out_row = np.concatenate([row, new_index[row[dup_sel]]])
     out_col = np.concatenate([col, col[dup_sel]])
     out_rhs = np.concatenate([rhs_arr, -rhs_arr[eq]])
-    del order  # stable concat keeps original row ids intact
     return out_data, out_row, out_col, out_rhs
 
 
@@ -226,9 +212,7 @@ class SolverSession:
 
         ``lb``/``ub`` broadcast.  ``lb > ub`` is allowed and makes the
         next :meth:`solve` report infeasibility (the neuron-split /
-        branching convention), except on the native warm session where
-        structure must be preserved: bounds must keep their finiteness
-        pattern there (tightening always does).
+        branching convention).
         """
         self._require_open()
         idx = self._indices(variables)
@@ -250,17 +234,7 @@ class SolverSession:
         self._extra.append((data, row, col, rhs_arr))
         self._num_extra += rhs_arr.shape[0]
         self._cache = None
-        self._on_rows_appended(data, row, col, rhs_arr)
         return int(rhs_arr.shape[0])
-
-    def _on_rows_appended(
-        self,
-        data: np.ndarray,
-        row: np.ndarray,
-        col: np.ndarray,
-        rhs: np.ndarray,
-    ) -> None:
-        """Hook for subclasses tracking extra per-row state."""
 
     def set_objective(self, expr: LinExpr | Var, sense: str = "min") -> None:
         """Swap the objective (same semantics as :meth:`Model.solve_many`)."""
@@ -398,28 +372,12 @@ class SolverSession:
         if (self._lo > self._hi).any():
             return self._infeasible(self._sense, self._constant)
         a_ub, b_ub = self._assembled()
-        bounds = list(zip(self._lo, self._hi))
-        result = self._solve_current(
-            self._c, a_ub, b_ub, self._a_eq, self._b_eq, bounds,
+        result = self._backend._solve_std(
+            self._c, a_ub, b_ub, self._a_eq, self._b_eq,
+            list(zip(self._lo, self._hi)), self._integrality,
             time_limit, mip_gap,
         )
         return finalize_user_sense(result, self._sense, self._constant)
-
-    def _solve_current(
-        self,
-        c: np.ndarray,
-        a_ub: object,
-        b_ub: np.ndarray,
-        a_eq: object,
-        b_eq: np.ndarray,
-        bounds: list[tuple[float, float]],
-        time_limit: float | None,
-        mip_gap: float | None,
-    ) -> SolveResult:
-        return self._backend._solve_std(
-            c, a_ub, b_ub, a_eq, b_eq, bounds, self._integrality,
-            time_limit, mip_gap,
-        )
 
     def objectives_per_stack(self) -> int:
         """Objectives :meth:`solve_objectives` hands the backend per call.
@@ -533,103 +491,10 @@ class SolverSession:
         )
 
 
-class WarmStartSession(SolverSession):
-    """Native incremental session on the pure-python simplex backend.
-
-    On top of the cached export this keeps a shared
-    :class:`~repro.milp.simplex.PreparedLp` (structure captured once)
-    and the previous solve's basis.  Pure-LP re-solves re-enter phase 2
-    from that basis — or the dual simplex when bound tightening made it
-    primal infeasible — and MILP re-solves warm-start the root
-    relaxation and every branch-and-bound node from its parent's basis.
-    Appended rows extend both the prepared structure (new basic slack
-    per row, keeping the basis dual feasible) and the cached arrays.
-    """
-
-    def __init__(
-        self, backend: object, model: Model, relu_info: object = None
-    ) -> None:
-        super().__init__(backend, model, sparse=False, relu_info=relu_info)
-        self._prepared = simplex.PreparedLp(
-            self._a_ub, self._b_ub, self._a_eq, self._b_eq,
-            list(zip(self._lo, self._hi)),
-        )
-        self._basis: list[int] | None = None
-
-    def close(self) -> None:
-        """Release cached matrices and the carried simplex basis."""
-        super().close()
-        self._basis = None
-
-    def _on_rows_appended(
-        self,
-        data: np.ndarray,
-        row: np.ndarray,
-        col: np.ndarray,
-        rhs: np.ndarray,
-    ) -> None:
-        dense = np.zeros((rhs.shape[0], self._n))
-        np.add.at(dense, (row, col), data)
-        slack_cols = self._prepared.append_le_rows(dense, rhs)
-        if self._basis is not None:
-            self._basis = self._basis + slack_cols
-
-    def _solve_current(
-        self,
-        c: np.ndarray,
-        a_ub: object,
-        b_ub: np.ndarray,
-        a_eq: object,
-        b_eq: np.ndarray,
-        bounds: list[tuple[float, float]],
-        time_limit: float | None,
-        mip_gap: float | None,
-    ) -> SolveResult:
-        if _sanitize.ENABLED and self._basis is not None:
-            # Re-entry contract: a carried basis must still index one
-            # distinct column per prepared row, or phase-2 warm entry
-            # would pivot from garbage without failing loudly.
-            _sanitize.check_basis(
-                self._basis, self._prepared.m, self._prepared.total_cols,
-                "WarmStartSession re-entry",
-            )
-        if self._integrality.any():
-            sink: dict = {}
-            result = self._backend._solve_std(
-                c, a_ub, b_ub, a_eq, b_eq, bounds, self._integrality,
-                time_limit, mip_gap,
-                prepared=self._prepared, warm_basis=self._basis,
-                basis_sink=sink,
-            )
-            self._basis = sink.get("root", self._basis)
-            return result
-        t0 = time.perf_counter()
-        lp = self._prepared.solve(c, self._lo, self._hi, basis=self._basis)
-        if lp is None:  # bound-structure drift: cold fallback
-            return super()._solve_current(
-                c, a_ub, b_ub, a_eq, b_eq, bounds, time_limit, mip_gap
-            )
-        if lp.basis is not None:
-            self._basis = lp.basis
-        objective = lp.objective if lp.status is SolveStatus.OPTIMAL else (
-            lp.objective if lp.status is SolveStatus.UNBOUNDED else math.nan
-        )
-        return SolveResult(
-            status=lp.status,
-            objective=objective,
-            values=lp.x,
-            backend=f"{self._backend.name}/{self._backend.lp_solver}",
-            solve_time=time.perf_counter() - t0,
-            iterations=lp.iterations,
-            bound=objective if lp.status is SolveStatus.OPTIMAL else math.nan,
-        )
-
-
 def open_session(
     model: Model,
     backend: "str | object" = "scipy",
     relu_info: object = None,
-    warm_start: bool = False,
 ) -> SolverSession:
     """Open a :class:`SolverSession` on ``model`` with a named backend.
 
@@ -639,11 +504,6 @@ def open_session(
             or a backend instance.
         relu_info: Optional ReLU metadata enabling
             :meth:`SolverSession.fix_relu_phase`.
-        warm_start: Request basis reuse across solves.  Honored by the
-            ``python:simplex`` backend (which then opens its native
-            :class:`WarmStartSession`); a no-op on backends without the
-            :data:`~repro.milp.backend.Capability.WARM_START`
-            capability — the session still caches the export.
 
     Raises:
         TypeError: The backend has no session support (no
@@ -658,7 +518,7 @@ def open_session(
             f"backend {getattr(solver, 'name', solver)!r} does not support "
             "solver sessions (no open_session method)"
         )
-    return opener(model, relu_info=relu_info, warm_start=warm_start)
+    return opener(model, relu_info=relu_info)
 
 
 def solve_objectives(

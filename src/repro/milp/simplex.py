@@ -35,18 +35,12 @@ _DEGENERATE_STREAK = 12
 
 @dataclass
 class LpResult:
-    """Raw LP outcome of the simplex routine (minimization sense).
-
-    ``basis`` (when set) is the final basic column set in the solver's
-    internal standard-form column space; :meth:`PreparedLp.solve` accepts
-    it back as a warm-start hint for a structurally identical re-solve.
-    """
+    """Raw LP outcome of the simplex routine (minimization sense)."""
 
     status: SolveStatus
     objective: float
     x: np.ndarray
     iterations: int = 0
-    basis: list[int] | None = None
 
 
 def solve_lp(
@@ -338,320 +332,3 @@ def _pivot(
     if abs(obj[col]) > 0:
         obj -= obj[col] * tableau[row]
     basis[row] = col
-
-
-def _dual_iterate(
-    tableau: np.ndarray,
-    basis: list[int],
-    obj: np.ndarray,
-    cols: int,
-    max_iter: int,
-    tol: float,
-) -> tuple[SolveStatus, int]:
-    """Dual simplex: restore primal feasibility from a dual-feasible basis.
-
-    Precondition: the reduced-cost row ``obj`` is non-negative (dual
-    feasible) while some basic values ``tableau[:, -1]`` are negative.
-    Leaving row: most-negative basic value; entering column: the dual
-    ratio test ``min obj_j / -a_rj`` over ``a_rj < 0`` (smallest column
-    index on ties), which keeps the reduced costs non-negative.  When no
-    entering column exists the row proves infeasibility.
-    """
-    for iteration in range(max_iter):
-        rhs = tableau[:, -1]
-        leaving_row = int(np.argmin(rhs))
-        if rhs[leaving_row] >= -tol:
-            return SolveStatus.OPTIMAL, iteration
-        row = tableau[leaving_row, :cols]
-        eligible = row < -tol
-        if not eligible.any():
-            return SolveStatus.INFEASIBLE, iteration
-        ratios = np.full(cols, math.inf)
-        ratios[eligible] = obj[:cols][eligible] / -row[eligible]
-        ties = np.flatnonzero(ratios <= float(ratios.min()) + tol)
-        _pivot(tableau, obj, basis, leaving_row, int(ties[0]))
-    return SolveStatus.ITERATION_LIMIT, max_iter
-
-
-class PreparedLp:
-    """A standard-form LP with *fixed structure*, built once, solved many.
-
-    :func:`solve_lp` re-derives the column mapping, slack layout and
-    expanded matrix on every call; ``PreparedLp`` captures them once so
-    an incremental caller (a :class:`~repro.milp.session.SolverSession`,
-    or warm-started branch-and-bound nodes) pays only a right-hand-side
-    refresh per solve.  On top of the cached structure it supports
-    **warm starts**: :meth:`solve` accepts the ``basis`` of a previous
-    solve and re-enters phase 2 directly when the basis is still primal
-    feasible, or runs the dual simplex when only dual feasibility
-    survives (the bound-tightening case: the matrix is unchanged, so a
-    parent-optimal basis stays dual feasible for any child).
-
-    The structure is *bound-finiteness* dependent (finite lower bounds
-    shift, free variables split, finite upper bounds become rows), so a
-    solve whose bound pattern differs from the prepared one returns
-    ``None`` and the caller must fall back to a cold :func:`solve_lp`.
-    """
-
-    def __init__(
-        self,
-        a_ub: object,
-        b_ub: np.ndarray,
-        a_eq: object,
-        b_eq: np.ndarray,
-        bounds: list[tuple[float, float]],
-    ) -> None:
-        if hasattr(a_ub, "toarray"):
-            a_ub = a_ub.toarray()
-        if hasattr(a_eq, "toarray"):
-            a_eq = a_eq.toarray()
-        self.n = len(bounds)
-        a_ub = np.asarray(a_ub, dtype=float).reshape(-1, self.n)
-        a_eq = np.asarray(a_eq, dtype=float).reshape(-1, self.n)
-        lo = np.array(
-            [-math.inf if b[0] is None else float(b[0]) for b in bounds]
-        )
-        hi = np.array(
-            [math.inf if b[1] is None else float(b[1]) for b in bounds]
-        )
-        self._lb_finite = np.isfinite(lo)
-        self._ub_finite = np.isfinite(hi)
-        # Column layout: one shifted column per finite-lb var, a +/- pair
-        # per free var (same layout solve_lp derives per call).
-        width = np.where(self._lb_finite, 1, 2)
-        self._col_of = np.concatenate(([0], np.cumsum(width)[:-1])).astype(int)
-        self.num_var_cols = int(width.sum())
-        self._ub_row_vars = np.flatnonzero(self._ub_finite)
-
-        unit = np.zeros((self._ub_row_vars.size, self.n))
-        unit[np.arange(self._ub_row_vars.size), self._ub_row_vars] = 1.0
-        # Original-variable-space rows: ub rows, eq rows, bound rows.
-        self._a_orig = np.vstack([a_ub, a_eq, unit])
-        self._m_ub = int(a_ub.shape[0])
-        self._m_eq = int(a_eq.shape[0])
-        self._b_const = np.concatenate(
-            [
-                np.asarray(b_ub, dtype=float),
-                np.asarray(b_eq, dtype=float),
-                np.zeros(self._ub_row_vars.size),  # rhs is hi[j] per solve
-            ]
-        )
-        self._row_is_le = np.concatenate(
-            [
-                np.ones(self._m_ub, dtype=bool),
-                np.zeros(self._m_eq, dtype=bool),
-                np.ones(self._ub_row_vars.size, dtype=bool),
-            ]
-        )
-        self._rebuild_full()
-
-    # -- structure -------------------------------------------------------
-
-    @property
-    def m(self) -> int:
-        """Total row count (ub + eq + bound rows + appended rows)."""
-        return int(self._a_orig.shape[0])
-
-    def _rebuild_full(self) -> None:
-        """(Re)build the expanded matrix with slack columns."""
-        a_exp = np.zeros((self.m, self.num_var_cols))
-        a_exp[:, self._col_of] = self._a_orig
-        split = ~self._lb_finite
-        if split.any():
-            a_exp[:, self._col_of[split] + 1] = -self._a_orig[:, split]
-        le_rows = np.flatnonzero(self._row_is_le)
-        slacks = np.zeros((self.m, le_rows.size))
-        slacks[le_rows, np.arange(le_rows.size)] = 1.0
-        self._a_full = np.hstack([a_exp, slacks])
-        self._slack_col_of_row = np.full(self.m, -1, dtype=int)
-        self._slack_col_of_row[le_rows] = self.num_var_cols + np.arange(
-            le_rows.size
-        )
-        self.total_cols = self._a_full.shape[1]
-
-    def append_le_rows(self, rows: np.ndarray, rhs: np.ndarray) -> list[int]:
-        """Append ``rows @ x <= rhs`` (original variable space) in place.
-
-        New rows get fresh slack columns *after* every existing column,
-        so previously returned bases remain valid; extending such a
-        basis with the returned slack columns (one per new row, basic in
-        its own row) yields a dual-feasible warm start for the grown
-        system — the cutting-plane re-entry.
-
-        Returns:
-            The new rows' slack column indices, in row order.
-        """
-        rows = np.asarray(rows, dtype=float).reshape(-1, self.n)
-        rhs = np.asarray(rhs, dtype=float).reshape(-1)
-        if rows.shape[0] != rhs.shape[0]:
-            raise ValueError("appended rows/rhs length mismatch")
-        self._a_orig = np.vstack([self._a_orig, rows])
-        self._b_const = np.concatenate([self._b_const, rhs])
-        self._row_is_le = np.concatenate(
-            [self._row_is_le, np.ones(rows.shape[0], dtype=bool)]
-        )
-        self._rebuild_full()
-        return [int(self._slack_col_of_row[i]) for i in range(self.m - rows.shape[0], self.m)]
-
-    # -- solving ---------------------------------------------------------
-
-    def solve(
-        self,
-        c: np.ndarray,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        basis: list[int] | None = None,
-        max_iter: int = 20000,
-        tol: float = 1e-9,
-        pricing: str = "dantzig",
-    ) -> LpResult | None:
-        """Minimize ``c @ x`` under the prepared rows and ``[lo, hi]``.
-
-        Returns ``None`` when the bound-finiteness pattern differs from
-        the prepared structure (the caller must cold-solve) — by design
-        bound *tightening* never changes the pattern.  With a ``basis``
-        the solve warm-starts; without one (or when the basis is stale /
-        singular) it runs the usual two phases on the cached structure.
-        """
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if (
-            self.m == 0
-            or not np.array_equal(np.isfinite(lo), self._lb_finite)
-            or not np.array_equal(np.isfinite(hi), self._ub_finite)
-        ):
-            return None
-        if (lo > hi).any():
-            return LpResult(SolveStatus.INFEASIBLE, math.nan, np.empty(0))
-        lo_shift = np.where(self._lb_finite, lo, 0.0)
-        b = self._b_const.copy()
-        b[self._m_ub + self._m_eq : self._m_ub + self._m_eq + self._ub_row_vars.size] = hi[
-            self._ub_row_vars
-        ]
-        b -= self._a_orig @ lo_shift
-        c = np.asarray(c, dtype=float)
-        c_exp = np.zeros(self.total_cols)
-        c_exp[self._col_of] = c
-        split = ~self._lb_finite
-        if split.any():
-            c_exp[self._col_of[split] + 1] = -c[split]
-
-        if basis is not None and len(basis) == self.m and all(
-            0 <= col < self.total_cols for col in basis
-        ):
-            result = self._warm(c_exp, b, list(basis), c, lo, max_iter, tol, pricing)
-            if result is not None:
-                return result
-        return self._cold(c_exp, b, c, lo, max_iter, tol, pricing)
-
-    def _warm(
-        self,
-        c_exp: np.ndarray,
-        b: np.ndarray,
-        basis: list[int],
-        c: np.ndarray,
-        lo: np.ndarray,
-        max_iter: int,
-        tol: float,
-        pricing: str,
-    ) -> "LpResult | None":
-        """Re-enter from a previous basis; ``None`` -> fall back cold."""
-        try:
-            tableau = np.linalg.solve(
-                self._a_full[:, basis],
-                np.hstack([self._a_full, b.reshape(-1, 1)]),
-            )
-        except np.linalg.LinAlgError:
-            return None
-        obj = np.zeros(self.total_cols + 1)
-        obj[: self.total_cols] = c_exp
-        for i, col in enumerate(basis):
-            if abs(obj[col]) > 0:
-                obj -= obj[col] * tableau[i]
-        dual_iters = 0
-        if (tableau[:, -1] < -tol).any():
-            if (obj[: self.total_cols] < -tol).any():
-                return None  # neither primal nor dual feasible
-            status, dual_iters = _dual_iterate(
-                tableau, basis, obj, self.total_cols, max_iter, tol
-            )
-            if status is SolveStatus.INFEASIBLE:
-                return LpResult(
-                    SolveStatus.INFEASIBLE, math.nan, np.empty(0),
-                    iterations=dual_iters,
-                )
-            if status is not SolveStatus.OPTIMAL:
-                return None  # dual cycling/limit: retry from scratch
-        status, iters = _iterate(
-            tableau, basis, obj, self.total_cols, max_iter, tol, pricing
-        )
-        iterations = dual_iters + iters
-        if status is not SolveStatus.OPTIMAL:
-            return LpResult(
-                status,
-                math.nan if status is not SolveStatus.UNBOUNDED else -math.inf,
-                np.empty(0),
-                iterations=iterations,
-            )
-        return self._extract(tableau, basis, c, lo, iterations)
-
-    def _cold(
-        self,
-        c_exp: np.ndarray,
-        b: np.ndarray,
-        c: np.ndarray,
-        lo: np.ndarray,
-        max_iter: int,
-        tol: float,
-        pricing: str,
-    ) -> LpResult:
-        """Two-phase solve on the cached structure (no basis hint)."""
-        a = self._a_full.copy()
-        b = b.copy()
-        neg = b < 0
-        a[neg] *= -1.0
-        b[neg] *= -1.0
-        status, basis, tableau, iters1 = _phase1(a, b, max_iter, tol, pricing)
-        if status is not SolveStatus.OPTIMAL:
-            return LpResult(status, math.nan, np.empty(0), iterations=iters1)
-        c_full = np.zeros(self.total_cols)
-        c_full[: c_exp.shape[0]] = c_exp
-        status, basis, tableau, iters2 = _phase2(
-            tableau, basis, c_full, self.total_cols, max_iter, tol, pricing
-        )
-        iterations = iters1 + iters2
-        if status is not SolveStatus.OPTIMAL:
-            return LpResult(
-                status,
-                math.nan if status is not SolveStatus.UNBOUNDED else -math.inf,
-                np.empty(0),
-                iterations=iterations,
-            )
-        return self._extract(tableau, basis, c, lo, iterations)
-
-    def _extract(
-        self,
-        tableau: np.ndarray,
-        basis: list[int],
-        c: np.ndarray,
-        lo: np.ndarray,
-        iterations: int,
-    ) -> LpResult:
-        """Read the optimum out of a final tableau, in caller space."""
-        z = np.zeros(self.total_cols)
-        for row_idx, col in enumerate(basis):
-            if col < self.total_cols:
-                z[col] = tableau[row_idx, -1]
-        x = z[self._col_of].copy()
-        split = ~self._lb_finite
-        if split.any():
-            x[split] -= z[self._col_of[split] + 1]
-        x[self._lb_finite] += lo[self._lb_finite]
-        reusable = all(col < self.total_cols for col in basis)
-        return LpResult(
-            SolveStatus.OPTIMAL,
-            float(c @ x),
-            x,
-            iterations=iterations,
-            basis=list(basis) if reusable else None,
-        )

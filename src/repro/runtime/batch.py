@@ -121,10 +121,6 @@ class CertificationQuery:
             worker budget when the split query runs inline (a batch of
             one), and keeps leaves serial when many queries already fan
             out across the pool.
-        warm_start: Split tier: solve all MILP leaves through one shared
-            warm :class:`~repro.milp.session.SolverSession` over the
-            root encoding (serial; overrides ``split_workers``).  Same
-            verdicts, fewer simplex pivots per leaf.
         shared_bounds: Engine-managed cache slot: a pre-computed
             :class:`~repro.bounds.propagator.LayerBounds` for this
             query's input box, shared across the batch by
@@ -148,7 +144,6 @@ class CertificationQuery:
     max_domains: int | None = None
     split_depth: int | None = None
     split_workers: int | None = None
-    warm_start: bool = False
     shared_bounds: LayerBounds | None = None
     tag: str = ""
 
@@ -299,7 +294,6 @@ def _run_split(query: CertificationQuery):
         bounds=query.effective_bounds(),
         time_limit=time_limit,
         leaf_workers=query.split_workers,
-        warm_start=query.warm_start,
     )
     if query.max_domains is not None:
         config.max_domains = query.max_domains
@@ -1120,7 +1114,6 @@ def local_queries(
     split: bool = False,
     max_domains: int | None = None,
     split_depth: int | None = None,
-    warm_start: bool = False,
     time_limit: float | None = None,
     tag_prefix: str = "sample",
 ) -> list[CertificationQuery]:
@@ -1144,8 +1137,6 @@ def local_queries(
             only; needs ``epsilon``).
         max_domains / split_depth: Split-tier knobs (``None`` = config
             defaults).
-        warm_start: Split tier: one shared warm solver session for all
-            MILP leaves (serial) instead of per-leaf fresh models.
         time_limit: Per-query time limit; for split queries the shared
             deadline of the whole branch-and-bound run.
         tag_prefix: Result tags become ``f"{tag_prefix}[{i}]"``.
@@ -1170,7 +1161,6 @@ def local_queries(
             split=split,
             max_domains=max_domains,
             split_depth=split_depth,
-            warm_start=warm_start,
             time_limit=time_limit,
             tag=f"{tag_prefix}[{i}]",
         )
@@ -1193,7 +1183,6 @@ def global_query(
     split: bool = False,
     max_domains: int | None = None,
     split_depth: int | None = None,
-    warm_start: bool = False,
     tag: str = "global",
 ) -> CertificationQuery:
     """One global certification query (Algorithm 1, or the exact MILP).
@@ -1203,9 +1192,7 @@ def global_query(
     ``epsilon`` target enables the bounds-only presolve tier;
     ``split=True`` (requires ``exact=True`` and ``epsilon``) decides
     undecided queries with the input-splitting tier, for which
-    ``time_limit`` is the shared deadline of the whole run and
-    ``warm_start=True`` solves the MILP leaves through one shared warm
-    solver session.
+    ``time_limit`` is the shared deadline of the whole run.
     """
     if split and not exact:
         raise ValueError("split applies to exact global queries only")
@@ -1224,7 +1211,6 @@ def global_query(
         split=split,
         max_domains=max_domains,
         split_depth=split_depth,
-        warm_start=warm_start,
         tag=tag,
     )
 

@@ -75,14 +75,18 @@ FLOW_FIXTURES = [
     (
         "RPR104",
         "src/repro/certify/example.py",
-        # warm_start=True with no capability check in sight.
-        "def go(model):\n"
-        "    with model.open_session(warm_start=True) as session:\n"
+        # fix_relu_phase/append_rows with no capability check in sight.
+        "def go(model, info, rows):\n"
+        "    with model.open_session(relu_info=info) as session:\n"
+        "        session.fix_relu_phase(0, 1, 'active')\n"
+        "        session.append_rows(rows, '<=', 0.0)\n"
         "        return session.solve()\n",
-        # find_backend(...) dominates the gated call.
-        "def go(model):\n"
-        "    backend = find_backend(Capability.MIP | Capability.WARM_START)\n"
-        "    with model.open_session(backend=backend, warm_start=True) as session:\n"
+        # find_backend(...) dominates the gated calls.
+        "def go(model, info, rows):\n"
+        "    backend = find_backend(Capability.INCREMENTAL_ROWS)\n"
+        "    with model.open_session(backend=backend, relu_info=info) as session:\n"
+        "        session.fix_relu_phase(0, 1, 'active')\n"
+        "        session.append_rows(rows, '<=', 0.0)\n"
         "        return session.solve()\n",
     ),
     (
@@ -279,10 +283,11 @@ class TestCapabilityGating:
 
     def test_gate_on_one_branch_does_not_dominate(self):
         src = (
-            "def go(model, flag):\n"
+            "def go(model, flag, rows):\n"
             "    if flag:\n"
             "        backend = find_backend(required)\n"
-            "    with model.open_session(warm_start=True) as session:\n"
+            "    with model.open_session() as session:\n"
+            "        session.append_rows(rows, '<=', 0.0)\n"
             "        return session.solve()\n"
         )
         assert "RPR104" in codes(lint(src, "src/repro/certify/example.py"))
@@ -290,7 +295,8 @@ class TestCapabilityGating:
     def test_milp_internals_exempt(self):
         src = (
             "def go(model):\n"
-            "    with model.open_session(warm_start=True) as session:\n"
+            "    with model.open_session() as session:\n"
+            "        session.fix_relu_phase(0, 1, 'active')\n"
             "        return session.solve()\n"
         )
         assert lint(src, "src/repro/milp/example.py") == []

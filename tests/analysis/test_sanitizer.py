@@ -6,7 +6,6 @@ import pytest
 from repro import _sanitize
 from repro._sanitize import (
     SanitizerError,
-    check_basis,
     check_containment,
     check_finite,
     check_lp_feasible,
@@ -119,24 +118,6 @@ class TestTiling:
         check_tiling(root_lo, root_hi, halves, "degenerate")
 
 
-class TestBasis:
-    def test_valid_basis_passes(self):
-        check_basis([0, 2, 5], num_rows=3, num_cols=6, what="ok")
-        check_basis(None, num_rows=3, num_cols=6, what="none is fine")
-
-    def test_wrong_length_fails(self):
-        with pytest.raises(SanitizerError, match="entries"):
-            check_basis([0, 1], num_rows=3, num_cols=6, what="short")
-
-    def test_out_of_range_fails(self):
-        with pytest.raises(SanitizerError, match="column range"):
-            check_basis([0, 1, 6], num_rows=3, num_cols=6, what="oob")
-
-    def test_duplicate_fails(self):
-        with pytest.raises(SanitizerError, match="duplicate"):
-            check_basis([0, 1, 1], num_rows=3, num_cols=6, what="dup")
-
-
 class TestLpStack:
     A_UB = np.array([[1.0, 1.0]])
     A_EQ = np.zeros((0, 2))
@@ -240,42 +221,6 @@ class TestHookSites:
                 config=SplitConfig(max_depth=2),
             )
         assert cert.verdict == "certified"
-
-    def test_warm_session_basis_hook_catches_corruption(self):
-        from repro.milp import Model, open_session
-
-        model = Model("warm")
-        x = model.add_var(lb=0.0, ub=2.0)
-        y = model.add_var(lb=0.0, ub=2.0)
-        model.add_constr(x + y <= 2.0)
-        model.set_objective(x + y, "max")
-        session = open_session(
-            model, backend="python:simplex", warm_start=True
-        )
-        assert session.solve().is_optimal  # seeds a basis
-        assert session._basis is not None
-        session._basis = list(session._basis) + [0]  # corrupt: wrong length
-        with sanitizing():
-            with pytest.raises(SanitizerError, match="warm-basis"):
-                session.solve()
-
-    def test_warm_session_passes_clean_under_sanitizer(self):
-        from repro.milp import Model, open_session
-
-        model = Model("warm-ok")
-        x = model.add_var(lb=0.0, ub=2.0)
-        y = model.add_var(lb=0.0, ub=2.0)
-        model.add_constr(x + y <= 2.0)
-        model.set_objective(x + y, "max")
-        with sanitizing():
-            with open_session(
-                model, backend="python:simplex", warm_start=True
-            ) as session:
-                first = session.solve()
-                session.set_var_bounds([x, y], 0.0, 0.5)
-                second = session.solve()
-        assert first.is_optimal and second.is_optimal
-        assert second.objective == pytest.approx(1.0)
 
     @staticmethod
     def _stacked_model():

@@ -39,7 +39,7 @@ class TestNames:
             get_backend("scipy:simplex")
 
     def test_unsupported_variant_message_lists_supported(self):
-        with pytest.raises(ValueError, match="highs, simplex, simplex-warm"):
+        with pytest.raises(ValueError, match=r"\(supported: highs, simplex\)"):
             get_backend("python:dual")
 
     def test_instance_passes_through(self):
@@ -47,25 +47,28 @@ class TestNames:
         assert get_backend(backend) is backend
 
     def test_python_variants_resolve(self):
+        assert get_backend("python").lp_solver == "highs"
+        assert get_backend("python:highs").lp_solver == "highs"
         assert get_backend("python:simplex").lp_solver == "simplex"
-        warm = get_backend("python:simplex-warm")
-        assert warm.lp_solver == "simplex"
-        assert warm.warm_start
 
 
 class TestCapabilities:
     def test_variant_capability_overrides(self):
-        assert backend_capabilities("python:simplex-warm") & Capability.WARM_START
-        assert not backend_capabilities("python:simplex") & Capability.WARM_START
         assert not backend_capabilities("python:simplex") & Capability.SPARSE
         assert backend_capabilities("python") & Capability.SPARSE
+        assert backend_capabilities("python:highs") & Capability.SPARSE
 
     def test_capability_query_validates_variant(self):
         with pytest.raises(ValueError, match="does not support variant"):
             backend_capabilities("highs:simplex")
 
-    def test_scipy_has_no_warm_start(self):
-        assert not backend_capabilities("scipy") & Capability.WARM_START
+
+def _spec(name, capabilities, **kwargs):
+    """A test-local registry entry whose factory returns its own name."""
+    return BackendSpec(
+        name=name, factory=lambda variant: name, capabilities=capabilities,
+        **kwargs,
+    )
 
 
 class TestFindBackend:
@@ -74,21 +77,37 @@ class TestFindBackend:
         assert find_backend(Capability.MIP) == "scipy"
         assert find_backend(Capability.MIP | Capability.SPARSE) == "scipy"
 
-    def test_variant_probed_when_bases_lack_capability(self):
-        query = (
-            Capability.MIP
-            | Capability.INCREMENTAL_ROWS
-            | Capability.WARM_START
+    def test_variant_probed_when_bases_lack_capability(self, monkeypatch):
+        monkeypatch.setattr(backend_registry, "_REGISTRY", {})
+        backend_registry.register_backend(
+            _spec(
+                "dense", Capability.MIP, variants=("plain", "sparse"),
+                variant_capabilities={
+                    "sparse": Capability.MIP | Capability.SPARSE
+                },
+            )
         )
-        assert find_backend(query) == "python:simplex-warm"
+        backend_registry.register_backend(
+            _spec(
+                "later",
+                Capability.MIP | Capability.SPARSE | Capability.INCREMENTAL_ROWS,
+            )
+        )
+        assert find_backend(Capability.MIP) == "dense"
+        # A variant of an earlier entry beats a later entry's base...
+        assert find_backend(Capability.MIP | Capability.SPARSE) == "dense:sparse"
+        # ...and a later entry answers what no earlier one supports.
+        assert find_backend(Capability.INCREMENTAL_ROWS) == "later"
 
     def test_deterministic_across_calls(self):
-        query = Capability.WARM_START
+        query = Capability.MIP | Capability.INCREMENTAL_ROWS
         assert find_backend(query) == find_backend(query)
 
-    def test_unsatisfiable_combination_raises(self):
+    def test_unsatisfiable_combination_raises(self, monkeypatch):
+        monkeypatch.setattr(backend_registry, "_REGISTRY", {})
+        backend_registry.register_backend(_spec("dense", Capability.MIP))
         with pytest.raises(ValueError, match="no registered backend"):
-            find_backend(Capability.SPARSE | Capability.WARM_START)
+            find_backend(Capability.MIP | Capability.SPARSE)
 
     def test_third_party_backend_joins_fallback_last(self, monkeypatch):
         sentinel = object()
@@ -98,22 +117,14 @@ class TestFindBackend:
             BackendSpec(
                 name="custom",
                 factory=lambda variant: sentinel,
-                capabilities=(
-                    Capability.MIP | Capability.SPARSE | Capability.WARM_START
-                ),
+                capabilities=Capability.MIP | Capability.SPARSE,
                 variants=("fast",),
             ),
         )
-        # Earlier registrations still win every query they can satisfy...
+        # Earlier registrations still win every query they can satisfy.
         assert find_backend(Capability.MIP) == "scipy"
-        query = (
-            Capability.MIP
-            | Capability.INCREMENTAL_ROWS
-            | Capability.WARM_START
-        )
-        assert find_backend(query) == "python:simplex-warm"
-        # ...and the new entry answers what only it supports.
-        assert find_backend(Capability.SPARSE | Capability.WARM_START) == "custom"
+        assert find_backend(Capability.MIP | Capability.SPARSE) == "scipy"
+        assert list(backend_registry._REGISTRY)[-1] == "custom"
         assert get_backend("custom") is sentinel
         assert get_backend("custom:fast") is sentinel
         with pytest.raises(ValueError, match="does not support variant"):

@@ -25,14 +25,9 @@ from repro.milp.solution import SolveResult
 from repro.milp.session import solve_objectives as session_solve_objectives
 from repro.nn.affine import AffineLayer
 
-#: (backend, warm_start) triples every parity test runs under: the
-#: sparse scipy shim, the dense cold B&B session, and the native warm
-#: simplex session.
-SESSION_BACKENDS = [
-    ("scipy", False),
-    ("python:simplex", False),
-    ("python:simplex", True),
-]
+#: Backends every parity test runs under: the sparse scipy session and
+#: the dense pure-python B&B session.
+SESSION_BACKENDS = ["scipy", "python:simplex"]
 
 
 class RandomInstance:
@@ -133,10 +128,7 @@ def test_bound_tightening_matches_fresh(seed):
     model, xs = inst.build()
     obj = linexpr(xs, inst.c, inst.constant)
     model.set_objective(obj, inst.sense)
-    sessions = [
-        open_session(model, backend=b, warm_start=w)
-        for b, w in SESSION_BACKENDS
-    ]
+    sessions = [open_session(model, backend=b) for b in SESSION_BACKENDS]
     for _ in range(3):
         lo, hi = inst.tighten()
         fresh_model, fxs = inst.build(lo=lo, hi=hi)
@@ -154,10 +146,7 @@ def test_appended_rows_match_fresh(seed):
     inst = RandomInstance(seed)
     model, xs = inst.build()
     model.set_objective(linexpr(xs, inst.c, inst.constant), inst.sense)
-    sessions = [
-        open_session(model, backend=b, warm_start=w)
-        for b, w in SESSION_BACKENDS
-    ]
+    sessions = [open_session(model, backend=b) for b in SESSION_BACKENDS]
     accumulated = []
     for round_index in range(3):
         block = inst.random_rows()
@@ -185,10 +174,7 @@ def test_objective_swaps_match_fresh(seed):
     inst = RandomInstance(seed)
     model, xs = inst.build()
     model.set_objective(linexpr(xs, inst.c, inst.constant), inst.sense)
-    sessions = [
-        open_session(model, backend=b, warm_start=w)
-        for b, w in SESSION_BACKENDS
-    ]
+    sessions = [open_session(model, backend=b) for b in SESSION_BACKENDS]
     for _ in range(3):
         c = inst.rng.standard_normal(inst.n)
         constant = float(inst.rng.standard_normal())
@@ -208,10 +194,7 @@ def test_milp_incremental_matches_fresh(seed):
     inst = RandomInstance(seed, n=5, m=2, n_bin=2)
     model, xs = inst.build()
     model.set_objective(linexpr(xs, inst.c, inst.constant), inst.sense)
-    sessions = [
-        open_session(model, backend=b, warm_start=w)
-        for b, w in SESSION_BACKENDS
-    ]
+    sessions = [open_session(model, backend=b) for b in SESSION_BACKENDS]
     lo, hi = inst.tighten()
     block = inst.random_rows(k=1)
     c = inst.rng.standard_normal(inst.n)
@@ -224,17 +207,16 @@ def test_milp_incremental_matches_fresh(seed):
         session.append_rows(*block)
         session.set_objective(linexpr(xs, c, inst.constant), "max")
         assert_same_answer(session.solve(), reference)
-        # Re-solving an unchanged session is idempotent (warm re-entry
-        # must not drift).
+        # Re-solving an unchanged session is idempotent.
         assert_same_answer(session.solve(), reference)
 
 
-@pytest.mark.parametrize("backend,warm", SESSION_BACKENDS)
-def test_conflicting_bounds_report_infeasible(backend, warm):
+@pytest.mark.parametrize("backend", SESSION_BACKENDS)
+def test_conflicting_bounds_report_infeasible(backend):
     inst = RandomInstance(0)
     model, xs = inst.build()
     model.set_objective(linexpr(xs, inst.c), inst.sense)
-    with open_session(model, backend=backend, warm_start=warm) as session:
+    with open_session(model, backend=backend) as session:
         session.set_var_bounds([0], 1.0, -1.0)
         assert session.solve().status is SolveStatus.INFEASIBLE
         # Restoring sane bounds revives the session.
@@ -304,16 +286,14 @@ def first_unstable(enc):
     return unstable[0]
 
 
-@pytest.mark.parametrize("backend,warm", SESSION_BACKENDS)
-def test_fix_relu_phase_matches_fresh_indicator_fix(backend, warm):
+@pytest.mark.parametrize("backend", SESSION_BACKENDS)
+def test_fix_relu_phase_matches_fresh_indicator_fix(backend):
     """z-based phase fixes equal from-scratch models with z pinned."""
     layers, box = relu_net()
     enc = encoded(layers, box)
     key = first_unstable(enc)
     objective = (as_expr(enc.output[0]), "max")
-    session = open_session(
-        enc.model, backend=backend, relu_info=enc.relu_vars, warm_start=warm
-    )
+    session = open_session(enc.model, backend=backend, relu_info=enc.relu_vars)
     session.set_objective(*objective)
     unfixed = session.solve()
     assert unfixed.status is SolveStatus.OPTIMAL
@@ -365,35 +345,35 @@ def test_neuron_split_tightens_lp_relaxation_soundly():
     relaxed.model.set_objective(as_expr(relaxed.output[0]), "max")
     relaxed_ub = relaxed.model.solve().objective
 
-    branch_bounds = []
-    for phase in ("active", "inactive"):
-        enc = encoded(layers, box, relax_mask=relax_mask)
-        session = open_session(
-            enc.model, backend="python:simplex", relu_info=enc.relu_vars,
-            warm_start=True,
-        )
-        assert enc.relu_vars[key][2] is None  # relaxed: no indicator
-        before = session.num_appended_rows
-        session.fix_relu_phase(*key, phase)
-        assert session.num_appended_rows == before + 2
-        # Re-fixing the same phase is a no-op; flipping or releasing a
-        # row-based fix is impossible and must say so.
-        session.fix_relu_phase(*key, phase)
-        assert session.num_appended_rows == before + 2
-        other = "inactive" if phase == "active" else "active"
-        with pytest.raises(ValueError, match="cannot be flipped"):
-            session.fix_relu_phase(*key, other)
-        with pytest.raises(ValueError, match="cannot be released"):
-            session.fix_relu_phase(*key, None)
-        session.set_objective(as_expr(enc.output[0]), "max")
-        result = session.solve()
-        assert result.status is SolveStatus.OPTIMAL
-        branch_bounds.append(result.objective)
-        session.close()
+    for backend in SESSION_BACKENDS:
+        branch_bounds = []
+        for phase in ("active", "inactive"):
+            enc = encoded(layers, box, relax_mask=relax_mask)
+            session = open_session(
+                enc.model, backend=backend, relu_info=enc.relu_vars
+            )
+            assert enc.relu_vars[key][2] is None  # relaxed: no indicator
+            before = session.num_appended_rows
+            session.fix_relu_phase(*key, phase)
+            assert session.num_appended_rows == before + 2
+            # Re-fixing the same phase is a no-op; flipping or releasing a
+            # row-based fix is impossible and must say so.
+            session.fix_relu_phase(*key, phase)
+            assert session.num_appended_rows == before + 2
+            other = "inactive" if phase == "active" else "active"
+            with pytest.raises(ValueError, match="cannot be flipped"):
+                session.fix_relu_phase(*key, other)
+            with pytest.raises(ValueError, match="cannot be released"):
+                session.fix_relu_phase(*key, None)
+            session.set_objective(as_expr(enc.output[0]), "max")
+            result = session.solve()
+            assert result.status is SolveStatus.OPTIMAL
+            branch_bounds.append(result.objective)
+            session.close()
 
-    split_ub = max(branch_bounds)
-    assert split_ub >= exact_opt - 1e-6  # sound
-    assert split_ub <= relaxed_ub + 1e-6  # never looser than no split
+        split_ub = max(branch_bounds)
+        assert split_ub >= exact_opt - 1e-6  # sound
+        assert split_ub <= relaxed_ub + 1e-6  # never looser than no split
 
 
 def test_fix_relu_phase_requires_metadata():

@@ -33,7 +33,6 @@ class TestZoo:
         with pytest.raises(ValueError):
             get_network(99, cache_dir=tmp_path)
 
-    @pytest.mark.slow
     def test_digit_entry(self, tmp_path):
         entry = get_network(6, cache_dir=tmp_path)
         assert entry.dataset == "digits"

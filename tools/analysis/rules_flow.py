@@ -19,8 +19,8 @@ or the project call graph:
   must be closed on every CFG path (``with``, a post-dominating
   ``close()``, or a close in ``finally``) unless ownership escapes
   (returned / stored on an object / handed to another call).
-* RPR104 — **capability gating**: warm-start/incremental-row API use
-  (``warm_start=True``, ``fix_relu_phase``, ``append_rows``) outside
+* RPR104 — **capability gating**: incremental-row API use
+  (``fix_relu_phase``, ``append_rows``) outside
   ``repro/milp/`` must be dominated by a capability check
   (``Capability``, ``find_backend``, ``backend_capabilities`` ...), so
   registry fallback can never route it to a backend that silently
@@ -336,7 +336,7 @@ class ResourceLifecycle:
 
     CODE = "RPR103"
     SUMMARY = (
-        "SolverSession/WarmStartSession/process pools must be used via "
+        "SolverSession/process pools must be used via "
         "`with`, or closed on every CFG path (close()/shutdown(), or a "
         "close in finally); escaping ownership (return/store/pass) is exempt"
     )
@@ -345,7 +345,6 @@ class ResourceLifecycle:
         {
             "open_session",
             "SolverSession",
-            "WarmStartSession",
             "ProcessPoolExecutor",
             "ThreadPoolExecutor",
             "Pool",
@@ -481,12 +480,12 @@ class ResourceLifecycle:
 
 
 class CapabilityGating:
-    """RPR104: warm/incremental API use is dominated by a capability check."""
+    """RPR104: incremental API use is dominated by a capability check."""
 
     CODE = "RPR104"
     SUMMARY = (
-        "outside repro/milp/, warm_start=True / fix_relu_phase / "
-        "append_rows calls must be dominated by a Capability check "
+        "outside repro/milp/, fix_relu_phase / append_rows calls must "
+        "be dominated by a Capability check "
         "(find_backend(required=...), backend_capabilities, caps_for, "
         "supports)"
     )
@@ -525,16 +524,6 @@ class CapabilityGating:
                 attr = func.attr if isinstance(func, ast.Attribute) else ""
                 if attr in self._GATED_ATTRS:
                     out.append((node.index, call.lineno, f"{attr}(...)"))
-                    continue
-                for kw in call.keywords:
-                    if (
-                        kw.arg == "warm_start"
-                        and isinstance(kw.value, ast.Constant)
-                        and kw.value.value is True
-                    ):
-                        out.append(
-                            (node.index, call.lineno, "warm_start=True")
-                        )
         return out
 
     def _gate_nodes(self, cfg: CFG) -> set[int]:
