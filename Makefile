@@ -6,10 +6,16 @@ PYTHON ?= python
 BASE_REF ?= origin/main
 LINT_PATHS := src benchmarks tests
 
-.PHONY: test test-chaos lint lint-diff lint-sarif ratchet bench-smoke perfbench-smoke
+.PHONY: test test-sanitize test-chaos lint lint-diff lint-sarif ratchet bench-smoke perfbench-smoke
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+
+# CI sanitized subset: the soundness-critical suites with every runtime
+# contract check on (REPRO_SANITIZE=1).
+test-sanitize:
+	REPRO_SANITIZE=1 PYTHONPATH=src \
+		$(PYTHON) -m pytest -x -q tests/bounds tests/milp tests/certify tests/analysis
 
 # CI chaos job: runtime + certify suites with every worker process
 # raising one injected fault, then the fault suite itself env-free.
@@ -18,7 +24,7 @@ test-chaos:
 		$(PYTHON) -m pytest -x -q tests/runtime tests/certify
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/runtime/test_faults.py
 
-# Full analysis gate: per-node rules + RPR101-105 flow rules (CFG /
+# Full analysis gate: per-node rules + RPR101-103/RPR105 flow rules (CFG /
 # dataflow / call graph) with the shrink-only baseline applied.
 lint:
 	$(PYTHON) -m tools.analysis --flow $(LINT_PATHS)

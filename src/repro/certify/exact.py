@@ -27,7 +27,6 @@ from repro.encoding.btne import encode_btne
 from repro.encoding.itne import encode_itne
 from repro.certify.results import GlobalCertificate
 from repro.milp.expr import as_expr
-from repro.milp.session import solve_objectives as session_solve_objectives
 from repro.milp.solution import SolveStatus
 from repro.nn.affine import AffineLayer
 from repro.nn.network import Network
@@ -108,12 +107,8 @@ def certify_exact_global(
         objectives.append((as_expr(distances[j]), "max"))
         objectives.append((as_expr(distances[j]), "min"))
     # One SolverSession for the whole batch: the standard form is
-    # exported once and only the objective vector is swapped per solve
-    # (identical statuses/optima to Model.solve_many, asserted by the
-    # session property tests).
-    results = session_solve_objectives(
-        model, objectives, backend=backend, time_limit=time_limit
-    )
+    # exported once and only the objective vector is swapped per solve.
+    results = model.solve_many(objectives, backend=backend, time_limit=time_limit)
     milp_count += len(objectives)
     limit_hits = 0
     for idx, j in enumerate(targets):

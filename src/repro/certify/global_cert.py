@@ -259,11 +259,7 @@ class GlobalRobustnessCertifier:
             )
         # Serial path: one SolverSession per model — the export is cached
         # once for all of its objective solves.
-        from repro.milp.session import solve_objectives
-
-        return solve_objectives(
-            model, objectives, backend=cfg.backend, time_limit=time_limit
-        )
+        return model.solve_many(objectives, backend=cfg.backend, time_limit=time_limit)
 
     def _check_shortcut(
         self,

@@ -288,8 +288,7 @@ def encode_first_copy(
     Variables carry the names :func:`encode_itne` gives them by default.
 
     Returns:
-        A :class:`~repro.encoding.single.SingleEncoding` (its
-        ``relu_vars`` metadata is left empty).
+        A :class:`~repro.encoding.single.SingleEncoding`.
     """
     model = Model("first-copy")
     prefix = "t"

@@ -37,13 +37,6 @@ class SingleEncoding:
         y: Per-layer pre-activation variables.
         x: Per-layer post-activation variables (the pre-activation
             variable itself for layers without a ReLU).
-        relu_vars: ``{(layer, neuron): (y_index, x_index, z_index|None)}``
-            for every encoded ReLU neuron; ``z_index`` is the big-M
-            binary indicator's column (``None`` for stable or
-            triangle-relaxed neurons, which have no indicator).  This is
-            the metadata a :class:`~repro.milp.session.SolverSession`
-            needs for ``fix_relu_phase`` — pass it as the session's
-            ``relu_info``.
         output: Post-activation handles of the final layer.
     """
 
@@ -51,9 +44,6 @@ class SingleEncoding:
     input_vars: list[Var]
     y: list[list[Var]] = field(default_factory=list)
     x: list[list[Var]] = field(default_factory=list)
-    relu_vars: dict[tuple[int, int], tuple[int, int, int | None]] = field(
-        default_factory=dict
-    )
 
     @property
     def output(self) -> list[Var]:
@@ -130,18 +120,12 @@ def encode_single_network(
                 lb, ub = y_bounds.scalar(j)
                 tag = f"{prefix}.l{i}n{j}"
                 relaxed = mask is not None and bool(mask[j])
-                n_before = model.num_vars
                 if rows is not None:
                     emit = relu_triangle_rows if relaxed else relu_exact_rows
                     x_handles.append(emit(model, rows, y_var, lb, ub, name=tag))
                 else:
                     build = encode_relu_triangle if relaxed else encode_relu_exact
                     x_handles.append(build(model, y_var, lb, ub, name=tag))
-                # Unstable big-M neurons create (x, z); everything else
-                # creates x only — so the indicator exists iff two vars
-                # were appended, and it directly follows x.
-                z_index = n_before + 1 if model.num_vars - n_before == 2 else None
-                enc.relu_vars[(i, j)] = (y_var.index, x_handles[-1].index, z_index)
         if rows is not None:
             rows.flush(model, name=f"{prefix}.l{i}.relu")
         enc.y.append(list(y_vars))

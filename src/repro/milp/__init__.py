@@ -41,10 +41,7 @@ from repro.milp.model import Constraint, ConstraintBlock, Model, Sense
 from repro.milp.solution import SolveResult, SolveStatus
 from repro.milp.backend import (
     BackendSpec,
-    Capability,
     available_backends,
-    backend_capabilities,
-    find_backend,
     get_backend,
     register_backend,
 )
@@ -64,10 +61,7 @@ __all__ = [
     "get_backend",
     "available_backends",
     "register_backend",
-    "find_backend",
-    "backend_capabilities",
     "BackendSpec",
-    "Capability",
     "SolverSession",
     "open_session",
 ]

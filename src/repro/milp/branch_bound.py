@@ -25,10 +25,9 @@ import scipy.optimize as sopt
 from repro.milp import simplex
 from repro.milp.solution import SolveResult, SolveStatus, finalize_user_sense
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.milp.expr import LinExpr, Var
     from repro.milp.model import Model
     from repro.milp.session import SolverSession
 
@@ -82,31 +81,15 @@ class BranchBoundBackend:
             result, model.objective_sense, model.objective.constant
         )
 
-    def solve_objectives(
-        self,
-        model: "Model",
-        objectives: 'Sequence[tuple["LinExpr | Var", str]]',
-        time_limit: float | None = None,
-    ) -> list[SolveResult]:
-        """Multi-objective fast path through one :class:`SolverSession`.
+    def open_session(self, model: "Model") -> "SolverSession":
+        """Open a cached-export :class:`~repro.milp.session.SolverSession`.
 
-        The matrices are exported once and only ``c`` moves between
-        solves, as in :meth:`ScipyBackend.solve_objectives`.
+        The export is sparse when relaxations go to HiGHS and dense for
+        the self-contained simplex.
         """
-        with self.open_session(model) as session:
-            return session.solve_objectives(objectives, time_limit=time_limit)
-
-    def open_session(
-        self,
-        model: "Model",
-        relu_info: object = None,
-    ) -> "SolverSession":
-        """Open a cached-export :class:`~repro.milp.session.SolverSession`."""
         from repro.milp.session import SolverSession
 
-        return SolverSession(
-            self, model, sparse=self.lp_solver == "highs", relu_info=relu_info
-        )
+        return SolverSession(self, model, sparse=self.lp_solver == "highs")
 
     # -- internals ------------------------------------------------------------
 

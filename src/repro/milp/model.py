@@ -5,10 +5,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.milp.session import SolverSession
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -655,23 +652,24 @@ class Model:
     def solve_many(
         self,
         objectives: Sequence[tuple[LinExpr | Var, str]],
-        backend: str = "scipy",
+        backend: "str | object" = "scipy",
         time_limit: float | None = None,
     ) -> list[SolveResult]:
         """Solve the same constraint system under several objectives.
 
-        The constraint matrices are exported once and reused, which is
-        the hot path of Algorithm 1 (four objectives per neuron over one
-        sub-network encoding).
+        This is the one multi-objective path, the hot path of Algorithm
+        1 (min/max objectives per neuron over one sub-network encoding).
+        Backends with an ``open_session(model)`` method (both built-ins)
+        export the constraint matrices once into a
+        :class:`~repro.milp.session.SolverSession`, which swaps only the
+        cost vector and, on scipy/HiGHS, stacks pure-LP objectives into
+        block-diagonal solves.  Third-party backends without sessions
+        fall back to repeated solves with the model's objective
+        restored afterwards.
 
         Args:
             objectives: Pairs ``(expression, "min"|"max")``.
-            backend: Backend name.  Both built-in backends implement
-                ``solve_objectives`` (export once, swap only ``c``;
-                scipy/HiGHS also stacks pure-LP objectives into
-                block-diagonal solves);
-                third-party backends without it fall back to repeated
-                solves with the model's objective restored afterwards.
+            backend: Backend name or instance.
             time_limit: Per-solve time limit.
 
         Returns:
@@ -680,8 +678,10 @@ class Model:
         from repro.milp.backend import get_backend
 
         solver = get_backend(backend)
-        if hasattr(solver, "solve_objectives"):
-            return solver.solve_objectives(self, objectives, time_limit=time_limit)
+        opener = getattr(solver, "open_session", None)
+        if opener is not None:
+            with opener(self) as session:
+                return session.solve_objectives(objectives, time_limit=time_limit)
         results = []
         saved = (self.objective, self.objective_sense)
         try:
@@ -691,22 +691,6 @@ class Model:
         finally:
             self.objective, self.objective_sense = saved
         return results
-
-    def open_session(
-        self,
-        backend: str = "scipy",
-        relu_info: object = None,
-    ) -> "SolverSession":
-        """Open an incremental :class:`~repro.milp.session.SolverSession`.
-
-        The standard form is exported once; the session then supports
-        bound tightening, appended rows, objective swaps and ReLU phase
-        fixes with re-solves that skip the export.  See
-        :func:`repro.milp.session.open_session`.
-        """
-        from repro.milp.session import open_session
-
-        return open_session(self, backend=backend, relu_info=relu_info)
 
     def relaxed(self) -> "Model":
         """Return a copy with all integrality requirements dropped."""

@@ -14,7 +14,6 @@ from repro.milp.solution import SolveResult, SolveStatus, finalize_user_sense
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.milp.expr import LinExpr, Var
     from repro.milp.model import Model
     from repro.milp.session import SolverSession
 
@@ -85,40 +84,16 @@ class ScipyBackend:
             result, model.objective_sense, model.objective.constant
         )
 
-    def solve_objectives(
-        self,
-        model: "Model",
-        objectives: 'Sequence[tuple["LinExpr | Var", str]]',
-        time_limit: float | None = None,
-    ) -> list[SolveResult]:
-        """Multi-objective fast path through one :class:`SolverSession`.
-
-        The matrices are exported once; pure LPs are solved in stacks
-        (see :meth:`SolverSession.solve_objectives`).
-
-        Args:
-            model: The model whose constraints are shared.
-            objectives: Pairs ``(expression, "min"|"max")``.
-            time_limit: Per-solve limit in seconds.
-        """
-        with self.open_session(model) as session:
-            return session.solve_objectives(objectives, time_limit=time_limit)
-
-    def open_session(
-        self,
-        model: "Model",
-        relu_info: object = None,
-    ) -> "SolverSession":
+    def open_session(self, model: "Model") -> "SolverSession":
         """Open a cached-export :class:`~repro.milp.session.SolverSession`.
 
-        The standard form is exported (sparse) exactly once; incremental
-        bound changes and appended rows mutate the cached arrays and
-        every :meth:`~repro.milp.session.SolverSession.solve` re-runs
-        HiGHS on them.
+        The standard form is exported (sparse) exactly once; every
+        objective the session solves re-runs HiGHS on the cached arrays,
+        pure LPs in stacks (:meth:`solve_lp_stack`).
         """
         from repro.milp.session import SolverSession
 
-        return SolverSession(self, model, sparse=True, relu_info=relu_info)
+        return SolverSession(self, model, sparse=True)
 
     @staticmethod
     def objectives_per_stack(a_ub: object, a_eq: object) -> int:

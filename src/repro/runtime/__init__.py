@@ -13,7 +13,7 @@ This package fans those queries across worker processes:
   fan-out used by :class:`~repro.certify.global_cert.GlobalRobustnessCertifier`
   when ``CertifierConfig.workers > 1``: chunks a model's objective list
   across processes (export-once semantics are preserved inside each
-  worker via the backends' ``solve_objectives`` fast path).
+  worker, which runs ``Model.solve_many`` on its chunk).
 * :mod:`~repro.runtime.retry` / :mod:`~repro.runtime.faults` — the
   fault-tolerance substrate: :class:`~repro.runtime.retry.RetryPolicy`
   (transient-vs-permanent triage, deterministic backoff, per-batch

@@ -163,6 +163,10 @@ class CertificationQuery:
         if self.epsilon is not None and not self.epsilon > 0:
             # Same NaN-proof comparison as time_limit.
             raise ValueError("epsilon must be a positive variation target")
+        if not 0.0 <= self.delta < math.inf:
+            # Same NaN-proof comparison: a negative, NaN or infinite
+            # delta would only fail later, inside the batch run.
+            raise ValueError("delta must be a finite non-negative radius")
         if self.center is not None:
             self.center = np.asarray(self.center, dtype=float).reshape(-1)
         if self.kind.startswith("local") and self.center is None:
@@ -1250,9 +1254,9 @@ def parallel_solve_many(
     """``Model.solve_many`` fanned across processes, order-preserving.
 
     The objective list is split into one contiguous chunk per worker;
-    each worker pickles the model once and runs the backend's
-    export-once ``solve_objectives`` fast path on its chunk.  Chunk
-    boundaries fall on the serial path's stack boundaries (see
+    each worker pickles the model once and runs the export-once
+    ``Model.solve_many`` on its chunk.  Chunk boundaries fall on the
+    serial path's stack boundaries (see
     :meth:`~repro.milp.session.SolverSession.objectives_per_stack`), so
     every block-diagonal LP a worker solves is the one the serial path
     solves.  This is the engine behind ``CertifierConfig.workers`` —

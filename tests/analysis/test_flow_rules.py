@@ -1,4 +1,4 @@
-"""Flow rules RPR101–105: must-flag / must-pass fixtures, waivers, profiles."""
+"""Flow rules: must-flag / must-pass fixtures, waivers, profiles."""
 
 import pytest
 
@@ -71,23 +71,6 @@ FLOW_FIXTURES = [
         "        return session.solve()\n"
         "    finally:\n"
         "        session.close()\n",
-    ),
-    (
-        "RPR104",
-        "src/repro/certify/example.py",
-        # fix_relu_phase/append_rows with no capability check in sight.
-        "def go(model, info, rows):\n"
-        "    with model.open_session(relu_info=info) as session:\n"
-        "        session.fix_relu_phase(0, 1, 'active')\n"
-        "        session.append_rows(rows, '<=', 0.0)\n"
-        "        return session.solve()\n",
-        # find_backend(...) dominates the gated calls.
-        "def go(model, info, rows):\n"
-        "    backend = find_backend(Capability.INCREMENTAL_ROWS)\n"
-        "    with model.open_session(backend=backend, relu_info=info) as session:\n"
-        "        session.fix_relu_phase(0, 1, 'active')\n"
-        "        session.append_rows(rows, '<=', 0.0)\n"
-        "        return session.solve()\n",
     ),
     (
         "RPR105",
@@ -271,35 +254,6 @@ class TestResourceLifecycle:
             "    return list(pool.map(len, jobs))\n"
         )
         assert "RPR103" in codes(lint(src, "src/repro/runtime/example.py"))
-
-
-class TestCapabilityGating:
-    def test_fix_relu_phase_needs_gate(self):
-        src = (
-            "def pin(session):\n"
-            "    session.fix_relu_phase(0, 1, 'active')\n"
-        )
-        assert "RPR104" in codes(lint(src, "src/repro/certify/example.py"))
-
-    def test_gate_on_one_branch_does_not_dominate(self):
-        src = (
-            "def go(model, flag, rows):\n"
-            "    if flag:\n"
-            "        backend = find_backend(required)\n"
-            "    with model.open_session() as session:\n"
-            "        session.append_rows(rows, '<=', 0.0)\n"
-            "        return session.solve()\n"
-        )
-        assert "RPR104" in codes(lint(src, "src/repro/certify/example.py"))
-
-    def test_milp_internals_exempt(self):
-        src = (
-            "def go(model):\n"
-            "    with model.open_session() as session:\n"
-            "        session.fix_relu_phase(0, 1, 'active')\n"
-            "        return session.solve()\n"
-        )
-        assert lint(src, "src/repro/milp/example.py") == []
 
 
 class TestWorkerPurity:

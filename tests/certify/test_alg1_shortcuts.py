@@ -26,7 +26,6 @@ from repro.certify.decomposition import decompose, subnetwork_ranges
 from repro.certify.refinement import select_refinement
 from repro.encoding.itne import encode_itne
 from repro.milp import as_expr
-from repro.milp.session import solve_objectives
 from repro.nn.affine import AffineLayer
 
 #: HiGHS' default relative MIP gap: a refined bound may trail the
@@ -60,7 +59,7 @@ def itne_reference(layers, table, i, cfg):
             (as_expr(y), "min"), (as_expr(y), "max"),
             (as_expr(dy), "min"), (as_expr(dy), "max"),
         ]
-    results = solve_objectives(enc.model, objectives)
+    results = enc.model.solve_many(objectives)
     return [results[k : k + 4] for k in range(0, len(results), 4)]
 
 

@@ -101,15 +101,14 @@ class TestTimeLimitedExactGlobal:
         # genuine solver failure must not be masked as a limit hit.
         layers = hard_chain(np.random.default_rng(2), width=4, depth=2)
 
-        def broken_solve_objectives(model, objectives, backend="scipy", time_limit=None):
+        def broken_solve_many(model, objectives, backend="scipy", time_limit=None):
             return [
                 SolveResult(status=SolveStatus.ERROR, message="boom")
                 for _ in objectives
             ]
 
         monkeypatch.setattr(
-            "repro.certify.exact.session_solve_objectives",
-            broken_solve_objectives,
+            "repro.milp.model.Model.solve_many", broken_solve_many
         )
         with pytest.raises(RuntimeError, match="status=error"):
             certify_exact_global(layers, domain, 0.02, time_limit=0.01)

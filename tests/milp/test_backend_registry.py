@@ -1,16 +1,9 @@
-"""Capability-registry semantics: names, variants, deterministic fallback."""
+"""Backend-registry semantics: names, variants, instances."""
 
 import pytest
 
 from repro.milp import backend as backend_registry
-from repro.milp.backend import (
-    BackendSpec,
-    Capability,
-    available_backends,
-    backend_capabilities,
-    find_backend,
-    get_backend,
-)
+from repro.milp.backend import BackendSpec, available_backends, get_backend
 from repro.milp.branch_bound import BranchBoundBackend
 
 # Registry-mediated class access (RPR003): the registry is the single
@@ -51,80 +44,17 @@ class TestNames:
         assert get_backend("python:highs").lp_solver == "highs"
         assert get_backend("python:simplex").lp_solver == "simplex"
 
-
-class TestCapabilities:
-    def test_variant_capability_overrides(self):
-        assert not backend_capabilities("python:simplex") & Capability.SPARSE
-        assert backend_capabilities("python") & Capability.SPARSE
-        assert backend_capabilities("python:highs") & Capability.SPARSE
-
-    def test_capability_query_validates_variant(self):
-        with pytest.raises(ValueError, match="does not support variant"):
-            backend_capabilities("highs:simplex")
-
-
-def _spec(name, capabilities, **kwargs):
-    """A test-local registry entry whose factory returns its own name."""
-    return BackendSpec(
-        name=name, factory=lambda variant: name, capabilities=capabilities,
-        **kwargs,
-    )
-
-
-class TestFindBackend:
-    def test_registration_order_wins(self):
-        # "scipy" is registered first and satisfies the plain-MIP query.
-        assert find_backend(Capability.MIP) == "scipy"
-        assert find_backend(Capability.MIP | Capability.SPARSE) == "scipy"
-
-    def test_variant_probed_when_bases_lack_capability(self, monkeypatch):
-        monkeypatch.setattr(backend_registry, "_REGISTRY", {})
-        backend_registry.register_backend(
-            _spec(
-                "dense", Capability.MIP, variants=("plain", "sparse"),
-                variant_capabilities={
-                    "sparse": Capability.MIP | Capability.SPARSE
-                },
-            )
-        )
-        backend_registry.register_backend(
-            _spec(
-                "later",
-                Capability.MIP | Capability.SPARSE | Capability.INCREMENTAL_ROWS,
-            )
-        )
-        assert find_backend(Capability.MIP) == "dense"
-        # A variant of an earlier entry beats a later entry's base...
-        assert find_backend(Capability.MIP | Capability.SPARSE) == "dense:sparse"
-        # ...and a later entry answers what no earlier one supports.
-        assert find_backend(Capability.INCREMENTAL_ROWS) == "later"
-
-    def test_deterministic_across_calls(self):
-        query = Capability.MIP | Capability.INCREMENTAL_ROWS
-        assert find_backend(query) == find_backend(query)
-
-    def test_unsatisfiable_combination_raises(self, monkeypatch):
-        monkeypatch.setattr(backend_registry, "_REGISTRY", {})
-        backend_registry.register_backend(_spec("dense", Capability.MIP))
-        with pytest.raises(ValueError, match="no registered backend"):
-            find_backend(Capability.MIP | Capability.SPARSE)
-
-    def test_third_party_backend_joins_fallback_last(self, monkeypatch):
+    def test_third_party_backend_resolves_with_variants(self, monkeypatch):
         sentinel = object()
         monkeypatch.setitem(
             backend_registry._REGISTRY,
             "custom",
             BackendSpec(
-                name="custom",
-                factory=lambda variant: sentinel,
-                capabilities=Capability.MIP | Capability.SPARSE,
+                name="custom", factory=lambda variant: sentinel,
                 variants=("fast",),
             ),
         )
-        # Earlier registrations still win every query they can satisfy.
-        assert find_backend(Capability.MIP) == "scipy"
-        assert find_backend(Capability.MIP | Capability.SPARSE) == "scipy"
-        assert list(backend_registry._REGISTRY)[-1] == "custom"
+        assert "custom" in available_backends()
         assert get_backend("custom") is sentinel
         assert get_backend("custom:fast") is sentinel
         with pytest.raises(ValueError, match="does not support variant"):

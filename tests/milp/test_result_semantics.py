@@ -222,7 +222,7 @@ class TestSolveManyAllBackends:
 
 
 class TestSolveManyFallback:
-    """Backends without solve_objectives use the repeated-solve path."""
+    """Backends without open_session use the repeated-solve path."""
 
     class _PlainBackend:
         """Minimal backend: solve() only, no multi-objective fast path."""
@@ -245,7 +245,6 @@ class TestSolveManyFallback:
             backend_registry.BackendSpec(
                 name="plain",
                 factory=lambda variant: self._PlainBackend(),
-                capabilities=backend_registry.Capability.MIP,
             ),
         )
         return "plain"

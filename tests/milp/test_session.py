@@ -1,13 +1,11 @@
-"""SolverSession property tests: incremental solves == from-scratch solves.
+"""SolverSession property tests: session solves == from-scratch solves.
 
-The session contract is behavioral: after any sequence of incremental
-modifications (tightened bounds, appended rows, swapped objectives,
-fixed ReLU phases), :meth:`SolverSession.solve` must report the same
-status and optimum as exporting a *fresh* :class:`Model` that carries
-all accumulated modifications.  These tests assert that equivalence on
-random LP/MILP instances for every session-capable backend, plus the
-neuron-splitting semantics of :meth:`SolverSession.fix_relu_phase` end
-to end on an encoded network.
+The session contract is behavioral: after any sequence of objective
+swaps, :meth:`SolverSession.solve` must report the same status and
+optimum as exporting a *fresh* :class:`Model` with that objective, and
+a stacked :meth:`SolverSession.solve_objectives` must report what
+solving the objectives one at a time reports.  These tests assert both
+on random LP/MILP instances for every session-capable backend.
 """
 
 from unittest import mock
@@ -18,12 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._sanitize import sanitizing
-from repro.bounds import Box
-from repro.encoding import encode_single_network
-from repro.milp import Model, SolveStatus, as_expr, get_backend, open_session
+from repro.milp import Model, SolveStatus, as_expr, open_session
 from repro.milp.solution import SolveResult
-from repro.milp.session import solve_objectives as session_solve_objectives
-from repro.nn.affine import AffineLayer
 
 #: Backends every parity test runs under: the sparse scipy session and
 #: the dense pure-python B&B session.
@@ -61,7 +55,7 @@ class RandomInstance:
 
     def build(self, lo=None, hi=None, extra_rows=(), c=None, sense=None,
               constant=None):
-        """A fresh model carrying the given accumulated modifications."""
+        """A fresh model with the given bounds, extra rows and objective."""
         model = Model()
         lo = self.lo if lo is None else lo
         hi = self.hi if hi is None else hi
@@ -93,7 +87,7 @@ class RandomInstance:
         return lo, hi
 
     def random_rows(self, k: int = 2):
-        """A feasible-at-``x0`` appended row block (mixed senses)."""
+        """A feasible-at-``x0`` extra row block (mixed senses)."""
         coeffs = self.rng.standard_normal((k, self.n))
         senses = self.rng.choice(np.array(["<=", ">=", "=="]), size=k)
         slack = self.rng.uniform(0.1, 1.0, k)
@@ -123,53 +117,6 @@ def assert_same_answer(result, reference):
 
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=10, deadline=None)
-def test_bound_tightening_matches_fresh(seed):
-    inst = RandomInstance(seed)
-    model, xs = inst.build()
-    obj = linexpr(xs, inst.c, inst.constant)
-    model.set_objective(obj, inst.sense)
-    sessions = [open_session(model, backend=b) for b in SESSION_BACKENDS]
-    for _ in range(3):
-        lo, hi = inst.tighten()
-        fresh_model, fxs = inst.build(lo=lo, hi=hi)
-        fresh_model.set_objective(linexpr(fxs, inst.c, inst.constant),
-                                  inst.sense)
-        reference = fresh_model.solve()
-        for session in sessions:
-            session.set_var_bounds(list(range(inst.n)), lo, hi)
-            assert_same_answer(session.solve(), reference)
-
-
-@given(seed=st.integers(0, 10**6))
-@settings(max_examples=10, deadline=None)
-def test_appended_rows_match_fresh(seed):
-    inst = RandomInstance(seed)
-    model, xs = inst.build()
-    model.set_objective(linexpr(xs, inst.c, inst.constant), inst.sense)
-    sessions = [open_session(model, backend=b) for b in SESSION_BACKENDS]
-    accumulated = []
-    for round_index in range(3):
-        block = inst.random_rows()
-        accumulated.append(block)
-        fresh_model, fxs = inst.build(extra_rows=accumulated)
-        fresh_model.set_objective(linexpr(fxs, inst.c, inst.constant),
-                                  inst.sense)
-        reference = fresh_model.solve()
-        for session in sessions:
-            coeffs, senses, rhs = block
-            if round_index == 1:
-                # Exercise the COO-triplet input path too.
-                r, col = np.nonzero(coeffs)
-                session.append_rows(
-                    (coeffs[r, col], (r, col)), senses, rhs
-                )
-            else:
-                session.append_rows(coeffs, senses, rhs)
-            assert_same_answer(session.solve(), reference)
-
-
-@given(seed=st.integers(0, 10**6))
-@settings(max_examples=10, deadline=None)
 def test_objective_swaps_match_fresh(seed):
     inst = RandomInstance(seed)
     model, xs = inst.build()
@@ -189,205 +136,23 @@ def test_objective_swaps_match_fresh(seed):
 
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=8, deadline=None)
-def test_milp_incremental_matches_fresh(seed):
-    """Tighten + append + swap, interleaved, on instances with binaries."""
+def test_milp_objective_swaps_match_fresh(seed):
+    """Objective swaps on instances with binaries, bounds and extra rows."""
     inst = RandomInstance(seed, n=5, m=2, n_bin=2)
-    model, xs = inst.build()
-    model.set_objective(linexpr(xs, inst.c, inst.constant), inst.sense)
-    sessions = [open_session(model, backend=b) for b in SESSION_BACKENDS]
     lo, hi = inst.tighten()
     block = inst.random_rows(k=1)
+    model, xs = inst.build(lo=lo, hi=hi, extra_rows=[block])
+    sessions = [open_session(model, backend=b) for b in SESSION_BACKENDS]
     c = inst.rng.standard_normal(inst.n)
 
     fresh_model, fxs = inst.build(lo=lo, hi=hi, extra_rows=[block])
     fresh_model.set_objective(linexpr(fxs, c, inst.constant), "max")
     reference = fresh_model.solve()
     for session in sessions:
-        session.set_var_bounds(list(range(inst.n)), lo, hi)
-        session.append_rows(*block)
         session.set_objective(linexpr(xs, c, inst.constant), "max")
         assert_same_answer(session.solve(), reference)
         # Re-solving an unchanged session is idempotent.
         assert_same_answer(session.solve(), reference)
-
-
-@pytest.mark.parametrize("backend", SESSION_BACKENDS)
-def test_conflicting_bounds_report_infeasible(backend):
-    inst = RandomInstance(0)
-    model, xs = inst.build()
-    model.set_objective(linexpr(xs, inst.c), inst.sense)
-    with open_session(model, backend=backend) as session:
-        session.set_var_bounds([0], 1.0, -1.0)
-        assert session.solve().status is SolveStatus.INFEASIBLE
-        # Restoring sane bounds revives the session.
-        session.set_var_bounds([0], inst.lo[0], inst.hi[0])
-        assert session.solve().status is SolveStatus.OPTIMAL
-
-
-def test_session_solve_objectives_falls_back_without_sessions():
-    """Sessionless third-party backends keep working via solve_many."""
-    scipy_solver = get_backend("scipy")
-
-    class PlainBackend:
-        name = "plain"
-
-        def solve(self, model, time_limit=None, mip_gap=None):
-            return scipy_solver.solve(
-                model, time_limit=time_limit, mip_gap=mip_gap
-            )
-
-    inst = RandomInstance(5)
-    model, xs = inst.build()
-    objectives = [
-        (linexpr(xs, inst.c), "min"),
-        (linexpr(xs, inst.c), "max"),
-    ]
-    via_plain = session_solve_objectives(model, objectives,
-                                         backend=PlainBackend())
-    via_scipy = session_solve_objectives(model, objectives, backend="scipy")
-    for plain, scipy_result in zip(via_plain, via_scipy):
-        assert plain.status is SolveStatus.OPTIMAL
-        assert plain.objective == pytest.approx(scipy_result.objective,
-                                                rel=1e-7, abs=1e-9)
-
-
-# -- ReLU phase fixing / the neuron-splitting tier seed ------------------
-
-
-def relu_net(seed: int = 3, width: int = 4):
-    """A 2-4-1 net over [-1, 1]^2 with at least one unstable neuron."""
-    rng = np.random.default_rng(seed)
-    layers = [
-        AffineLayer(
-            rng.standard_normal((width, 2)),
-            0.3 * rng.standard_normal(width),
-            relu=True,
-        ),
-        AffineLayer(
-            rng.standard_normal((1, width)),
-            np.zeros(1),
-            relu=False,
-        ),
-    ]
-    return layers, Box.uniform(2, -1.0, 1.0)
-
-
-def encoded(layers, box, relax_mask=None):
-    enc = encode_single_network(layers, box, relax_mask=relax_mask)
-    return enc
-
-
-def first_unstable(enc):
-    unstable = [
-        key for key, (_, _, z) in sorted(enc.relu_vars.items())
-        if z is not None
-    ]
-    assert unstable, "test net must have an unstable neuron"
-    return unstable[0]
-
-
-@pytest.mark.parametrize("backend", SESSION_BACKENDS)
-def test_fix_relu_phase_matches_fresh_indicator_fix(backend):
-    """z-based phase fixes equal from-scratch models with z pinned."""
-    layers, box = relu_net()
-    enc = encoded(layers, box)
-    key = first_unstable(enc)
-    objective = (as_expr(enc.output[0]), "max")
-    session = open_session(enc.model, backend=backend, relu_info=enc.relu_vars)
-    session.set_objective(*objective)
-    unfixed = session.solve()
-    assert unfixed.status is SolveStatus.OPTIMAL
-
-    branch_optima = []
-    for phase, z_value in (("active", 1.0), ("inactive", 0.0)):
-        session.fix_relu_phase(*key, phase)
-        got = session.solve()
-        fresh = encoded(layers, box)
-        z_index = fresh.relu_vars[key][2]
-        fresh.model.add_constr(
-            as_expr(fresh.model.variables[z_index]) == z_value
-        )
-        fresh.model.set_objective(as_expr(fresh.output[0]), "max")
-        assert_same_answer(got, fresh.model.solve())
-        if got.status is SolveStatus.OPTIMAL:
-            branch_optima.append(got.objective)
-
-    # Release: the indicator fix is reversible and restores the optimum.
-    session.fix_relu_phase(*key, None)
-    released = session.solve()
-    assert released.objective == pytest.approx(unfixed.objective, rel=1e-6)
-
-    # End-to-end neuron split: the two branches are exhaustive, so the
-    # best branch optimum IS the unbranched optimum.
-    assert max(branch_optima) == pytest.approx(unfixed.objective, rel=1e-6)
-    session.close()
-
-
-def test_neuron_split_tightens_lp_relaxation_soundly():
-    """Branching a relaxed neuron via sign rows: sound and no looser.
-
-    The neuron-splitting certification step on the LP relaxation: the
-    triangle-relaxed upper bound of the output is replaced by the max of
-    the two phase-fixed branch bounds.  That max must (a) still dominate
-    the exact MILP optimum — soundness — and (b) not exceed the
-    unbranched relaxed bound — the split can only tighten.
-    """
-    layers, box = relu_net()
-    exact_enc = encoded(layers, box)
-    key = first_unstable(exact_enc)
-    exact_enc.model.set_objective(as_expr(exact_enc.output[0]), "max")
-    exact_opt = exact_enc.model.solve().objective
-
-    relax_mask = [
-        np.ones(layer.out_dim, dtype=bool) for layer in layers
-    ]
-    relaxed = encoded(layers, box, relax_mask=relax_mask)
-    relaxed.model.set_objective(as_expr(relaxed.output[0]), "max")
-    relaxed_ub = relaxed.model.solve().objective
-
-    for backend in SESSION_BACKENDS:
-        branch_bounds = []
-        for phase in ("active", "inactive"):
-            enc = encoded(layers, box, relax_mask=relax_mask)
-            session = open_session(
-                enc.model, backend=backend, relu_info=enc.relu_vars
-            )
-            assert enc.relu_vars[key][2] is None  # relaxed: no indicator
-            before = session.num_appended_rows
-            session.fix_relu_phase(*key, phase)
-            assert session.num_appended_rows == before + 2
-            # Re-fixing the same phase is a no-op; flipping or releasing a
-            # row-based fix is impossible and must say so.
-            session.fix_relu_phase(*key, phase)
-            assert session.num_appended_rows == before + 2
-            other = "inactive" if phase == "active" else "active"
-            with pytest.raises(ValueError, match="cannot be flipped"):
-                session.fix_relu_phase(*key, other)
-            with pytest.raises(ValueError, match="cannot be released"):
-                session.fix_relu_phase(*key, None)
-            session.set_objective(as_expr(enc.output[0]), "max")
-            result = session.solve()
-            assert result.status is SolveStatus.OPTIMAL
-            branch_bounds.append(result.objective)
-            session.close()
-
-        split_ub = max(branch_bounds)
-        assert split_ub >= exact_opt - 1e-6  # sound
-        assert split_ub <= relaxed_ub + 1e-6  # never looser than no split
-
-
-def test_fix_relu_phase_requires_metadata():
-    layers, box = relu_net()
-    enc = encoded(layers, box)
-    session = open_session(enc.model, backend="scipy")  # no relu_info
-    with pytest.raises(ValueError, match="no ReLU metadata"):
-        session.fix_relu_phase(0, 0, "active")
-    session.close()
-    with_info = open_session(enc.model, backend="scipy",
-                             relu_info=enc.relu_vars)
-    with pytest.raises(ValueError, match="unknown ReLU phase"):
-        with_info.fix_relu_phase(*first_unstable(enc), "sideways")
-    with_info.close()
 
 
 # -- stacked multi-objective solves (scipy/HiGHS) -------------------------
@@ -462,15 +227,18 @@ class SolveSpy:
 
 
 def stacked_and_singles(inst, edit=None, count=6, time_limit=None):
-    """Solve the same objectives stacked and one at a time, under ``edit``."""
+    """Solve the same objectives stacked and one at a time.
+
+    ``edit(model)``, when given, modifies the model before the sessions
+    snapshot it.
+    """
     model, xs = inst.build()
+    if edit is not None:
+        edit(model)
     objectives = random_objectives(inst, xs, count)
     with open_session(model, backend="scipy") as stacked_session, open_session(
         model, backend="scipy"
     ) as single_session:
-        if edit is not None:
-            edit(stacked_session)
-            edit(single_session)
         with SolveSpy() as spy:
             stacked = stacked_session.solve_objectives(
                 objectives, time_limit=time_limit
@@ -498,9 +266,9 @@ def test_stacked_objectives_with_appended_rows(seed):
     inst = RandomInstance(seed, n=6, m=3)
     rows = [inst.random_rows(k=3), inst.random_rows(k=2)]
 
-    def append(session):
+    def append(model):
         for block in rows:
-            session.append_rows(*block)
+            model.add_linear_rows(*block)
 
     stacked, singles, spy, _ = stacked_and_singles(inst, edit=append)
     assert spy.stacks == 1
@@ -512,9 +280,9 @@ def test_stacked_objectives_with_appended_rows(seed):
 def test_stacked_infeasible_system_marks_every_objective(seed):
     inst = RandomInstance(seed, n=5, m=3)
 
-    def make_infeasible(session):
+    def make_infeasible(model):
         # sum(x) >= sum(hi) + 1 cannot hold inside the variable box.
-        session.append_rows(np.ones((1, inst.n)), ">=", inst.hi.sum() + 1.0)
+        model.add_linear_rows(np.ones((1, inst.n)), ">=", inst.hi.sum() + 1.0)
 
     stacked, singles, spy, _ = stacked_and_singles(inst, edit=make_infeasible)
     assert spy.stacks == 1 and len(spy.calls) == 1
@@ -539,21 +307,6 @@ def test_stack_with_an_unbounded_objective_falls_back(seed):
     assert len(spy.calls) == 1 + 2 * len(objectives)
     assert stacked[2].status is not SolveStatus.OPTIMAL
     assert all(r.is_optimal for k, r in enumerate(stacked) if k != 2)
-    assert_stacked_matches(stacked, singles)
-
-
-@pytest.mark.parametrize("count", [1, 5])
-def test_conflicting_session_bounds_never_reach_the_solver(count):
-    inst = RandomInstance(3)
-
-    def conflict(session):
-        session.set_var_bounds([0], 1.0, -1.0)
-
-    stacked, singles, spy, _ = stacked_and_singles(
-        inst, edit=conflict, count=count
-    )
-    assert spy.calls == []
-    assert all(r.status is SolveStatus.INFEASIBLE for r in stacked)
     assert_stacked_matches(stacked, singles)
 
 
@@ -649,9 +402,9 @@ def test_backend_and_model_solve_many_share_the_session_path():
     inst = RandomInstance(2, n=6, m=4)
     model, xs = inst.build()
     objectives = random_objectives(inst, xs, 5)
-    with SolveSpy() as spy:
+    with SolveSpy() as spy, open_session(model, backend="scipy") as session:
         via_model = model.solve_many(objectives, backend="scipy")
-        via_session = session_solve_objectives(model, objectives, backend="scipy")
+        via_session = session.solve_objectives(objectives)
     assert spy.stacks == 2
     for a, b in zip(via_model, via_session):
         assert a.status is b.status

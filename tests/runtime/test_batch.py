@@ -68,6 +68,18 @@ class TestQueryValidation:
                     center=centers[0], epsilon=bad,
                 )
 
+    def test_bad_delta_rejected(self, layers, centers):
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="delta"):
+                CertificationQuery(
+                    kind="local-exact", layers=layers, delta=bad,
+                    center=centers[0], epsilon=0.5,
+                )
+        # A zero radius is a valid (trivial) query.
+        CertificationQuery(
+            kind="local-exact", layers=layers, delta=0.0, center=centers[0],
+        )
+
     def test_split_needs_epsilon(self, layers, centers):
         with pytest.raises(ValueError, match="epsilon"):
             CertificationQuery(

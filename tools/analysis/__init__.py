@@ -8,7 +8,7 @@ Two tiers of rules:
 
 * per-node rules (RPR001–RPR006, :mod:`tools.analysis.rules`) — one
   file, one AST node at a time;
-* flow rules (RPR101–RPR105, :mod:`tools.analysis.rules_flow`) — CFG,
+* flow rules (RPR101–RPR103 and RPR105, :mod:`tools.analysis.rules_flow`) — CFG,
   dataflow and call-graph powered, enabled with ``flow=True`` (CLI
   ``--flow``).  Flow linting is a two-pass run: every file is parsed
   first so the project call graph covers all of them, then each file
@@ -237,7 +237,7 @@ def lint_sources(
     Args:
         files: ``(display path, source, relpath)`` triples (``relpath``
             may be ``None`` to reuse the display path).
-        flow: Also run the RPR101–105 flow rules, with the call graph
+        flow: Also run the RPR101–103/RPR105 flow rules, with the call graph
             built across the whole batch.
 
     Returns:

@@ -5,7 +5,7 @@ Modes:
 * ``python -m tools.analysis src benchmarks`` — run the per-node RPR
   lint pack over the given files/directories; exit 1 on any diagnostic.
 * ``python -m tools.analysis --flow src benchmarks tests`` — also run
-  the RPR101–105 flow rules (CFG/dataflow/call graph), with the
+  the RPR101–103/RPR105 flow rules (CFG/dataflow/call graph), with the
   shrink-only findings baseline applied.
 * ``--diff origin/main`` — report only findings on lines changed vs
   the given ref (the blocking PR gate; full runs stay nightly).
@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--flow",
         action="store_true",
-        help="also run the RPR101-105 flow rules (CFG/dataflow/call graph)",
+        help="also run the RPR101-103/RPR105 flow rules (CFG/dataflow/call graph)",
     )
     parser.add_argument(
         "--diff",

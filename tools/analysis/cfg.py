@@ -22,7 +22,7 @@ path" therefore also accept a close *anywhere* in an enclosing
 The graph exposes the two queries the rules need:
 
 * :meth:`CFG.dominators` — classic iterative dominator sets, for
-  "is this call dominated by a capability check" (RPR104);
+  "is this statement dominated by that one";
 * :meth:`CFG.reaches_exit_avoiding` — "is there a path from the
   creation site to EXIT that never passes a ``close()``" (RPR103).
 """

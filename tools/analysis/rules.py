@@ -204,7 +204,7 @@ class RegistryMediatedBackends:
     CODE = "RPR003"
     SUMMARY = (
         "outside repro/milp/, solver backends are reached via get_backend/"
-        "find_backend/register_backend, never by importing scipy_backend"
+        "register_backend, never by importing scipy_backend"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -228,8 +228,8 @@ class RegistryMediatedBackends:
     def _finding(line: int) -> Finding:
         return (
             line,
-            "direct scipy_backend import bypasses the capability registry: "
-            "use repro.milp.backend.get_backend/find_backend instead",
+            "direct scipy_backend import bypasses the backend registry: "
+            "use repro.milp.backend.get_backend/register_backend instead",
         )
 
 

@@ -1,4 +1,4 @@
-"""The interprocedural flow rules — RPR101..RPR105.
+"""The interprocedural flow rules — RPR101..RPR103 and RPR105.
 
 Per-node lint (:mod:`tools.analysis.rules`) catches what a single AST
 node can prove; these rules catch what needs a CFG, a dataflow fixpoint
@@ -19,12 +19,6 @@ or the project call graph:
   must be closed on every CFG path (``with``, a post-dominating
   ``close()``, or a close in ``finally``) unless ownership escapes
   (returned / stored on an object / handed to another call).
-* RPR104 — **capability gating**: incremental-row API use
-  (``fix_relu_phase``, ``append_rows``) outside
-  ``repro/milp/`` must be dominated by a capability check
-  (``Capability``, ``find_backend``, ``backend_capabilities`` ...), so
-  registry fallback can never route it to a backend that silently
-  ignores it.
 * RPR105 — **worker purity**: functions submitted to process pools
   must not write module/global state (``global`` writes, mutation of
   module-level containers, ``os.environ``) — such writes vanish with
@@ -476,79 +470,6 @@ class ResourceLifecycle:
         return False
 
 
-# -- RPR104: capability gating ------------------------------------------------
-
-
-class CapabilityGating:
-    """RPR104: incremental API use is dominated by a capability check."""
-
-    CODE = "RPR104"
-    SUMMARY = (
-        "outside repro/milp/, fix_relu_phase / append_rows calls must "
-        "be dominated by a Capability check "
-        "(find_backend(required=...), backend_capabilities, caps_for, "
-        "supports)"
-    )
-
-    _GATES = frozenset(
-        {"find_backend", "backend_capabilities", "caps_for", "supports"}
-    )
-    _GATED_ATTRS = frozenset({"fix_relu_phase", "append_rows"})
-
-    def check(self, ctx: FileContext, project: Project) -> Iterator[Finding]:
-        if "repro/" not in ctx.relpath or "repro/milp/" in ctx.relpath:
-            return
-        for _name, fn, cfg in _function_cfgs(ctx):
-            gated = self._gated_calls(cfg)
-            if not gated:
-                continue
-            gates = self._gate_nodes(cfg)
-            doms = cfg.dominators()
-            for node_index, line, label in gated:
-                if gates & doms.get(node_index, set()):
-                    continue
-                yield (
-                    line,
-                    f"ungated capability use: {label} is not dominated by a "
-                    "Capability check or find_backend(required=...) — a "
-                    "registry fallback backend may silently ignore it",
-                )
-
-    def _gated_calls(self, cfg: CFG) -> list[tuple[int, int, str]]:
-        out: list[tuple[int, int, str]] = []
-        for node in cfg.nodes:
-            if node.stmt is None:
-                continue
-            for call in _calls_at(node.stmt):
-                func = call.func
-                attr = func.attr if isinstance(func, ast.Attribute) else ""
-                if attr in self._GATED_ATTRS:
-                    out.append((node.index, call.lineno, f"{attr}(...)"))
-        return out
-
-    def _gate_nodes(self, cfg: CFG) -> set[int]:
-        gates: set[int] = set()
-        for node in cfg.nodes:
-            if node.stmt is None:
-                continue
-            for root in evaluated_exprs(node.stmt):
-                for sub in ast.walk(root):
-                    if isinstance(sub, ast.Name) and sub.id == "Capability":
-                        gates.add(node.index)
-                    elif isinstance(sub, ast.Attribute) and sub.attr == "Capability":
-                        gates.add(node.index)
-                    elif isinstance(sub, ast.Call):
-                        func = sub.func
-                        name = (
-                            func.attr
-                            if isinstance(func, ast.Attribute)
-                            else (func.id if isinstance(func, ast.Name) else "")
-                        )
-                        if name in self._GATES:
-                            gates.add(node.index)
-        return gates
-
-
 # -- RPR105: worker purity ----------------------------------------------------
 
 
@@ -691,6 +612,5 @@ ALL_FLOW_RULES = (
     BoundDirectionTaint(),
     DeadlineThreading(),
     ResourceLifecycle(),
-    CapabilityGating(),
     WorkerPurity(),
 )
