@@ -6,7 +6,7 @@ PYTHON ?= python
 BASE_REF ?= origin/main
 LINT_PATHS := src benchmarks tests
 
-.PHONY: test test-sanitize test-chaos lint lint-diff lint-sarif ratchet bench-smoke perfbench-smoke
+.PHONY: test test-sanitize test-chaos lint lint-diff lint-sarif ratchet bench-smoke bench-gate perfbench-smoke
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -46,6 +46,24 @@ bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m benchmarks.bench_splitting --smoke
 	PYTHONPATH=src $(PYTHON) -m benchmarks.bench_batch_bounds --smoke
 	PYTHONPATH=src $(PYTHON) -m benchmarks.bench_faults --smoke
+
+# CI benchmark gate: the five smoke runs above, then compare_bench on
+# the three committed baselines (copied to a temp dir first).  Fails on
+# a >20% drop of a recorded speedup/tightness ratio and on ANY change of
+# a verdict count.  NOTE: the smoke runs merge their smoke_* keys into
+# benchmarks/BENCH_{splitting,batch_bounds,faults}.json, so this target
+# rewrites those three committed files; `git checkout` them afterwards
+# unless the new numbers are meant to be committed.
+GATED_BENCHES := splitting batch_bounds faults
+
+bench-gate:
+	set -e; base=$$(mktemp -d); trap 'rm -rf "$$base"' EXIT; \
+	for b in $(GATED_BENCHES); do cp benchmarks/BENCH_$$b.json "$$base"/; done; \
+	$(MAKE) --no-print-directory bench-smoke PYTHON=$(PYTHON); \
+	for b in $(GATED_BENCHES); do \
+		PYTHONPATH=src $(PYTHON) -m benchmarks.compare_bench \
+			"$$base"/BENCH_$$b.json benchmarks/BENCH_$$b.json; \
+	done
 
 # CI perfbench job: every end-to-end workload briefly, traced.  A run
 # exits non-zero only when one of its correctness checks fails

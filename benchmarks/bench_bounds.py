@@ -137,7 +137,7 @@ def presolve_speedup(
                 ub * f
                 for f in (0.98, 0.9, 0.75, 0.5)
                 if presolve_local(
-                    layers, x, delta, ub * f, domain=domain, layer_bounds=bounds
+                    layers, x, delta, ub * f, domain=domain
                 )
                 is None
             ),

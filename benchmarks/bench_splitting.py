@@ -80,7 +80,6 @@ def undecided_local_epsilon(layers, center, delta, domain, side="high"):
         for factor in (0.98, 0.95, 0.9, 0.8, 0.65, 0.5, 0.35, 0.22, 0.12)
         if presolve_local(
             layers, center, delta, ub * factor, domain=domain,
-            layer_bounds=bounds,
         )
         is None
     ]

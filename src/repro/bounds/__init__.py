@@ -19,29 +19,27 @@ protocol (``propagate(layers, input_box, delta=None) -> LayerBounds``):
   relaxations (:mod:`repro.bounds.symbolic`), never looser than IBP and
   usually much tighter; it also propagates distance bounds symbolically.
 
-The low-level :func:`propagate_box` / :func:`propagate_twin_box`
-functions remain as the IBP engine's implementation.
+Every engine also answers a whole ``(Q, n)`` stack of queries in one
+vectorized pass (:func:`propagate_many`, returning
+:class:`BatchedLayerBounds`), row-for-row bit-identical to the per-query
+``propagate``.  Each method writes its layer loop once: the low-level
+:func:`propagate_box` / :func:`propagate_twin_box` /
+:func:`relu_distance_interval` (the IBP engine's implementation) take a
+:class:`Box` or a :class:`BatchedBox` alike.
 """
 
 from __future__ import annotations
 
 from repro.bounds.interval import Box
-from repro.bounds.batched import (
-    BatchedBox,
-    BatchedLayerBounds,
-    as_batched_box,
-    as_batched_delta,
-)
-from repro.bounds.ibp import propagate_box, propagate_box_batch
+from repro.bounds.batched import BatchedBox, as_batched_box, as_batched_delta
+from repro.bounds.ibp import propagate_box
 from repro.bounds.twin_ibp import (
-    BatchedTwinBounds,
     TwinBounds,
     propagate_twin_box,
-    propagate_twin_box_batch,
     relu_distance_interval,
-    relu_distance_interval_batch,
 )
 from repro.bounds.propagator import (
+    BatchedLayerBounds,
     BoundPropagator,
     IBPPropagator,
     LayerBounds,
@@ -61,13 +59,9 @@ __all__ = [
     "as_batched_box",
     "as_batched_delta",
     "propagate_box",
-    "propagate_box_batch",
     "propagate_twin_box",
-    "propagate_twin_box_batch",
     "relu_distance_interval",
-    "relu_distance_interval_batch",
     "TwinBounds",
-    "BatchedTwinBounds",
     "LayerRanges",
     "RangeTable",
     "BoundPropagator",

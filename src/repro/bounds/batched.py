@@ -3,15 +3,17 @@
 The presolve tier and the splitting tier both run *near-identical*
 propagations one query at a time — an ε-sweep over 256 perturbation
 balls is 256 separate backsubstitutions over the same weights.  This
-module provides the containers for doing all of them in ONE vectorized
-pass:
+module provides the container for doing all of them in ONE vectorized
+pass: :class:`BatchedBox`, ``Q`` axis-aligned boxes as stacked
+``(Q, n)`` ``lo``/``hi`` arrays, with the same interval arithmetic as
+:class:`~repro.bounds.interval.Box` applied to every row at once.  The
+per-layer record of one batched propagation is
+:class:`~repro.bounds.propagator.BatchedLayerBounds`.
 
-* :class:`BatchedBox` — ``Q`` axis-aligned boxes as stacked ``(Q, n)``
-  ``lo``/``hi`` arrays, with the same interval arithmetic as
-  :class:`~repro.bounds.interval.Box` applied to every row at once;
-* :class:`BatchedLayerBounds` — the per-layer record of one batched
-  propagation, row-sliceable back into ordinary
-  :class:`~repro.bounds.propagator.LayerBounds`.
+Each bound method has one layer loop, written over :data:`AnyBox`: it
+runs unchanged on a :class:`Box` or on a :class:`BatchedBox`, and only
+the arithmetic kernels (``affine``, backsubstitution) differ between
+the two containers.
 
 Bit-identity contract
 ---------------------
@@ -26,7 +28,7 @@ independent of the batch size.  Elementwise operations are trivially
 per-row.  The ``REPRO_SANITIZE=1`` contract and the property tests
 enforce this row agreement.
 
-Both containers copy ingested caller arrays (lint rule RPR002): batched
+The container copies ingested caller arrays (lint rule RPR002): batched
 bounds are shared across whole query batches, so aliasing a caller's
 array would corrupt every query at once.
 """
@@ -34,14 +36,11 @@ array would corrupt every query at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, TypeAlias
+from typing import Sequence, TypeAlias, TypeVar
 
 import numpy as np
 
 from repro.bounds.interval import Box
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.bounds.propagator import LayerBounds
 
 #: Per-query perturbation spec accepted by the batched entry points: one
 #: radius for every query, per-query radii, one shared box, a full
@@ -168,6 +167,10 @@ class BatchedBox:
         )
 
 
+#: Either bound container: the type each method's one layer loop runs on.
+AnyBox = TypeVar("AnyBox", Box, BatchedBox)
+
+
 def as_batched_box(boxes: "BatchedBox | Box | Sequence[Box]") -> BatchedBox:
     """Coerce a batch spec into a :class:`BatchedBox`.
 
@@ -187,7 +190,7 @@ def as_batched_delta(
 ) -> "BatchedBox | None":
     """Coerce a per-query perturbation spec into a ``(Q, n)`` stack.
 
-    Mirrors the scalar ``_as_delta_box`` semantics per row: a float
+    Mirrors the scalar ``twin_ibp._as_delta`` semantics per row: a float
     radius ``d`` becomes the box ``[-d, d]^n``; per-query radii may be a
     1-D array (or list) of length ``Q``; explicit boxes pass through
     (one shared box, a per-query list, or a ready-made stack).
@@ -251,145 +254,3 @@ def delta_row(deltas: "DeltaSpec", q: int, dim: int) -> "float | Box | None":
         return float(np.asarray(deltas, dtype=float).reshape(-1)[q])
     entry = list(deltas)[q]
     return entry if isinstance(entry, Box) else float(entry)
-
-
-@dataclass
-class BatchedLayerBounds:
-    """Per-layer records of one batched propagation over ``Q`` queries.
-
-    The stacked twin of :class:`~repro.bounds.propagator.LayerBounds`:
-    entry ``i`` of ``y``/``x`` (and ``dy``/``dx`` for twin runs) holds
-    the ``(Q, m_i)`` bound stack of layer ``i+1``.  :meth:`row` slices
-    one query back out as an ordinary ``LayerBounds``.
-
-    Attributes:
-        input_box: Stacked input boxes, shape ``(Q, n)``.
-        y: Pre-activation value stack per layer.
-        x: Post-activation value stack per layer.
-        delta_box: Input perturbation stack (twin runs only).
-        dy: Pre-activation distance stack per layer (twin runs only).
-        dx: Post-activation distance stack per layer (twin runs only).
-        method: Name of the propagator that produced these bounds.
-    """
-
-    input_box: BatchedBox
-    y: list[BatchedBox]
-    x: list[BatchedBox]
-    delta_box: "BatchedBox | None" = None
-    dy: "list[BatchedBox] | None" = None
-    dx: "list[BatchedBox] | None" = None
-    method: str = ""
-
-    def __post_init__(self) -> None:
-        # Copy the ingested *lists* (RPR002): same contract as
-        # LayerBounds — the BatchedBox elements are shared read-only.
-        self.y = list(self.y)
-        self.x = list(self.x)
-        if self.dy is not None:
-            self.dy = list(self.dy)
-        if self.dx is not None:
-            self.dx = list(self.dx)
-
-    @property
-    def num_queries(self) -> int:
-        """Number of stacked queries ``Q``."""
-        return self.input_box.num_queries
-
-    @property
-    def num_layers(self) -> int:
-        """Number of network layers covered."""
-        return len(self.y)
-
-    @property
-    def has_distance(self) -> bool:
-        """Whether twin distance bounds were propagated."""
-        return self.dy is not None
-
-    @property
-    def output(self) -> BatchedBox:
-        """Post-activation stack of the final layer (network outputs)."""
-        return self.x[-1]
-
-    @property
-    def output_distance(self) -> BatchedBox:
-        """Distance stack of the network output ``Δx(n)``."""
-        if self.dx is None:
-            raise ValueError(
-                "no distance bounds: propagate with deltas to get Δ stacks"
-            )
-        return self.dx[-1]
-
-    def output_variation_bounds(self) -> np.ndarray:
-        """Per-query, per-output ``ε̄`` from the distance stack, ``(Q, out)``."""
-        dist = self.output_distance
-        return np.maximum(np.abs(dist.lo), np.abs(dist.hi))
-
-    def row(self, q: int) -> "LayerBounds":
-        """Query ``q``'s bounds as an ordinary :class:`LayerBounds`."""
-        from repro.bounds.propagator import LayerBounds
-
-        if not 0 <= q < self.num_queries:
-            raise IndexError(f"query row {q} outside batch of {self.num_queries}")
-        return LayerBounds(
-            input_box=self.input_box.row(q),
-            y=[stack.row(q) for stack in self.y],
-            x=[stack.row(q) for stack in self.x],
-            delta_box=None if self.delta_box is None else self.delta_box.row(q),
-            dy=None if self.dy is None else [stack.row(q) for stack in self.dy],
-            dx=None if self.dx is None else [stack.row(q) for stack in self.dx],
-            method=self.method,
-        )
-
-    def rows(self) -> "list[LayerBounds]":
-        """All queries, row-sliced (one ``LayerBounds`` per query)."""
-        return [self.row(q) for q in range(self.num_queries)]
-
-    @classmethod
-    def stack(cls, bounds: "Sequence[LayerBounds]") -> "BatchedLayerBounds":
-        """Stack per-query propagations into one batched record.
-
-        All entries must come from the same engine over the same network
-        (equal layer counts and method names, uniform twin-ness).
-        """
-        if len(bounds) == 0:
-            raise ValueError("empty batch: need at least one LayerBounds")
-        first = bounds[0]
-        for entry in bounds[1:]:
-            if entry.num_layers != first.num_layers:
-                raise ValueError("cannot stack bounds with different layer counts")
-            if entry.has_distance != first.has_distance:
-                raise ValueError("cannot stack twin and value-only bounds")
-            if entry.method != first.method:
-                raise ValueError(
-                    f"cannot stack bounds from different engines "
-                    f"({entry.method!r} vs {first.method!r})"
-                )
-
-        def stacked(select: "list[Box]") -> BatchedBox:
-            return BatchedBox.from_boxes(select)
-
-        dy: "list[BatchedBox] | None" = None
-        dx: "list[BatchedBox] | None" = None
-        delta: "BatchedBox | None" = None
-        if first.has_distance:
-            assert first.dy is not None and first.dx is not None
-            delta_boxes = [entry.delta_box for entry in bounds]
-            assert all(box is not None for box in delta_boxes)
-            delta = stacked([box for box in delta_boxes if box is not None])
-            dy = [
-                stacked([entry.dy[i] for entry in bounds if entry.dy is not None])
-                for i in range(first.num_layers)
-            ]
-            dx = [
-                stacked([entry.dx[i] for entry in bounds if entry.dx is not None])
-                for i in range(first.num_layers)
-            ]
-        return cls(
-            input_box=stacked([entry.input_box for entry in bounds]),
-            y=[stacked([entry.y[i] for entry in bounds]) for i in range(first.num_layers)],
-            x=[stacked([entry.x[i] for entry in bounds]) for i in range(first.num_layers)],
-            delta_box=delta,
-            dy=dy,
-            dx=dx,
-            method=first.method,
-        )

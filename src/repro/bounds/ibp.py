@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
-from repro.bounds.batched import BatchedBox
-from repro.bounds.interval import Box
+from repro.bounds.batched import AnyBox
 from repro.nn.affine import AffineLayer
 
 
 def propagate_box(
-    layers: list[AffineLayer], input_box: Box, collect: bool = False
-) -> "Box | tuple[Box, list[Box]]":
-    """Propagate an input box through an affine chain.
+    layers: list[AffineLayer], input_box: AnyBox, collect: bool = False
+) -> "AnyBox | tuple[AnyBox, list[AnyBox]]":
+    """Propagate an input box (or a ``(Q, n)`` stack of them) through a chain.
+
+    The loop runs unchanged on a :class:`~repro.bounds.interval.Box` or
+    a :class:`~repro.bounds.batched.BatchedBox`; row ``q`` of a stacked
+    result is bit-identical to propagating row ``q`` alone (see the
+    :mod:`repro.bounds.batched` bit-identity contract).
 
     Args:
         layers: Normal-form network (see :mod:`repro.nn.affine`).
-        input_box: Box over the flattened input.
+        input_box: Box (or box stack) over the flattened input.
         collect: When True, also return per-layer pre-activation boxes.
 
     Returns:
@@ -23,7 +27,7 @@ def propagate_box(
         in the paper's indexing.
     """
     box = input_box
-    pre_acts: list[Box] = []
+    pre_acts: list[AnyBox] = []
     for layer in layers:
         box = box.affine(layer.weight, layer.bias)
         if collect:
@@ -33,34 +37,3 @@ def propagate_box(
     if collect:
         return box, pre_acts
     return box
-
-
-def propagate_box_batch(
-    layers: list[AffineLayer], input_boxes: BatchedBox, collect: bool = False
-) -> "BatchedBox | tuple[BatchedBox, list[BatchedBox]]":
-    """Propagate a ``(Q, n)`` stack of input boxes in one vectorized pass.
-
-    The batched twin of :func:`propagate_box`: row ``q`` of every
-    returned stack is bit-identical to propagating ``input_boxes.row(q)``
-    alone (see the :mod:`repro.bounds.batched` bit-identity contract).
-
-    Args:
-        layers: Normal-form network (see :mod:`repro.nn.affine`).
-        input_boxes: Stacked boxes over the flattened input.
-        collect: When True, also return per-layer pre-activation stacks.
-
-    Returns:
-        The output stack, or ``(output_stack, pre_activation_stacks)``
-        when ``collect`` is set.
-    """
-    boxes = input_boxes
-    pre_acts: list[BatchedBox] = []
-    for layer in layers:
-        boxes = boxes.affine(layer.weight, layer.bias)
-        if collect:
-            pre_acts.append(boxes)
-        if layer.relu:
-            boxes = boxes.relu()
-    if collect:
-        return boxes, pre_acts
-    return boxes

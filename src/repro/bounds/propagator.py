@@ -9,6 +9,8 @@ produced:
 * :class:`LayerBounds` — the per-layer pre/post-activation boxes of one
   propagation, with optional twin *distance* boxes (``Δy``/``Δx``) when
   a perturbation was supplied;
+* :class:`BatchedLayerBounds` — the same record over a ``(Q, n)``
+  query stack, row-sliceable back into ``LayerBounds``;
 * :class:`BoundPropagator` — the protocol ``propagate(layers, input_box,
   delta=None) -> LayerBounds`` every engine implements;
 * a registry (:func:`register_propagator` / :func:`get_propagator`) with
@@ -25,7 +27,16 @@ propagator can only shrink downstream relaxations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, TypeAlias, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Generic,
+    Protocol,
+    Sequence,
+    TypeAlias,
+    TypeVar,
+    runtime_checkable,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bounds.ranges import RangeTable
@@ -34,16 +45,16 @@ import numpy as np
 
 from repro import _sanitize
 from repro.bounds.batched import (
+    AnyBox,
     BatchedBox,
-    BatchedLayerBounds,
     DeltaSpec,
     as_batched_box,
     as_batched_delta,
     delta_row,
 )
 from repro.bounds.interval import Box
-from repro.bounds.ibp import propagate_box, propagate_box_batch
-from repro.bounds.twin_ibp import propagate_twin_box, propagate_twin_box_batch
+from repro.bounds.ibp import propagate_box
+from repro.bounds.twin_ibp import propagate_twin_box
 from repro.nn.affine import AffineLayer
 
 #: Accepted ways of naming a stack of query boxes: a ready-made
@@ -56,15 +67,16 @@ def _copy_box(box: Box) -> Box:
 
 
 @dataclass
-class LayerBounds:
-    """Per-layer interval records of one bound propagation.
+class _BoundsRecord(Generic[AnyBox]):
+    """Per-layer records of one propagation, over either box container.
 
     Layer indices follow the encoders: entry ``i`` bounds layer ``i+1``
     of the paper's 1-based chain.  Distance attributes are ``None`` for
     value-only runs (no perturbation supplied).
 
     Attributes:
-        input_box: Box over the flattened input ``x(0)``.
+        input_box: Box (or ``(Q, n)`` stack) over the flattened input
+            ``x(0)``.
         y: Pre-activation value box per layer.
         x: Post-activation value box per layer.
         delta_box: Input perturbation box ``Δx(0)`` (twin runs only).
@@ -73,18 +85,18 @@ class LayerBounds:
         method: Name of the propagator that produced these bounds.
     """
 
-    input_box: Box
-    y: list[Box]
-    x: list[Box]
-    delta_box: Box | None = None
-    dy: list[Box] | None = None
-    dx: list[Box] | None = None
+    input_box: AnyBox
+    y: list[AnyBox]
+    x: list[AnyBox]
+    delta_box: AnyBox | None = None
+    dy: list[AnyBox] | None = None
+    dx: list[AnyBox] | None = None
     method: str = ""
 
     def __post_init__(self) -> None:
         # Copy the ingested *lists* (RPR002): a caller appending to or
         # reordering the list it passed in must not retroactively edit
-        # these bounds.  The Box elements themselves are shared — every
+        # these bounds.  The box elements themselves are shared — every
         # producer hands over freshly built boxes and all consumers
         # treat them as read-only.
         self.y = list(self.y)
@@ -105,18 +117,32 @@ class LayerBounds:
         return self.dy is not None
 
     @property
-    def output(self) -> Box:
+    def output(self) -> AnyBox:
         """Post-activation box of the final layer (the network output)."""
         return self.x[-1]
 
     @property
-    def output_distance(self) -> Box:
+    def output_distance(self) -> AnyBox:
         """Distance box of the network output ``Δx(n)``."""
         if self.dx is None:
             raise ValueError(
                 "no distance bounds: propagate with a delta to get Δ boxes"
             )
         return self.dx[-1]
+
+    def output_variation_bounds(self) -> np.ndarray:
+        """Per-output ``ε̄ = max(|Δx̲(n)|, |Δx̅(n)|)`` from the distance box.
+
+        The variation bound these intervals alone certify (mirrors
+        :meth:`repro.bounds.ranges.RangeTable.output_variation_bounds`);
+        shape ``(out,)``, or ``(Q, out)`` for a batched record.
+        """
+        dist = self.output_distance
+        return np.maximum(np.abs(dist.lo), np.abs(dist.hi))
+
+
+class LayerBounds(_BoundsRecord[Box]):
+    """Per-layer interval records of one bound propagation (one query)."""
 
     def intersect(self, other: "LayerBounds") -> "LayerBounds":
         """Tightest-wins element-wise intersection of two propagations.
@@ -173,15 +199,6 @@ class LayerBounds:
         """Mean width of all pre-activation intervals (the tightness metric)."""
         return float(np.mean(np.concatenate([b.width() for b in self.y])))
 
-    def output_variation_bounds(self) -> np.ndarray:
-        """Per-output ``ε̄ = max(|Δx̲(n)|, |Δx̅(n)|)`` from the distance box.
-
-        The variation bound these intervals alone certify (mirrors
-        :meth:`repro.bounds.ranges.RangeTable.output_variation_bounds`).
-        """
-        dist = self.output_distance
-        return np.maximum(np.abs(dist.lo), np.abs(dist.hi))
-
     def to_range_table(self) -> "RangeTable":
         """Convert to the mutable :class:`~repro.bounds.ranges.RangeTable`.
 
@@ -204,6 +221,93 @@ class LayerBounds:
                 )
             )
         return table
+
+
+class BatchedLayerBounds(_BoundsRecord[BatchedBox]):
+    """Per-layer records of one batched propagation over ``Q`` queries.
+
+    Entry ``i`` of ``y``/``x`` (and ``dy``/``dx`` for twin runs) holds
+    the ``(Q, m_i)`` bound stack of layer ``i+1``.  :meth:`row` slices
+    one query back out as an ordinary :class:`LayerBounds`.
+    """
+
+    @property
+    def num_queries(self) -> int:
+        """Number of stacked queries ``Q``."""
+        return self.input_box.num_queries
+
+    def row(self, q: int) -> LayerBounds:
+        """Query ``q``'s bounds as an ordinary :class:`LayerBounds`."""
+        if not 0 <= q < self.num_queries:
+            raise IndexError(f"query row {q} outside batch of {self.num_queries}")
+        return LayerBounds(
+            input_box=self.input_box.row(q),
+            y=[stack.row(q) for stack in self.y],
+            x=[stack.row(q) for stack in self.x],
+            delta_box=None if self.delta_box is None else self.delta_box.row(q),
+            dy=None if self.dy is None else [stack.row(q) for stack in self.dy],
+            dx=None if self.dx is None else [stack.row(q) for stack in self.dx],
+            method=self.method,
+        )
+
+    def rows(self) -> list[LayerBounds]:
+        """All queries, row-sliced (one ``LayerBounds`` per query)."""
+        return [self.row(q) for q in range(self.num_queries)]
+
+    @classmethod
+    def stack(cls, bounds: Sequence[LayerBounds]) -> "BatchedLayerBounds":
+        """Stack per-query propagations into one batched record.
+
+        All entries must come from the same engine over the same network
+        (equal layer counts and method names, uniform twin-ness).
+        """
+        if len(bounds) == 0:
+            raise ValueError("empty batch: need at least one LayerBounds")
+        first = bounds[0]
+        for entry in bounds[1:]:
+            if entry.num_layers != first.num_layers:
+                raise ValueError("cannot stack bounds with different layer counts")
+            if entry.has_distance != first.has_distance:
+                raise ValueError("cannot stack twin and value-only bounds")
+            if entry.method != first.method:
+                raise ValueError(
+                    f"cannot stack bounds from different engines "
+                    f"({entry.method!r} vs {first.method!r})"
+                )
+
+        def stacked(select: list[Box]) -> BatchedBox:
+            return BatchedBox.from_boxes(select)
+
+        dy: list[BatchedBox] | None = None
+        dx: list[BatchedBox] | None = None
+        delta: BatchedBox | None = None
+        if first.has_distance:
+            assert first.dy is not None and first.dx is not None
+            delta_boxes = [entry.delta_box for entry in bounds]
+            assert all(box is not None for box in delta_boxes)
+            delta = stacked([box for box in delta_boxes if box is not None])
+            dy = [
+                stacked([entry.dy[i] for entry in bounds if entry.dy is not None])
+                for i in range(first.num_layers)
+            ]
+            dx = [
+                stacked([entry.dx[i] for entry in bounds if entry.dx is not None])
+                for i in range(first.num_layers)
+            ]
+        return cls(
+            input_box=stacked([entry.input_box for entry in bounds]),
+            y=[stacked([entry.y[i] for entry in bounds]) for i in range(first.num_layers)],
+            x=[stacked([entry.x[i] for entry in bounds]) for i in range(first.num_layers)],
+            delta_box=delta,
+            dy=dy,
+            dx=dx,
+            method=first.method,
+        )
+
+
+#: The record type a layer loop fills: :class:`LayerBounds` for one box,
+#: :class:`BatchedLayerBounds` for a stack.
+Record = TypeVar("Record", bound="_BoundsRecord[Any]")
 
 
 @runtime_checkable
@@ -244,14 +348,6 @@ class BoundPropagator(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def _as_delta_box(delta: float | Box, dim: int) -> Box:
-    if isinstance(delta, Box):
-        if delta.dim != dim:
-            raise ValueError("perturbation box dimension mismatch")
-        return delta
-    return Box.uniform(dim, -float(delta), float(delta))
-
-
 class IBPPropagator:
     """Plain interval bound propagation (the existing IBP / twin-IBP).
 
@@ -268,24 +364,7 @@ class IBPPropagator:
         input_box: Box,
         delta: float | Box | None = None,
     ) -> LayerBounds:
-        if delta is not None:
-            twin = propagate_twin_box(layers, input_box, delta)
-            return LayerBounds(
-                input_box=twin.x[0],
-                y=twin.y,
-                x=twin.x[1:],
-                delta_box=twin.dx[0],
-                dy=twin.dy,
-                dx=twin.dx[1:],
-                method=self.name,
-            )
-        _, y_boxes = propagate_box(layers, input_box, collect=True)
-        x_boxes = [
-            y.relu() if layer.relu else y for layer, y in zip(layers, y_boxes)
-        ]
-        return LayerBounds(
-            input_box=input_box, y=y_boxes, x=x_boxes, method=self.name
-        )
+        return self._bounds(LayerBounds, layers, input_box, delta)
 
     def propagate_many(
         self,
@@ -300,9 +379,19 @@ class IBPPropagator:
         """
         stack = as_batched_box(input_boxes)
         delta_stack = as_batched_delta(deltas, stack.num_queries, stack.dim)
-        if delta_stack is not None:
-            twin = propagate_twin_box_batch(layers, stack, delta_stack)
-            return BatchedLayerBounds(
+        return self._bounds(BatchedLayerBounds, layers, stack, delta_stack)
+
+    def _bounds(
+        self,
+        record: type[Record],
+        layers: list[AffineLayer],
+        boxes: AnyBox,
+        delta: "float | AnyBox | None",
+    ) -> Record:
+        """The one IBP layer loop behind :meth:`propagate`/:meth:`propagate_many`."""
+        if delta is not None:
+            twin = propagate_twin_box(layers, boxes, delta)
+            return record(
                 input_box=twin.x[0],
                 y=twin.y,
                 x=twin.x[1:],
@@ -311,13 +400,11 @@ class IBPPropagator:
                 dx=twin.dx[1:],
                 method=self.name,
             )
-        _, y_stacks = propagate_box_batch(layers, stack, collect=True)
-        x_stacks = [
-            y.relu() if layer.relu else y for layer, y in zip(layers, y_stacks)
+        _, y_boxes = propagate_box(layers, boxes, collect=True)
+        x_boxes = [
+            y.relu() if layer.relu else y for layer, y in zip(layers, y_boxes)
         ]
-        return BatchedLayerBounds(
-            input_box=stack, y=y_stacks, x=x_stacks, method=self.name
-        )
+        return record(input_box=boxes, y=y_boxes, x=x_boxes, method=self.name)
 
 
 class TwinIBPPropagator(IBPPropagator):

@@ -33,28 +33,21 @@ table through :meth:`repro.bounds.ranges.RangeTable.from_interval_propagation`.
 
 from __future__ import annotations
 
+from typing import Any, Callable, TypeVar
+
 import numpy as np
 
 from repro import _sanitize
-from repro.bounds.batched import (
-    BatchedBox,
-    BatchedLayerBounds,
-    DeltaSpec,
-    as_batched_box,
-    as_batched_delta,
-)
+from repro.bounds.batched import BatchedBox, DeltaSpec
 from repro.bounds.interval import Box
 from repro.bounds.propagator import (
+    BatchedLayerBounds,
     BoxStack,
     IBPPropagator,
     LayerBounds,
-    _as_delta_box,
     register_propagator,
 )
-from repro.bounds.twin_ibp import (
-    relu_distance_interval,
-    relu_distance_interval_batch,
-)
+from repro.bounds.twin_ibp import relu_distance_interval
 from repro.nn.affine import AffineLayer
 
 #: Linear relaxation of one activation layer: element-wise coefficient
@@ -62,21 +55,30 @@ from repro.nn.affine import AffineLayer
 #: ``d_lo·y + b_lo ≤ act(y) ≤ d_hi·y + b_hi`` over the layer's y-range.
 Relaxation = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
+#: A backsubstitution kernel: ``(layers, t, box, relaxations,
+#: with_bias) -> (lo, hi)`` — :func:`_backsubstitute` for one box,
+#: :func:`_backsubstitute_batch` for a ``(Q, n)`` stack.
+Backsubstitute = Callable[
+    [list[AffineLayer], int, Any, list[Relaxation], bool],
+    tuple[np.ndarray, np.ndarray],
+]
 
-def _identity_relaxation(dim: int) -> Relaxation:
-    one = np.ones(dim)
-    zero = np.zeros(dim)
-    return one, zero, one.copy(), zero.copy()
+#: The record the symbolic layer loop fills (the IBP record's type).
+Record = TypeVar("Record", LayerBounds, BatchedLayerBounds)
 
 
-def _identity_relaxation_batch(queries: int, dim: int) -> Relaxation:
-    one = np.ones((queries, dim))
-    zero = np.zeros((queries, dim))
+def _identity_relaxation(shape: tuple[int, ...]) -> Relaxation:
+    one = np.ones(shape)
+    zero = np.zeros(shape)
     return one, zero, one.copy(), zero.copy()
 
 
 def _relu_relaxation_arrays(lo: np.ndarray, hi: np.ndarray) -> Relaxation:
-    """Element-wise core of :func:`_relu_relaxation`.
+    """CROWN relaxation of ``relu(y)`` over ``y ∈ [lo, hi]``.
+
+    Stable-active → identity, stable-inactive → zero; unstable neurons
+    get the chord as upper bound and the adaptive identity/zero slope as
+    lower bound (minimizing the relaxation area).
 
     Shape-agnostic (every operation is element-wise), so it serves both
     the scalar ``(n,)`` path and the batched ``(Q, n)`` stacks with
@@ -94,23 +96,21 @@ def _relu_relaxation_arrays(lo: np.ndarray, hi: np.ndarray) -> Relaxation:
     return d_lo, b_lo, d_hi, b_hi
 
 
-def _relu_relaxation(y_box: Box) -> Relaxation:
-    """CROWN relaxation of ``relu(y)`` over ``y ∈ [lo, hi]``.
-
-    Stable-active → identity, stable-inactive → zero; unstable neurons
-    get the chord as upper bound and the adaptive identity/zero slope as
-    lower bound (minimizing the relaxation area).
-    """
-    return _relu_relaxation_arrays(y_box.lo, y_box.hi)
-
-
 def _distance_relaxation_arrays(
     y_lo: np.ndarray,
     y_hi: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
 ) -> Relaxation:
-    """Element-wise core of :func:`_distance_relaxation` (shape-agnostic)."""
+    """Linear envelope of ``Δx = relu(y + Δy) − relu(y)`` in ``Δy``.
+
+    ``y ∈ [y_lo, y_hi]`` and ``Δy ∈ [lo, hi]``.  Uses the Fig. 3 facts
+    ``min(0, Δy) ≤ Δx ≤ max(0, Δy)``: the chord of ``max(0, ·)`` over
+    ``Δy ∈ [l, u]`` bounds above (convex), the chord of ``min(0, ·)``
+    bounds below (concave).  Neurons whose value boxes prove both copies
+    stably active substitute ``Δx = Δy`` exactly; both-inactive neurons
+    substitute ``Δx = 0``.  Element-wise, hence shape-agnostic.
+    """
     yhat_lo = y_lo + lo
     yhat_hi = y_hi + hi
     both_active = (y_lo >= 0.0) & (yhat_lo >= 0.0)
@@ -129,20 +129,6 @@ def _distance_relaxation_arrays(
     b_lo = np.where(both_active | both_inactive, 0.0, b_lo)
     b_hi = np.where(both_active | both_inactive, 0.0, b_hi)
     return d_lo, b_lo, d_hi, b_hi
-
-
-def _distance_relaxation(y_box: Box, dy_box: Box) -> Relaxation:
-    """Linear envelope of ``Δx = relu(y + Δy) − relu(y)`` in ``Δy``.
-
-    Uses the Fig. 3 facts ``min(0, Δy) ≤ Δx ≤ max(0, Δy)``: the chord of
-    ``max(0, ·)`` over ``Δy ∈ [l, u]`` bounds above (convex), the chord
-    of ``min(0, ·)`` bounds below (concave).  Neurons whose value boxes
-    prove both copies stably active substitute ``Δx = Δy`` exactly;
-    both-inactive neurons substitute ``Δx = 0``.
-    """
-    return _distance_relaxation_arrays(
-        y_box.lo, y_box.hi, dy_box.lo, dy_box.hi
-    )
 
 
 def _backsubstitute(
@@ -264,6 +250,86 @@ def _backsubstitute_batch(
     return lo, hi
 
 
+def _symbolic_bounds(
+    layers: list[AffineLayer],
+    ibp: Record,
+    backsubstitute: Backsubstitute,
+    method: str,
+) -> Record:
+    """The one symbolic layer loop, over a box or a ``(Q, n)`` stack.
+
+    Backsubstitutes every layer over ``ibp``'s input (and, for twin
+    runs, perturbation) box with ``backsubstitute`` and intersects each
+    result tightest-wins with the IBP box of the same layer; the result
+    is a record of ``ibp``'s own type.
+    """
+    make = type(ibp.input_box)
+    y_boxes = []
+    x_boxes = []
+    value_relax: list[Relaxation] = []
+    for t, layer in enumerate(layers):
+        lo, hi = backsubstitute(layers, t, ibp.input_box, value_relax, True)
+        y_box = make(lo, hi).intersect(ibp.y[t])
+        if _sanitize.ENABLED:
+            _sanitize.check_containment(
+                y_box.lo, y_box.hi, ibp.y[t].lo, ibp.y[t].hi,
+                f"symbolic y[{t}] vs ibp",
+            )
+        y_boxes.append(y_box)
+        if layer.relu:
+            x_boxes.append(y_box.relu())
+            value_relax.append(_relu_relaxation_arrays(y_box.lo, y_box.hi))
+        else:
+            x_boxes.append(make(y_box.lo, y_box.hi))
+            value_relax.append(_identity_relaxation(y_box.lo.shape))
+
+    if ibp.delta_box is None:
+        return type(ibp)(
+            input_box=ibp.input_box, y=y_boxes, x=x_boxes, method=method
+        )
+
+    assert ibp.dy is not None and ibp.dx is not None
+    dy_boxes = []
+    dx_boxes = []
+    dist_relax: list[Relaxation] = []
+    for t, layer in enumerate(layers):
+        lo, hi = backsubstitute(layers, t, ibp.delta_box, dist_relax, False)
+        dy_box = make(lo, hi).intersect(ibp.dy[t])
+        if _sanitize.ENABLED:
+            _sanitize.check_containment(
+                dy_box.lo, dy_box.hi, ibp.dy[t].lo, ibp.dy[t].hi,
+                f"symbolic dy[{t}] vs ibp",
+            )
+        dy_boxes.append(dy_box)
+        if layer.relu:
+            dx_box = relu_distance_interval(y_boxes[t], dy_box)
+            dist_relax.append(
+                _distance_relaxation_arrays(
+                    y_boxes[t].lo, y_boxes[t].hi, dy_box.lo, dy_box.hi
+                )
+            )
+        else:
+            dx_box = make(dy_box.lo, dy_box.hi)
+            dist_relax.append(_identity_relaxation(dy_box.lo.shape))
+        dx_box = dx_box.intersect(ibp.dx[t])
+        if _sanitize.ENABLED:
+            _sanitize.check_containment(
+                dx_box.lo, dx_box.hi, ibp.dx[t].lo, ibp.dx[t].hi,
+                f"symbolic dx[{t}] vs ibp",
+            )
+        dx_boxes.append(dx_box)
+
+    return type(ibp)(
+        input_box=ibp.input_box,
+        y=y_boxes,
+        x=x_boxes,
+        delta_box=ibp.delta_box,
+        dy=dy_boxes,
+        dx=dx_boxes,
+        method=method,
+    )
+
+
 class SymbolicPropagator:
     """Backward-substitution linear bounds (value and twin distance).
 
@@ -284,69 +350,7 @@ class SymbolicPropagator:
         delta: float | Box | None = None,
     ) -> LayerBounds:
         ibp = self._ibp.propagate(layers, input_box, delta)
-
-        y_boxes: list[Box] = []
-        x_boxes: list[Box] = []
-        value_relax: list[Relaxation] = []
-        for t, layer in enumerate(layers):
-            lo, hi = _backsubstitute(layers, t, input_box, value_relax, with_bias=True)
-            y_box = Box(lo, hi).intersect(ibp.y[t])
-            if _sanitize.ENABLED:
-                _sanitize.check_containment(
-                    y_box.lo, y_box.hi, ibp.y[t].lo, ibp.y[t].hi,
-                    f"symbolic y[{t}] vs ibp",
-                )
-            y_boxes.append(y_box)
-            if layer.relu:
-                x_boxes.append(y_box.relu())
-                value_relax.append(_relu_relaxation(y_box))
-            else:
-                x_boxes.append(Box(y_box.lo.copy(), y_box.hi.copy()))
-                value_relax.append(_identity_relaxation(layer.out_dim))
-
-        if delta is None:
-            return LayerBounds(
-                input_box=input_box, y=y_boxes, x=x_boxes, method=self.name
-            )
-
-        delta_box = _as_delta_box(delta, input_box.dim)
-        dy_boxes: list[Box] = []
-        dx_boxes: list[Box] = []
-        dist_relax: list[Relaxation] = []
-        for t, layer in enumerate(layers):
-            lo, hi = _backsubstitute(
-                layers, t, delta_box, dist_relax, with_bias=False
-            )
-            dy_box = Box(lo, hi).intersect(ibp.dy[t])
-            if _sanitize.ENABLED:
-                _sanitize.check_containment(
-                    dy_box.lo, dy_box.hi, ibp.dy[t].lo, ibp.dy[t].hi,
-                    f"symbolic dy[{t}] vs ibp",
-                )
-            dy_boxes.append(dy_box)
-            if layer.relu:
-                dx_box = relu_distance_interval(y_boxes[t], dy_box)
-                dist_relax.append(_distance_relaxation(y_boxes[t], dy_box))
-            else:
-                dx_box = Box(dy_box.lo.copy(), dy_box.hi.copy())
-                dist_relax.append(_identity_relaxation(layer.out_dim))
-            dx_box = dx_box.intersect(ibp.dx[t])
-            if _sanitize.ENABLED:
-                _sanitize.check_containment(
-                    dx_box.lo, dx_box.hi, ibp.dx[t].lo, ibp.dx[t].hi,
-                    f"symbolic dx[{t}] vs ibp",
-                )
-            dx_boxes.append(dx_box)
-
-        return LayerBounds(
-            input_box=input_box,
-            y=y_boxes,
-            x=x_boxes,
-            delta_box=delta_box,
-            dy=dy_boxes,
-            dx=dx_boxes,
-            method=self.name,
-        )
+        return _symbolic_bounds(layers, ibp, _backsubstitute, self.name)
 
     def propagate_many(
         self,
@@ -356,92 +360,14 @@ class SymbolicPropagator:
     ) -> BatchedLayerBounds:
         """One backsubstitution pass serving all ``Q`` stacked queries.
 
-        Identical structure to :meth:`propagate` — batched IBP first,
+        The same layer loop as :meth:`propagate` — batched IBP first,
         per-layer batched backsubstitution intersected tightest-wins
         with the IBP stacks — with every kernel in the stacked-matmul
         form, so row ``q`` of the result is bit-identical to the scalar
         ``propagate`` of query ``q``.
         """
-        stack = as_batched_box(input_boxes)
-        queries = stack.num_queries
-        delta_stack = as_batched_delta(deltas, queries, stack.dim)
-        ibp = self._ibp.propagate_many(layers, stack, delta_stack)
-
-        y_stacks: list[BatchedBox] = []
-        x_stacks: list[BatchedBox] = []
-        value_relax: list[Relaxation] = []
-        for t, layer in enumerate(layers):
-            lo, hi = _backsubstitute_batch(
-                layers, t, stack, value_relax, with_bias=True
-            )
-            y_stack = BatchedBox(lo, hi).intersect(ibp.y[t])
-            if _sanitize.ENABLED:
-                _sanitize.check_containment(
-                    y_stack.lo, y_stack.hi, ibp.y[t].lo, ibp.y[t].hi,
-                    f"symbolic-batch y[{t}] vs ibp",
-                )
-            y_stacks.append(y_stack)
-            if layer.relu:
-                x_stacks.append(y_stack.relu())
-                value_relax.append(
-                    _relu_relaxation_arrays(y_stack.lo, y_stack.hi)
-                )
-            else:
-                x_stacks.append(BatchedBox(y_stack.lo, y_stack.hi))
-                value_relax.append(
-                    _identity_relaxation_batch(queries, layer.out_dim)
-                )
-
-        if delta_stack is None:
-            return BatchedLayerBounds(
-                input_box=stack, y=y_stacks, x=x_stacks, method=self.name
-            )
-
-        assert ibp.dy is not None and ibp.dx is not None
-        dy_stacks: list[BatchedBox] = []
-        dx_stacks: list[BatchedBox] = []
-        dist_relax: list[Relaxation] = []
-        for t, layer in enumerate(layers):
-            lo, hi = _backsubstitute_batch(
-                layers, t, delta_stack, dist_relax, with_bias=False
-            )
-            dy_stack = BatchedBox(lo, hi).intersect(ibp.dy[t])
-            if _sanitize.ENABLED:
-                _sanitize.check_containment(
-                    dy_stack.lo, dy_stack.hi, ibp.dy[t].lo, ibp.dy[t].hi,
-                    f"symbolic-batch dy[{t}] vs ibp",
-                )
-            dy_stacks.append(dy_stack)
-            if layer.relu:
-                dx_stack = relu_distance_interval_batch(y_stacks[t], dy_stack)
-                dist_relax.append(
-                    _distance_relaxation_arrays(
-                        y_stacks[t].lo, y_stacks[t].hi,
-                        dy_stack.lo, dy_stack.hi,
-                    )
-                )
-            else:
-                dx_stack = BatchedBox(dy_stack.lo, dy_stack.hi)
-                dist_relax.append(
-                    _identity_relaxation_batch(queries, layer.out_dim)
-                )
-            dx_stack = dx_stack.intersect(ibp.dx[t])
-            if _sanitize.ENABLED:
-                _sanitize.check_containment(
-                    dx_stack.lo, dx_stack.hi, ibp.dx[t].lo, ibp.dx[t].hi,
-                    f"symbolic-batch dx[{t}] vs ibp",
-                )
-            dx_stacks.append(dx_stack)
-
-        return BatchedLayerBounds(
-            input_box=stack,
-            y=y_stacks,
-            x=x_stacks,
-            delta_box=delta_stack,
-            dy=dy_stacks,
-            dx=dx_stacks,
-            method=self.name,
-        )
+        ibp = self._ibp.propagate_many(layers, input_boxes, deltas)
+        return _symbolic_bounds(layers, ibp, _backsubstitute_batch, self.name)
 
 
 register_propagator(SymbolicPropagator())

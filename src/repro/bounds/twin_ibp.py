@@ -11,21 +11,27 @@ exact distance relation of Fig. 3,
 combined with what the value intervals of both copies admit, yields a
 sound ``Δx`` interval.  These intervals seed the big-M constants of the
 MILP encodings and the initial range table of Algorithm 1.
+
+Every function here runs on a single :class:`~repro.bounds.interval.Box`
+or on a ``(Q, n)`` :class:`~repro.bounds.batched.BatchedBox` stack; the
+bodies are element-wise or go through ``affine``, so stacked rows are
+bit-identical to the per-query calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Generic
 
 import numpy as np
 
-from repro.bounds.batched import BatchedBox
+from repro.bounds.batched import AnyBox, BatchedBox, as_batched_delta
 from repro.bounds.interval import Box
 from repro.nn.affine import AffineLayer
 
 
 @dataclass
-class TwinBounds:
+class TwinBounds(Generic[AnyBox]):
     """Per-layer interval records of a twin propagation.
 
     Attributes:
@@ -36,18 +42,18 @@ class TwinBounds:
         dy: Pre-activation distance box per layer.
     """
 
-    x: list[Box] = field(default_factory=list)
-    dx: list[Box] = field(default_factory=list)
-    y: list[Box] = field(default_factory=list)
-    dy: list[Box] = field(default_factory=list)
+    x: list[AnyBox] = field(default_factory=list)
+    dx: list[AnyBox] = field(default_factory=list)
+    y: list[AnyBox] = field(default_factory=list)
+    dy: list[AnyBox] = field(default_factory=list)
 
     @property
-    def output_distance(self) -> Box:
+    def output_distance(self) -> AnyBox:
         """Distance box of the network output (Δx(n))."""
         return self.dx[-1]
 
 
-def relu_distance_interval(y_box: Box, dy_box: Box) -> Box:
+def relu_distance_interval(y_box: AnyBox, dy_box: AnyBox) -> AnyBox:
     """Sound interval for ``Δx = relu(y + Δy) − relu(y)``.
 
     Intersects two valid enclosures:
@@ -59,7 +65,8 @@ def relu_distance_interval(y_box: Box, dy_box: Box) -> Box:
     Degenerate cases where both copies are certainly active (identity)
     or certainly inactive (zero) are exact.
     """
-    yhat_box = Box(y_box.lo + dy_box.lo, y_box.hi + dy_box.hi)
+    make = type(y_box)
+    yhat_box = make(y_box.lo + dy_box.lo, y_box.hi + dy_box.hi)
 
     # Certainly-active: Δx = Δy exactly.
     both_active = (y_box.lo >= 0.0) & (yhat_box.lo >= 0.0)
@@ -79,80 +86,43 @@ def relu_distance_interval(y_box: Box, dy_box: Box) -> Box:
 
     lo = np.where(both_active, dy_box.lo, np.where(both_inactive, 0.0, lo))
     hi = np.where(both_active, dy_box.hi, np.where(both_inactive, 0.0, hi))
-    return Box(lo, hi)
+    return make(lo, hi)
 
 
-@dataclass
-class BatchedTwinBounds:
-    """Per-layer ``(Q, n)`` stacks of a batched twin propagation.
+def _as_delta(delta: "float | AnyBox", boxes: AnyBox) -> AnyBox:
+    """The perturbation in the container of ``boxes``.
 
-    The stacked twin of :class:`TwinBounds`; indexing conventions match
-    (``x[0]``/``dx[0]`` are the input/perturbation stacks).
+    A radius δ becomes the box ``[-δ, δ]^n`` (per row, for a stack); an
+    explicit box passes through after a dimension check.
     """
-
-    x: list[BatchedBox] = field(default_factory=list)
-    dx: list[BatchedBox] = field(default_factory=list)
-    y: list[BatchedBox] = field(default_factory=list)
-    dy: list[BatchedBox] = field(default_factory=list)
-
-    @property
-    def output_distance(self) -> BatchedBox:
-        """Distance stack of the network output (Δx(n))."""
-        return self.dx[-1]
-
-
-def relu_distance_interval_batch(
-    y_boxes: BatchedBox, dy_boxes: BatchedBox
-) -> BatchedBox:
-    """Row-wise :func:`relu_distance_interval` over ``(Q, n)`` stacks.
-
-    The scalar body is purely element-wise, so running it on stacked
-    arrays yields rows bit-identical to the per-query calls.
-    """
-    yhat_boxes = BatchedBox(
-        y_boxes.lo + dy_boxes.lo, y_boxes.hi + dy_boxes.hi
-    )
-
-    both_active = (y_boxes.lo >= 0.0) & (yhat_boxes.lo >= 0.0)
-    both_inactive = (y_boxes.hi <= 0.0) & (yhat_boxes.hi <= 0.0)
-
-    lo1 = np.minimum(0.0, dy_boxes.lo)
-    hi1 = np.maximum(0.0, dy_boxes.hi)
-
-    relu_y = y_boxes.relu()
-    relu_yhat = yhat_boxes.relu()
-    lo2 = relu_yhat.lo - relu_y.hi
-    hi2 = relu_yhat.hi - relu_y.lo
-
-    lo = np.maximum(lo1, lo2)
-    hi = np.minimum(hi1, hi2)
-
-    lo = np.where(both_active, dy_boxes.lo, np.where(both_inactive, 0.0, lo))
-    hi = np.where(both_active, dy_boxes.hi, np.where(both_inactive, 0.0, hi))
-    return BatchedBox(lo, hi)
+    if isinstance(boxes, BatchedBox):
+        stack = as_batched_delta(delta, boxes.num_queries, boxes.dim)
+        assert stack is not None  # a radius or a stack is never None
+        return stack
+    if isinstance(delta, Box):
+        if delta.dim != boxes.dim:
+            raise ValueError("perturbation box dimension mismatch")
+        return delta
+    return Box.uniform(boxes.dim, -float(delta), float(delta))
 
 
 def propagate_twin_box(
-    layers: list[AffineLayer], input_box: Box, delta: float | Box
-) -> TwinBounds:
+    layers: list[AffineLayer], input_box: AnyBox, delta: "float | AnyBox"
+) -> TwinBounds[AnyBox]:
     """Propagate value and distance boxes through an affine chain.
 
     Args:
         layers: Normal-form network.
-        input_box: Box over the flattened input domain ``X``.
+        input_box: Box over the flattened input domain ``X``, or a
+            ``(Q, n)`` stack of them.
         delta: Input perturbation — either the L∞ radius δ (a float) or
-            an explicit distance box.
+            an explicit distance box (a stack for a stacked input).
 
     Returns:
-        A :class:`TwinBounds` with per-layer value/distance intervals.
+        A :class:`TwinBounds` with per-layer value/distance intervals,
+        in the container of ``input_box``.
     """
-    if isinstance(delta, Box):
-        dx_box = delta
-        if dx_box.dim != input_box.dim:
-            raise ValueError("perturbation box dimension mismatch")
-    else:
-        dx_box = Box.uniform(input_box.dim, -float(delta), float(delta))
-
+    dx_box = _as_delta(delta, input_box)
     bounds = TwinBounds(x=[input_box], dx=[dx_box])
     x_box, d_box = input_box, dx_box
     for layer in layers:
@@ -167,39 +137,4 @@ def propagate_twin_box(
             x_box, d_box = y_box, dy_box
         bounds.x.append(x_box)
         bounds.dx.append(d_box)
-    return bounds
-
-
-def propagate_twin_box_batch(
-    layers: list[AffineLayer], input_boxes: BatchedBox, deltas: BatchedBox
-) -> BatchedTwinBounds:
-    """Propagate value and distance stacks through an affine chain at once.
-
-    The batched twin of :func:`propagate_twin_box`; row ``q`` of every
-    stack is bit-identical to the scalar propagation of query ``q``.
-    Unlike the scalar entry point, the perturbation must already be a
-    ``(Q, n)`` stack (use :func:`repro.bounds.batched.as_batched_delta`).
-    """
-    if deltas.num_queries != input_boxes.num_queries:
-        raise ValueError(
-            f"perturbation stack has {deltas.num_queries} rows for "
-            f"{input_boxes.num_queries} queries"
-        )
-    if deltas.dim != input_boxes.dim:
-        raise ValueError("perturbation box dimension mismatch")
-
-    bounds = BatchedTwinBounds(x=[input_boxes], dx=[deltas])
-    x_boxes, d_boxes = input_boxes, deltas
-    for layer in layers:
-        y_boxes = x_boxes.affine(layer.weight, layer.bias)
-        dy_boxes = d_boxes.affine(layer.weight, 0.0)
-        bounds.y.append(y_boxes)
-        bounds.dy.append(dy_boxes)
-        if layer.relu:
-            x_boxes = y_boxes.relu()
-            d_boxes = relu_distance_interval_batch(y_boxes, dy_boxes)
-        else:
-            x_boxes, d_boxes = y_boxes, dy_boxes
-        bounds.x.append(x_boxes)
-        bounds.dx.append(d_boxes)
     return bounds

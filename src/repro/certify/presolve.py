@@ -16,9 +16,10 @@ often be answered from bound propagation alone:
   presolve, since presolve never touches the encoding).
 
 The batch engine (:mod:`repro.runtime.batch`) runs this tier first for
-every query carrying an ``epsilon`` target, sharing one
-:class:`~repro.bounds.propagator.LayerBounds` per (network, input-box)
-pair across the batch.
+every query carrying an ``epsilon`` target: one :func:`presolve_many`
+call per group of queries sharing a network and domain, in the
+submitting process, and the scalar functions inside the workers for
+queries submitted alone.
 
 **Batched presolve.**  :func:`presolve_local_many`,
 :func:`presolve_global_many` and the :func:`presolve_many` dispatcher
@@ -39,9 +40,9 @@ import time
 
 import numpy as np
 
-from repro.bounds.batched import BatchedBox, BatchedLayerBounds, as_batched_box
+from repro.bounds.batched import BatchedBox, as_batched_box
 from repro.bounds.interval import Box
-from repro.bounds.propagator import LayerBounds, get_propagator, propagate_many
+from repro.bounds.propagator import get_propagator, propagate_many
 from repro.certify.results import GlobalCertificate, LocalCertificate
 from repro.nn.affine import AffineLayer, affine_chain_forward
 from repro.nn.network import Network, as_affine_chain
@@ -214,7 +215,6 @@ def presolve_local(
     epsilon: float,
     domain: Box | None = None,
     bounds: str = "symbolic",
-    layer_bounds: LayerBounds | None = None,
     attack_samples: int = 4,
     seed: int = 0,
 ) -> LocalCertificate | None:
@@ -227,8 +227,6 @@ def presolve_local(
         epsilon: Target variation bound to prove or refute.
         domain: Optional domain box intersected with the δ-ball.
         bounds: Propagator used for the proving side (default symbolic).
-        layer_bounds: Pre-computed :class:`LayerBounds` over the δ-ball
-            (the batch engine's shared cache); computed here if omitted.
         attack_samples: Extra random starts for the refuting attack.
         seed: RNG seed for the random starts.
 
@@ -242,8 +240,7 @@ def presolve_local(
     layers = as_affine_chain(network)
     center = np.asarray(center, dtype=float).reshape(-1)
     ball = perturbation_ball(center, delta, domain)
-    if layer_bounds is None:
-        layer_bounds = get_propagator(bounds).propagate(layers, ball)
+    layer_bounds = get_propagator(bounds).propagate(layers, ball)
     out = layer_bounds.output
     base = affine_chain_forward(layers, center)
     eps_ub = variation_from_reference(out.lo, out.hi, base)
@@ -287,7 +284,6 @@ def presolve_global(
     delta: float,
     epsilon: float,
     bounds: str = "symbolic",
-    layer_bounds: LayerBounds | None = None,
     attack_samples: int = 8,
     seed: int = 0,
 ) -> GlobalCertificate | None:
@@ -304,8 +300,7 @@ def presolve_global(
     """
     t0 = time.perf_counter()
     layers = as_affine_chain(network)
-    if layer_bounds is None:
-        layer_bounds = get_propagator(bounds).propagate(layers, domain, delta)
+    layer_bounds = get_propagator(bounds).propagate(layers, domain, delta)
     eps_ub = layer_bounds.output_variation_bounds()
 
     def certificate(epsilons, verdict):
@@ -382,7 +377,6 @@ def presolve_local_many(
     epsilons: "float | np.ndarray",
     domain: Box | None = None,
     bounds: str = "symbolic",
-    layer_bounds: BatchedLayerBounds | None = None,
     attack_samples: int = 4,
     seed: int = 0,
 ) -> "list[LocalCertificate | None]":
@@ -405,8 +399,6 @@ def presolve_local_many(
         epsilons: Scalar or per-query variation targets.
         domain: Optional domain box intersected with every δ-ball.
         bounds: Propagator for the proving side (default symbolic).
-        layer_bounds: Pre-computed :class:`BatchedLayerBounds` over the
-            δ-ball stack (the batch engine's cache); computed if omitted.
         attack_samples: Extra random starts per query (scalar default).
         seed: RNG seed for the shared random starts.
     """
@@ -424,8 +416,7 @@ def presolve_local_many(
         ball_lo = np.maximum(ball_lo, domain.lo)
         ball_hi = np.minimum(ball_hi, domain.hi)
     balls = BatchedBox(ball_lo, ball_hi)
-    if layer_bounds is None:
-        layer_bounds = propagate_many(bounds, layers, balls)
+    layer_bounds = propagate_many(bounds, layers, balls)
     out = layer_bounds.output
     base = _forward_many(layers, centers)
     eps_ub = variation_from_reference(out.lo, out.hi, base)
@@ -493,7 +484,6 @@ def presolve_global_many(
     deltas: "float | np.ndarray",
     epsilons: "float | np.ndarray",
     bounds: str = "symbolic",
-    layer_bounds: BatchedLayerBounds | None = None,
     attack_samples: int = 8,
     seed: int = 0,
 ) -> "list[GlobalCertificate | None]":
@@ -517,9 +507,8 @@ def presolve_global_many(
     epsilons = _as_query_array(epsilons, queries, "epsilons")
     out_dim = layers[-1].out_dim
 
-    if layer_bounds is None:
-        stack = as_batched_box([domain] * queries)
-        layer_bounds = propagate_many(bounds, layers, stack, deltas)
+    stack = as_batched_box([domain] * queries)
+    layer_bounds = propagate_many(bounds, layers, stack, deltas)
     eps_ub = layer_bounds.output_variation_bounds()
 
     verdicts: list[tuple[str, np.ndarray] | None] = [None] * queries
@@ -579,7 +568,6 @@ def presolve_many(
     deltas: "float | np.ndarray",
     epsilons: "float | np.ndarray",
     bounds: str = "symbolic",
-    layer_bounds: BatchedLayerBounds | None = None,
     attack_samples: int | None = None,
     seed: int = 0,
 ):
@@ -595,7 +583,7 @@ def presolve_many(
             raise ValueError("kind='local' needs stacked centers")
         return presolve_local_many(
             network, centers, deltas, epsilons, domain=domain,
-            bounds=bounds, layer_bounds=layer_bounds,
+            bounds=bounds,
             attack_samples=4 if attack_samples is None else attack_samples,
             seed=seed,
         )
@@ -604,7 +592,7 @@ def presolve_many(
             raise ValueError("kind='global' needs an input domain")
         return presolve_global_many(
             network, domain, deltas, epsilons,
-            bounds=bounds, layer_bounds=layer_bounds,
+            bounds=bounds,
             attack_samples=8 if attack_samples is None else attack_samples,
             seed=seed,
         )

@@ -23,7 +23,7 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 #: Exceptions meaning "the process pool itself is unusable" (cannot
@@ -37,7 +37,6 @@ import numpy as np
 
 from repro import _faults
 from repro.bounds.interval import Box
-from repro.bounds.propagator import LayerBounds
 from repro.nn.affine import AffineLayer
 from repro.runtime.retry import RetryPolicy
 
@@ -96,7 +95,9 @@ class CertificationQuery:
             with a ``method="presolve"`` certificate and no MILP is
             built.  Undecided queries fall through to the usual solver
             path, whose certificates are bit-identical to a run without
-            presolve.
+            presolve.  :class:`BatchCertifier` screens groups of such
+            queries with one batched presolve pass in the submitting
+            process; the rest run the tier inside their worker.
         bounds: Bound propagator seeding the MILP tier's big-M ranges.
             ``None`` (default) resolves per tier — ``"ibp"`` for the
             monolithic MILP (keeps historic results bit-identical),
@@ -121,10 +122,6 @@ class CertificationQuery:
             worker budget when the split query runs inline (a batch of
             one), and keeps leaves serial when many queries already fan
             out across the pool.
-        shared_bounds: Engine-managed cache slot: a pre-computed
-            :class:`~repro.bounds.propagator.LayerBounds` for this
-            query's input box, shared across the batch by
-            :class:`BatchCertifier`.  Callers normally leave it unset.
         tag: Caller label echoed on the result (e.g. a sample id).
     """
 
@@ -144,7 +141,6 @@ class CertificationQuery:
     max_domains: int | None = None
     split_depth: int | None = None
     split_workers: int | None = None
-    shared_bounds: LayerBounds | None = None
     tag: str = ""
 
     def __post_init__(self) -> None:
@@ -275,12 +271,9 @@ def _try_presolve(query: CertificationQuery):
     if query.kind.startswith("local"):
         return presolve_local(
             query.layers, query.center, query.delta, query.epsilon,
-            domain=query.domain, layer_bounds=query.shared_bounds,
+            domain=query.domain,
         )
-    return presolve_global(
-        query.layers, query.domain, query.delta, query.epsilon,
-        layer_bounds=query.shared_bounds,
-    )
+    return presolve_global(query.layers, query.domain, query.delta, query.epsilon)
 
 
 def _run_split(query: CertificationQuery):
@@ -451,10 +444,8 @@ def _degraded_certificate(query: CertificationQuery, bounds: str):
     t0 = time.perf_counter()
     local = query.kind.startswith("local")
     box = query.presolve_input_box()
-    layer_bounds = query.shared_bounds
-    if layer_bounds is None:
-        delta = None if local else query.delta
-        layer_bounds = get_propagator(bounds).propagate(query.layers, box, delta)
+    delta = None if local else query.delta
+    layer_bounds = get_propagator(bounds).propagate(query.layers, box, delta)
     detail = {
         "verdict": "undecided",
         "degraded": True,
@@ -572,12 +563,6 @@ class BatchCertifier:
             kill.
 
     Attributes:
-        bounds_cache_info: After :meth:`run`, a dict with the shared
-            bound-propagation cache stats of that batch:
-            ``{"entries": repeated (network, input-box) pairs computed
-            once in the parent, "shared": queries served from an
-            already-computed entry}``.  Pairs occurring only once are
-            propagated inside the workers (in parallel) instead.
         presolve_stats: After :meth:`run`, the bulk-presolve prefilter
             stats: ``{"groups": batched presolve calls made,
             "queries": queries screened by them, "answered": queries
@@ -606,57 +591,15 @@ class BatchCertifier:
         self.bulk_presolve = bulk_presolve
         self.retry = RetryPolicy() if retry is None else retry
         self.query_timeout = query_timeout
-        self.bounds_cache_info: dict[str, int] = {"entries": 0, "shared": 0}
         self.presolve_stats: dict[str, int] = {
             "groups": 0, "queries": 0, "answered": 0,
         }
         self.fault_stats: dict[str, int] = dict(_FAULT_STATS_ZERO)
         self._retry_budget = 0
 
-    def _attach_shared_bounds(self, queries: list[CertificationQuery]) -> None:
-        """Compute one LayerBounds per repeated (network, input-box) pair.
-
-        Presolve-eligible queries that share the same normal-form
-        network object and the same propagation inputs (box bytes, and
-        delta for global kinds) receive the same pre-computed
-        :class:`LayerBounds`, so the batch propagates each such pair
-        exactly once instead of once per query inside the workers.
-        Pairs that occur only once are deliberately left to the workers:
-        precomputing them here would serialize otherwise-parallel work
-        in the submitting process (and pickle the bounds into the pool)
-        with nothing to share.
-        """
-        from repro.bounds.propagator import get_propagator
-
-        self.bounds_cache_info = {"entries": 0, "shared": 0}
-        eligible: list[tuple[CertificationQuery, tuple, Box]] = []
-        counts: dict[tuple, int] = {}
-        for query in queries:
-            if not query.wants_presolve() or query.shared_bounds is not None:
-                continue
-            box = query.presolve_input_box()
-            delta = None if query.kind.startswith("local") else query.delta
-            key = (id(query.layers), box.lo.tobytes(), box.hi.tobytes(), delta)
-            eligible.append((query, key, box))
-            counts[key] = counts.get(key, 0) + 1
-
-        cache: dict[tuple, LayerBounds] = {}
-        for query, key, box in eligible:
-            if counts[key] < 2:
-                continue
-            if key in cache:
-                self.bounds_cache_info["shared"] += 1
-            else:
-                delta = None if query.kind.startswith("local") else query.delta
-                cache[key] = get_propagator("symbolic").propagate(
-                    query.layers, box, delta
-                )
-                self.bounds_cache_info["entries"] += 1
-            query.shared_bounds = cache[key]
-
     def _bulk_presolve(
         self, queries: list[CertificationQuery]
-    ) -> dict[int, BatchResult]:
+    ) -> tuple[dict[int, BatchResult], set[int]]:
         """Screen the submission with one batched presolve pass per group.
 
         Presolve-eligible queries sharing a network object, kind family
@@ -665,23 +608,26 @@ class BatchCertifier:
         :func:`~repro.certify.presolve.presolve_many` — one batched
         bound propagation plus one corner-vectorized attack over the
         whole group, per-query bit-identical to the scalar presolve the
-        workers would have run.  Undecided members get
-        ``presolve=False``: the tier already ran for them, a worker
-        re-run could only reproduce the same ``None``.  Singleton
-        groups stay with the workers (batching one query buys nothing
-        and would serialize otherwise-parallel propagation here).
+        workers would have run.  Singleton groups stay with the workers
+        (batching one query buys nothing and would serialize
+        otherwise-parallel propagation here).
 
-        Returns the answered queries as ``{index: BatchResult}``; each
-        carries its group's per-query share of the batched pass time.
+        Returns the answered queries as ``{index: BatchResult}`` (each
+        carries its group's per-query share of the batched pass time)
+        and the indices of every screened query: the tier already ran
+        for those, so a worker re-run could only reproduce the same
+        ``None``.  The queries themselves are left untouched.
         """
         from repro.certify.presolve import presolve_many
 
         self.presolve_stats = {"groups": 0, "queries": 0, "answered": 0}
+        answered: dict[int, BatchResult] = {}
+        screened: set[int] = set()
         if not self.bulk_presolve:
-            return {}
+            return answered, screened
         groups: dict[tuple, list[int]] = {}
         for i, query in enumerate(queries):
-            if not query.wants_presolve() or query.shared_bounds is not None:
+            if not query.wants_presolve():
                 continue
             family = "local" if query.kind.startswith("local") else "global"
             domain = query.domain
@@ -692,7 +638,6 @@ class BatchCertifier:
             key = (family, id(query.layers), domain_key)
             groups.setdefault(key, []).append(i)
 
-        answered: dict[int, BatchResult] = {}
         for (family, _, _), members in groups.items():
             if len(members) < 2:
                 continue
@@ -722,15 +667,15 @@ class BatchCertifier:
             share = (time.perf_counter() - t0) / len(members)
             self.presolve_stats["groups"] += 1
             self.presolve_stats["queries"] += len(members)
+            screened.update(members)
             for i, cert in zip(members, certs):
-                queries[i].presolve = False  # tier already ran for this query
                 if cert is not None:
                     answered[i] = BatchResult(
                         index=i, tag=queries[i].tag, certificate=cert,
                         elapsed=share,
                     )
                     self.presolve_stats["answered"] += 1
-        return answered
+        return answered, screened
 
     def run(
         self,
@@ -741,7 +686,9 @@ class BatchCertifier:
 
         The bulk-presolve prefilter runs first (see ``bulk_presolve``);
         only the queries it leaves unanswered are dispatched to worker
-        processes.
+        processes, as copies that skip the presolve tier.  The caller's
+        query objects are never modified, so the same queries can be
+        run again with the same results.
 
         Args:
             queries: Independent queries; order defines result order.
@@ -755,13 +702,17 @@ class BatchCertifier:
             return []
         results: list[BatchResult | None] = [None] * total
         done = 0
-        for index, result in sorted(self._bulk_presolve(queries).items()):
+        answered, screened = self._bulk_presolve(queries)
+        for index, result in sorted(answered.items()):
             results[index] = result
             done += 1
             if progress is not None:
                 progress(done, total, result)
-        pending = [(i, q) for i, q in enumerate(queries) if results[i] is None]
-        self._attach_shared_bounds([q for _, q in pending])
+        pending = [
+            (i, replace(q, presolve=False) if i in screened else q)
+            for i, q in enumerate(queries)
+            if results[i] is None
+        ]
         if not pending:
             return [r for r in results if r is not None]
         workers = self.max_workers or os.cpu_count() or 1
@@ -776,9 +727,10 @@ class BatchCertifier:
                 # A batch of one split query runs inline; hand the
                 # engine's process budget to its leaf MILPs instead so
                 # the pool still does the parallel work.
-                pending[0][1].split_workers = (
-                    self.max_workers or os.cpu_count() or 1
-                )
+                index, query = pending[0]
+                pending = [(index, replace(
+                    query, split_workers=self.max_workers or os.cpu_count() or 1
+                ))]
             dispatched = self._run_serial(pending, total, done, progress)
         else:
             supervisor = _PoolSupervisor(self, workers, total, done, progress)
@@ -1230,18 +1182,11 @@ def _solve_chunk(payload):
     return model.solve_many(objectives, backend=backend, time_limit=time_limit)
 
 
-def _objectives_per_stack(model, backend) -> int:
-    """Stack size of the serial ``solve_many`` path (1 without sessions)."""
-    from repro.milp.session import open_session
-
-    try:
-        session = open_session(model, backend=backend)
-    except TypeError:
+def _objectives_per_stack(session, count: int) -> int:
+    """Stack size of ``count`` objectives on ``session`` (``None``: sessionless)."""
+    if session is None or count <= 1:
         return 1
-    try:
-        return session.objectives_per_stack()
-    finally:
-        session.close()
+    return session.objectives_per_stack()
 
 
 def parallel_solve_many(
@@ -1259,9 +1204,12 @@ def parallel_solve_many(
     serial path's stack boundaries (see
     :meth:`~repro.milp.session.SolverSession.objectives_per_stack`), so
     every block-diagonal LP a worker solves is the one the serial path
-    solves.  This is the engine behind ``CertifierConfig.workers`` —
-    Algorithm 1's four min/max LPs per neuron of a layer are
-    independent and fan perfectly.
+    solves.  The parent exports the model once, into the session it
+    reads the stack size from; with one worker, every objective is
+    solved on that session.  A chunk whose worker failed is re-solved
+    inline with ``Model.solve_many``.  This is the engine behind
+    ``CertifierConfig.workers`` — Algorithm 1's four min/max LPs per
+    neuron of a layer are independent and fan perfectly.
 
     Args:
         model: The shared :class:`~repro.milp.model.Model`.
@@ -1274,12 +1222,26 @@ def parallel_solve_many(
         One :class:`~repro.milp.solution.SolveResult` per objective, in
         input order — bit-identical to the serial ``solve_many``.
     """
+    from repro.milp.session import open_session
+
     objectives = list(objectives)
-    per_stack = _objectives_per_stack(model, backend) if len(objectives) > 1 else 1
-    stacks = math.ceil(len(objectives) / per_stack)
-    workers = min(max_workers or os.cpu_count() or 1, stacks)
-    if workers <= 1:
-        return model.solve_many(objectives, backend=backend, time_limit=time_limit)
+    try:
+        session = open_session(model, backend=backend)
+    except TypeError:
+        session = None  # sessionless backend: one objective per stack
+    try:
+        per_stack = _objectives_per_stack(session, len(objectives))
+        stacks = math.ceil(len(objectives) / per_stack)
+        workers = min(max_workers or os.cpu_count() or 1, stacks)
+        if workers <= 1:
+            if session is None:
+                return model.solve_many(
+                    objectives, backend=backend, time_limit=time_limit
+                )
+            return session.solve_objectives(objectives, time_limit=time_limit)
+    finally:
+        if session is not None:
+            session.close()
     chunk = math.ceil(stacks / workers) * per_stack
     chunks = [objectives[k : k + chunk] for k in range(0, len(objectives), chunk)]
     parts: list[list | None] = [None] * len(chunks)

@@ -106,17 +106,6 @@ class TestPresolveLocal:
                     assert exact.epsilon > epsilon - 1e-7
         assert checked > 0
 
-    def test_layer_bounds_reuse(self, setting):
-        layers, domain, center, delta = setting
-        ball = perturbation_ball(center, delta, domain)
-        shared = get_propagator("symbolic").propagate(layers, ball)
-        direct = presolve_local(layers, center, delta, 1e6, domain=domain)
-        reused = presolve_local(
-            layers, center, delta, 1e6, domain=domain, layer_bounds=shared
-        )
-        assert np.allclose(direct.epsilons, reused.epsilons)
-        assert reused.detail["bounds"] == "symbolic"
-
 
 class TestPresolveGlobal:
     def test_generous_epsilon_certified(self, setting):

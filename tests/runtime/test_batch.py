@@ -113,9 +113,6 @@ class TestPresolveTier:
         assert all(
             r.certificate.detail["verdict"] == "certified" for r in results
         )
-        # Distinct centers never share a cache entry, so nothing is
-        # precomputed in the parent (workers propagate in parallel).
-        assert engine.bounds_cache_info == {"entries": 0, "shared": 0}
 
     def test_presolve_disabled_falls_through(self, layers, centers):
         queries = local_queries(
@@ -124,21 +121,13 @@ class TestPresolveTier:
         engine = BatchCertifier(max_workers=1)
         results = engine.run(queries)
         assert results[0].certificate.method == "local-exact"
-        assert engine.bounds_cache_info["entries"] == 0
 
-    def test_shared_bounds_cached_per_input_box(self, layers, centers):
-        # The same center submitted twice must propagate bounds once.
-        # (Legacy path: with the bulk prefilter on, these queries would
-        # be answered in the parent before the cache ever sees them.)
-        doubled = np.vstack([centers, centers])
-        queries = local_queries(layers, doubled, 0.01, epsilon=1e6)
-        engine = BatchCertifier(max_workers=1, bulk_presolve=False)
-        engine.run(queries)
-        assert engine.bounds_cache_info["entries"] == len(centers)
-        assert engine.bounds_cache_info["shared"] == len(centers)
-        assert all(q.shared_bounds is not None for q in queries)
+    def test_bulk_presolve_screens_batch_in_parent(
+        self, layers, centers, monkeypatch
+    ):
+        import repro.certify.presolve as presolve_module
+        import repro.runtime.batch as batch_module
 
-    def test_bulk_presolve_screens_batch_in_parent(self, layers, centers):
         queries = local_queries(layers, centers, 0.01, epsilon=1e6)
         engine = BatchCertifier(max_workers=1)
         results = engine.run(queries)
@@ -147,9 +136,37 @@ class TestPresolveTier:
         assert engine.presolve_stats == {
             "groups": 1, "queries": len(centers), "answered": len(centers),
         }
-        # The prefilter marks every screened query so workers never
-        # repeat the tier.
-        assert all(not q.presolve for q in queries)
+        # Workers never repeat the tier for a screened query: with the
+        # batched pass leaving every query undecided, no worker presolves
+        # and every query goes straight to its MILP.
+        worker_presolves = []
+        monkeypatch.setattr(
+            presolve_module, "presolve_many",
+            lambda network, kind, **kw: [None] * len(kw["deltas"]),
+        )
+        monkeypatch.setattr(
+            batch_module, "_try_presolve",
+            lambda query: worker_presolves.append(query) or None,
+        )
+        results = engine.run(queries)
+        assert worker_presolves == []
+        assert all(r.certificate.method == "local-exact" for r in results)
+
+    def test_run_leaves_queries_untouched(self, layers, centers):
+        # Running the same queries twice on one engine gives the same
+        # certificates: screening them must not mark the caller's objects.
+        queries = local_queries(layers, centers, 0.01, epsilon=1e6)
+        engine = BatchCertifier(max_workers=1)
+        first = engine.run(queries)
+        first_stats = dict(engine.presolve_stats)
+        second = engine.run(queries)
+        assert engine.presolve_stats == first_stats
+        assert all(q.presolve and q.split_workers is None for q in queries)
+        for a, b in zip(first, second):
+            assert a.certificate.method == b.certificate.method == "presolve"
+            np.testing.assert_array_equal(
+                a.certificate.epsilons, b.certificate.epsilons
+            )
 
     def test_bulk_presolve_matches_scalar_presolve(self, layers, centers):
         # Identical submissions with the prefilter on and off must
@@ -206,16 +223,27 @@ class TestPresolveTier:
             assert cert.method == "split"
             assert cert.detail["verdict"] == expected
 
-    def test_split_single_query_granted_leaf_workers(self, layers):
+    def test_split_single_query_granted_leaf_workers(self, layers, monkeypatch):
+        import repro.runtime.batch as batch_module
+
         box = Box.uniform(3, 0.0, 1.0)
         query = global_query(
             layers, box, 0.05, exact=True, epsilon=0.05, split=True,
             presolve=False,
         )
+        granted = []
+        real_run_split = batch_module._run_split
+
+        def run_split(dispatched):
+            granted.append(dispatched.split_workers)
+            return real_run_split(dispatched)
+
+        monkeypatch.setattr(batch_module, "_run_split", run_split)
         results = BatchCertifier(max_workers=2).run([query])
         assert results[0].ok
         assert results[0].certificate.method == "split"
-        assert query.split_workers == 2  # the pool budget moved to leaves
+        assert granted == [2]  # the pool budget moved to leaves
+        assert query.split_workers is None  # on a copy, not the caller's query
 
     def test_effective_bounds_resolution(self, layers, centers):
         """Explicit bounds win; the None default resolves per tier."""
@@ -354,6 +382,32 @@ class TestParallelSolveMany:
         for a, b in zip(fanned, serial):
             assert a.status == b.status
             assert a.objective == pytest.approx(b.objective, abs=1e-9)
+
+    def test_serial_fan_out_exports_once(self, layers, monkeypatch):
+        from repro.encoding.single import encode_single_network
+        from repro.milp.model import Model
+
+        enc = encode_single_network(layers, Box.uniform(3, 0.0, 1.0))
+        objectives = []
+        for handle in enc.output:
+            expr = handle.to_expr() if not hasattr(handle, "coeffs") else handle
+            objectives.extend([(expr, "min"), (expr, "max")])
+        serial = enc.model.solve_many(objectives, backend="scipy")
+        exports = []
+        real_export = Model.to_standard_form
+
+        def export(model, *args, **kwargs):
+            exports.append(model.name)
+            return real_export(model, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "to_standard_form", export)
+        inline = parallel_solve_many(
+            enc.model, objectives, backend="scipy", max_workers=1
+        )
+        assert len(exports) == 1  # the stack-size probe's session solves too
+        for a, b in zip(inline, serial):
+            assert a.status == b.status
+            assert a.objective == b.objective
 
     def test_single_objective_short_circuits(self, layers):
         from repro.encoding.single import encode_single_network

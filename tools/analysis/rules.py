@@ -124,7 +124,14 @@ class DefensiveArrayIngestion:
     #: including their batched (query-stacked) counterparts, whose
     #: ``(Q, n)`` arrays alias just as silently.
     ARRAY_CLASSES = frozenset(
-        {"Box", "BatchedBox", "LayerBounds", "BatchedLayerBounds", "ConstraintBlock"}
+        {
+            "Box",
+            "BatchedBox",
+            "_BoundsRecord",
+            "LayerBounds",
+            "BatchedLayerBounds",
+            "ConstraintBlock",
+        }
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
