@@ -20,6 +20,9 @@
   branch-and-bound tier: ε-targeted queries decided by recursively
   bisecting the input domain, with binary-sparse MILPs only at the
   leaves that cheap bounds cannot decide.
+* :mod:`repro.certify.minmax` — the min/max step every certifier above
+  shares: objectives for ``Model.solve_many`` and the three ways of
+  turning their results into ranges (sound, limit-tolerant, strict).
 """
 
 from repro.certify.decomposition import SubNetwork, decompose

@@ -15,12 +15,10 @@ import time
 import numpy as np
 
 from repro.bounds.interval import Box
-from repro.bounds.propagator import get_propagator
-from repro.certify.decomposition import decompose
+from repro.certify.local import single_copy_nd
+from repro.certify.minmax import min_max_objectives, optimal_ranges
 from repro.certify.results import GlobalCertificate
 from repro.encoding.btne import encode_btne
-from repro.encoding.single import encode_single_network
-from repro.milp.expr import as_expr
 from repro.nn.affine import AffineLayer
 from repro.nn.network import Network, as_affine_chain
 
@@ -42,43 +40,9 @@ def certify_global_btne_nd(
     """
     t0 = time.perf_counter()
     layers = as_affine_chain(network)
-
     # Per-copy ND ranges (identical for both copies by symmetry).
-    x_ranges: list[Box] = [input_box]
-    seed = get_propagator(bounds).propagate(layers, input_box)
-    y_ranges = [Box(b.lo.copy(), b.hi.copy()) for b in seed.y]
-    lp_count = 0
-    for i in range(1, len(layers) + 1):
-        sub = decompose(layers, i, window, output_relu=False)
-        sub_pre = [
-            Box(y_ranges[k].lo.copy(), y_ranges[k].hi.copy())
-            for k in range(sub.input_layer_index, i)
-        ]
-        enc = encode_single_network(
-            sub.layers, x_ranges[sub.input_layer_index], pre_act_bounds=sub_pre
-        )
-        objectives = []
-        for handle in enc.y[-1]:
-            expr = as_expr(handle)
-            objectives.extend([(expr, "min"), (expr, "max")])
-        results = enc.model.solve_many(objectives, backend=backend)
-        lp_count += len(objectives)
-        m_i = layers[i - 1].out_dim
-        lo = np.array(
-            [results[2 * j].require_optimal().objective for j in range(m_i)]
-        )
-        hi = np.array(
-            [results[2 * j + 1].require_optimal().objective for j in range(m_i)]
-        )
-        y_ranges[i - 1] = Box(
-            np.maximum(lo, y_ranges[i - 1].lo), np.minimum(hi, y_ranges[i - 1].hi)
-        )
-        x_ranges.append(
-            y_ranges[i - 1].relu() if layers[i - 1].relu else y_ranges[i - 1]
-        )
-
+    out, milp_count = single_copy_nd(layers, input_box, window, bounds, backend)
     # Output distance: difference of two independent copies of the range.
-    out = x_ranges[-1]
     epsilons = out.hi - out.lo
     return GlobalCertificate(
         delta=float(delta),
@@ -86,7 +50,7 @@ def certify_global_btne_nd(
         method=f"btne-nd-w{window}",
         exact=False,
         solve_time=time.perf_counter() - t0,
-        milp_count=lp_count,
+        milp_count=milp_count,
         detail={"output_distance": Box(out.lo - out.hi, out.hi - out.lo)},
     )
 
@@ -109,17 +73,9 @@ def certify_global_btne_lpr(
     layers = as_affine_chain(network)
     relax = [np.ones(l.out_dim, dtype=bool) for l in layers]
     enc = encode_btne(layers, input_box, delta, relax_mask=relax, bounds=bounds)
-    objectives = []
-    for dist in enc.output_distance:
-        objectives.extend([(dist, "min"), (dist, "max")])
+    objectives = min_max_objectives(enc.output_distance)
     results = enc.model.solve_many(objectives, backend=backend)
-    out_dim = layers[-1].out_dim
-    lo = np.array(
-        [results[2 * j].require_optimal().objective for j in range(out_dim)]
-    )
-    hi = np.array(
-        [results[2 * j + 1].require_optimal().objective for j in range(out_dim)]
-    )
+    lo, hi = optimal_ranges(results[0::2], results[1::2])
     return GlobalCertificate(
         delta=float(delta),
         epsilons=np.maximum(np.abs(lo), np.abs(hi)),

@@ -25,16 +25,10 @@ from repro.bounds.interval import Box
 from repro.bounds.ranges import RangeTable
 from repro.encoding.btne import encode_btne
 from repro.encoding.itne import encode_itne
+from repro.certify.minmax import RangeSolveError, limited_ranges, min_max_objectives
 from repro.certify.results import GlobalCertificate
-from repro.milp.expr import as_expr
-from repro.milp.solution import SolveStatus
 from repro.nn.affine import AffineLayer
-from repro.nn.network import Network
-
-#: Statuses meaning "the solver was cut off by a resource limit" — the
-#: only non-optimal outcomes that soundly fall back to a bound.
-#: Infeasible/unbounded/error outcomes are genuine failures and raise.
-_LIMIT_STATUSES = (SolveStatus.TIME_LIMIT, SolveStatus.ITERATION_LIMIT)
+from repro.nn.network import Network, as_affine_chain
 
 
 def certify_exact_global(
@@ -72,7 +66,7 @@ def certify_exact_global(
         solved to proven optimality (``detail["limit_hits"]`` counts the
         solves that fell back to a bound).
     """
-    layers = network.to_affine_layers() if isinstance(network, Network) else network
+    layers = as_affine_chain(network)
     if encoding not in ("itne", "btne"):
         raise ValueError(f"unknown encoding {encoding!r}")
 
@@ -80,7 +74,6 @@ def certify_exact_global(
     out_dim = layers[-1].out_dim
     targets = list(range(out_dim)) if outputs is None else list(outputs)
     epsilons = np.zeros(out_dim)
-    milp_count = 0
 
     # Sound a-priori interval bounds on the output distance: the
     # fallback (and intersection partner) for limited solves.  The same
@@ -92,44 +85,28 @@ def certify_exact_global(
 
     if encoding == "itne":
         enc = encode_itne(layers, input_box, delta, ranges=table)
-        distances = enc.output_distance
-        model = enc.model
     else:
         # The table's y boxes already are this propagator's single-copy
         # pre-activation bounds; reuse them instead of re-propagating.
         pre_acts = [table.layer(i).y for i in range(1, len(layers) + 1)]
         enc = encode_btne(layers, input_box, delta, pre_act_bounds=pre_acts)
-        distances = enc.output_distance
-        model = enc.model
 
-    objectives = []
-    for j in targets:
-        objectives.append((as_expr(distances[j]), "max"))
-        objectives.append((as_expr(distances[j]), "min"))
     # One SolverSession for the whole batch: the standard form is
     # exported once and only the objective vector is swapped per solve.
-    results = model.solve_many(objectives, backend=backend, time_limit=time_limit)
-    milp_count += len(objectives)
-    limit_hits = 0
-    for idx, j in enumerate(targets):
-        r_hi = results[2 * idx]
-        r_lo = results[2 * idx + 1]
-        for r in (r_hi, r_lo):
-            if not r.is_optimal and r.status not in _LIMIT_STATUSES:
-                # Only resource limits fall back to a bound; anything
-                # else (infeasible encoding, solver error) must surface.
-                raise RuntimeError(
-                    f"exact global solve failed on output {j}: "
-                    f"status={r.status.value} ({r.message})"
-                )
-        # Sound bounds only: the dual bound of a limited solve, or the
-        # objective of a proven-optimal one — never a limited incumbent.
-        hi = r_hi.sound_bound()
-        lo = r_lo.sound_bound()
-        hi = float(interval.hi[j]) if hi is None else min(hi, float(interval.hi[j]))
-        lo = float(interval.lo[j]) if lo is None else max(lo, float(interval.lo[j]))
-        limit_hits += (not r_hi.is_optimal) + (not r_lo.is_optimal)
-        epsilons[j] = max(abs(lo), abs(hi))
+    objectives = min_max_objectives([enc.output_distance[j] for j in targets])
+    results = enc.model.solve_many(objectives, backend=backend, time_limit=time_limit)
+    # Sound bounds only: the dual bound of a limited solve, or the
+    # objective of a proven-optimal one — never a limited incumbent.
+    try:
+        lo, hi, limit_hits = limited_ranges(
+            results[0::2],
+            results[1::2],
+            Box(interval.lo[targets], interval.hi[targets]),
+            "exact global solve",
+        )
+    except RangeSolveError as err:  # name the network output, not its position
+        raise RangeSolveError(err.what, targets[err.output], err.result) from None
+    epsilons[targets] = np.maximum(np.abs(lo), np.abs(hi))
 
     return GlobalCertificate(
         delta=float(delta),
@@ -137,10 +114,10 @@ def certify_exact_global(
         method=f"exact-milp-{encoding}",
         exact=limit_hits == 0,
         solve_time=time.perf_counter() - t0,
-        milp_count=milp_count,
+        milp_count=len(objectives),
         detail={
             "encoding": encoding,
-            "binaries": model.num_binary,
+            "binaries": enc.model.num_binary,
             "limit_hits": limit_hits,
         },
     )

@@ -38,14 +38,14 @@ from repro.bounds.interval import Box
 from repro.bounds.ranges import RangeTable
 from repro.bounds.twin_ibp import relu_distance_interval
 from repro.certify.decomposition import decompose, subnetwork_ranges
+from repro.certify.minmax import min_max_objectives, sound_ranges
 from repro.certify.refinement import select_refinement
 from repro.certify.results import GlobalCertificate
 from repro.encoding.itne import ItneEncoding, encode_first_copy, encode_itne
 from repro.milp import Model
-from repro.milp.expr import LinExpr, as_expr
 from repro.milp.solution import SolveResult
 from repro.nn.affine import AffineLayer
-from repro.nn.network import Network
+from repro.nn.network import Network, as_affine_chain
 
 
 @dataclass
@@ -107,9 +107,7 @@ class GlobalRobustnessCertifier:
         network: Network | list[AffineLayer],
         config: CertifierConfig | None = None,
     ) -> None:
-        self.layers = (
-            network.to_affine_layers() if isinstance(network, Network) else list(network)
-        )
+        self.layers = as_affine_chain(network)
         self.config = config or CertifierConfig()
 
     # -- public API -----------------------------------------------------------
@@ -225,12 +223,12 @@ class GlobalRobustnessCertifier:
             couple_second_copy=cfg.couple_second_copy,
             clip_second_input=True,
         )
-        dy_results = self._solve(enc.model, _min_max_objectives(enc.dy[-1]))
-        _intersect(rec.dy, *_sound_bounds(dy_results))
+        dy_results = self._solve(enc.model, min_max_objectives(enc.dy[-1]))
+        _intersect(rec.dy, *sound_ranges(dy_results[0::2], dy_results[1::2]))
         solved = [(enc.model, len(dy_results))]
         if i < len(self.layers) or self.layers[i - 1].relu:
             first = encode_first_copy(sub.layers, x_in, sub_table, refine_mask=masks)
-            y_results = self._solve(first.model, _min_max_objectives(first.y[-1]))
+            y_results = self._solve(first.model, min_max_objectives(first.y[-1]))
             if _sanitize.ENABLED:
                 j = _seeded_neuron(i, len(first.y[-1]))
                 mine = y_results[2 * j : 2 * j + 2]
@@ -238,7 +236,7 @@ class GlobalRobustnessCertifier:
                     enc, [enc.y[-1][j]], [r.sound_bound() for r in mine],
                     [_gap(r) for r in mine], f"layer {i} first-copy neuron {j}",
                 )
-            _intersect(rec.y, *_sound_bounds(y_results))
+            _intersect(rec.y, *sound_ranges(y_results[0::2], y_results[1::2]))
             solved.append((first.model, len(y_results)))
         lps = sum(n for model, n in solved if model.num_binary == 0)
         return lps, sum(n for _, n in solved) - lps
@@ -272,13 +270,15 @@ class GlobalRobustnessCertifier:
         """Sanitizer contract ``alg1-shortcut`` for one neuron.
 
         ``bounds`` are the shortcut's min/max bounds of ``handles`` (in
-        ``_min_max_objectives`` order) and ``slacks`` their own MIP gaps;
+        ``min_max_objectives`` order) and ``slacks`` their own MIP gaps;
         each must contain and match the same objective solved over the
         full ITNE model ``enc``.
         """
-        refs = self._solve(enc.model, _min_max_objectives(handles))
-        for k, (bound, slack, ref) in enumerate(zip(bounds, slacks, refs)):
-            sense = _SENSES[k % 2]
+        objectives = min_max_objectives(handles)
+        refs = self._solve(enc.model, objectives)
+        for k, ((_, sense), bound, slack, ref) in enumerate(
+            zip(objectives, bounds, slacks, refs)
+        ):
             _sanitize.check_shortcut_bound(
                 bound, sense, ref.status.value, ref.objective,
                 f"{what} objective {k} ({sense})", slack=slack + _gap(ref),
@@ -310,9 +310,6 @@ class GlobalRobustnessCertifier:
             )
 
 
-_SENSES = ("min", "max")
-
-
 def _depth_one_bounds(layer: AffineLayer, x_in: Box, dx_in: Box) -> tuple[Box, Box]:
     """Exact ``y``/``Δy`` ranges of a depth-1 ITNE sub-problem.
 
@@ -328,28 +325,6 @@ def _depth_one_bounds(layer: AffineLayer, x_in: Box, dx_in: Box) -> tuple[Box, B
         np.maximum(dx_in.lo, x_in.lo - x_in.hi), np.minimum(dx_in.hi, x_in.hi - x_in.lo)
     )
     return x_in.affine(layer.weight, layer.bias), clipped.affine(layer.weight)
-
-
-def _min_max_objectives(handles: list) -> list[tuple[LinExpr, str]]:
-    """``[(h₀, min), (h₀, max), (h₁, min), ...]``."""
-    objectives = []
-    for handle in handles:
-        expr = as_expr(handle)
-        objectives.extend((expr, sense) for sense in _SENSES)
-    return objectives
-
-
-def _sound_bounds(results: list[SolveResult]) -> tuple[np.ndarray, np.ndarray]:
-    """Sound ``(lo, hi)`` arrays from alternating min/max results.
-
-    Each solve contributes its *dual bound* — sound even when a refined
-    MILP stopped at a gap or time limit.  A solve with no usable bound
-    gives ``∓inf``, so the table's interval value stands.
-    """
-    bounds = [r.sound_bound() for r in results]
-    lo = [-math.inf if b is None else b for b in bounds[0::2]]
-    hi = [math.inf if b is None else b for b in bounds[1::2]]
-    return np.array(lo, dtype=float), np.array(hi, dtype=float)
 
 
 def _intersect(box: Box, lo: np.ndarray, hi: np.ndarray) -> None:

@@ -22,6 +22,7 @@ import numpy as np
 from repro.bounds.interval import Box
 from repro.bounds.propagator import get_propagator
 from repro.certify.decomposition import decompose
+from repro.certify.minmax import min_max_objectives, optimal_ranges
 from repro.certify.presolve import (
     perturbation_ball,
     presolve_local,
@@ -29,7 +30,6 @@ from repro.certify.presolve import (
 )
 from repro.certify.results import LocalCertificate
 from repro.encoding.single import encode_single_network
-from repro.milp.expr import as_expr
 from repro.nn.affine import AffineLayer, affine_chain_forward
 from repro.nn.network import Network, as_affine_chain
 
@@ -73,23 +73,9 @@ def certify_local_exact(
     on timeout the underlying solver raises through
     :meth:`~repro.milp.solution.SolveResult.require_optimal`.
     """
-    t0 = time.perf_counter()
-    layers = as_affine_chain(network)
-    ball = perturbation_ball(center, delta, domain)
-    enc = encode_single_network(layers, ball, bounds=bounds)
-    objectives = []
-    for handle in enc.output:
-        expr = as_expr(handle)
-        objectives.extend([(expr, "min"), (expr, "max")])
-    results = enc.model.solve_many(
-        objectives, backend=backend, time_limit=time_limit
+    return _certify_whole_network(
+        network, center, delta, domain, backend, bounds, time_limit, relax=False
     )
-    out_dim = layers[-1].out_dim
-    lo = np.array([results[2 * j].require_optimal().objective for j in range(out_dim)])
-    hi = np.array(
-        [results[2 * j + 1].require_optimal().objective for j in range(out_dim)]
-    )
-    return _certificate(layers, center, delta, lo, hi, "local-exact", True, t0)
 
 
 def certify_local_nd(
@@ -112,44 +98,9 @@ def certify_local_nd(
     t0 = time.perf_counter()
     layers = as_affine_chain(network)
     ball = perturbation_ball(center, delta, domain)
-
-    # x-ranges per layer index (0 = input).
-    x_ranges: list[Box] = [ball]
-    seed = get_propagator(bounds).propagate(layers, ball)
-    y_ranges: list[Box] = [Box(b.lo.copy(), b.hi.copy()) for b in seed.y]
-
-    for i in range(1, len(layers) + 1):
-        sub = decompose(layers, i, window, output_relu=False)
-        input_box = x_ranges[sub.input_layer_index]
-        sub_pre = [
-            Box(y_ranges[k].lo.copy(), y_ranges[k].hi.copy())
-            for k in range(sub.input_layer_index, i)
-        ]
-        enc = encode_single_network(sub.layers, input_box, pre_act_bounds=sub_pre)
-        objectives = []
-        for handle in enc.y[-1]:
-            expr = as_expr(handle)
-            objectives.extend([(expr, "min"), (expr, "max")])
-        results = enc.model.solve_many(
-            objectives, backend=backend, time_limit=time_limit
-        )
-        m_i = layers[i - 1].out_dim
-        lo = np.empty(m_i)
-        hi = np.empty(m_i)
-        for j in range(m_i):
-            lo[j] = results[2 * j].require_optimal().objective
-            hi[j] = results[2 * j + 1].require_optimal().objective
-        # Intersect with IBP in case of numerical jitter.
-        y_ranges[i - 1] = Box(
-            np.maximum(lo, y_ranges[i - 1].lo), np.minimum(hi, y_ranges[i - 1].hi)
-        )
-        x_ranges.append(
-            y_ranges[i - 1].relu() if layers[i - 1].relu else y_ranges[i - 1]
-        )
-
-    out = x_ranges[-1]
+    out, _ = single_copy_nd(layers, ball, window, bounds, backend, time_limit)
     return _certificate(
-        layers, center, delta, out.lo.copy(), out.hi.copy(), f"local-nd-w{window}", False, t0
+        layers, center, delta, out.lo, out.hi, f"local-nd-w{window}", False, t0
     )
 
 
@@ -163,22 +114,65 @@ def certify_local_lpr(
     time_limit: float | None = None,
 ) -> LocalCertificate:
     """Local robustness via the triangle LP relaxation of every ReLU."""
+    return _certify_whole_network(
+        network, center, delta, domain, backend, bounds, time_limit, relax=True
+    )
+
+
+def _certify_whole_network(
+    network, center, delta, domain, backend, bounds, time_limit, relax
+) -> LocalCertificate:
+    """Output ranges over one encoding of the whole δ-ball (LPR if ``relax``)."""
     t0 = time.perf_counter()
     layers = as_affine_chain(network)
     ball = perturbation_ball(center, delta, domain)
-    relax_mask = [np.ones(layer.out_dim, dtype=bool) for layer in layers]
+    relax_mask = [np.ones(layer.out_dim, dtype=bool) for layer in layers] if relax else None
     enc = encode_single_network(layers, ball, relax_mask=relax_mask, bounds=bounds)
-    objectives = []
-    for handle in enc.output:
-        expr = as_expr(handle)
-        objectives.extend([(expr, "min"), (expr, "max")])
     results = enc.model.solve_many(
-        objectives, backend=backend, time_limit=time_limit
+        min_max_objectives(enc.output), backend=backend, time_limit=time_limit
     )
-    out_dim = layers[-1].out_dim
-    lo = np.array([results[2 * j].require_optimal().objective for j in range(out_dim)])
-    hi = np.array(
-        [results[2 * j + 1].require_optimal().objective for j in range(out_dim)]
-    )
-    return _certificate(layers, center, delta, lo, hi, "local-lpr", False, t0)
+    lo, hi = optimal_ranges(results[0::2], results[1::2])
+    method = "local-lpr" if relax else "local-exact"
+    return _certificate(layers, center, delta, lo, hi, method, not relax, t0)
 
+
+def single_copy_nd(
+    layers: list[AffineLayer],
+    input_box: Box,
+    window: int,
+    bounds: str,
+    backend: str,
+    time_limit: float | None = None,
+) -> tuple[Box, int]:
+    """Output range of one network copy by network decomposition.
+
+    Seeds every pre-activation range with the ``bounds`` propagator,
+    then, layer by layer, replaces it by the exact min/max of each
+    neuron over the depth-``window`` sub-network ending there (input
+    ranges from the previous step), intersected with the seed in case
+    of numerical jitter.  Every solve must be optimal.
+
+    Returns:
+        ``(output box, number of solves)``.
+    """
+    x_ranges: list[Box] = [input_box]  # index 0 = input
+    y_ranges = list(get_propagator(bounds).propagate(layers, input_box).y)
+    solves = 0
+    for i in range(1, len(layers) + 1):
+        sub = decompose(layers, i, window, output_relu=False)
+        enc = encode_single_network(
+            sub.layers,
+            x_ranges[sub.input_layer_index],
+            pre_act_bounds=y_ranges[sub.input_layer_index : i],
+        )
+        results = enc.model.solve_many(
+            min_max_objectives(enc.y[-1]), backend=backend, time_limit=time_limit
+        )
+        solves += len(results)
+        lo, hi = optimal_ranges(results[0::2], results[1::2])
+        seed = y_ranges[i - 1]
+        y_ranges[i - 1] = Box(np.maximum(lo, seed.lo), np.minimum(hi, seed.hi))
+        x_ranges.append(
+            y_ranges[i - 1].relu() if layers[i - 1].relu else y_ranges[i - 1]
+        )
+    return x_ranges[-1], solves

@@ -24,7 +24,7 @@ from repro.certify.results import GlobalCertificate
 from repro.encoding.btne import encode_btne
 from repro.milp.expr import LinExpr, Var
 from repro.nn.affine import AffineLayer
-from repro.nn.network import Network
+from repro.nn.network import Network, as_affine_chain
 
 
 class _ReluRecord:
@@ -83,9 +83,7 @@ class ReluplexStyleSolver:
         Returns:
             A :class:`GlobalCertificate` with ``exact=True``.
         """
-        layers = (
-            network.to_affine_layers() if isinstance(network, Network) else network
-        )
+        layers = as_affine_chain(network)
         t0 = time.perf_counter()
         out_dim = layers[-1].out_dim
         targets = list(range(out_dim)) if outputs is None else list(outputs)

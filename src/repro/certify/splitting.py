@@ -46,19 +46,14 @@ from repro.certify.presolve import (
     perturbation_ball,
     variation_from_reference,
 )
+from repro.certify.minmax import limited_ranges, min_max_objectives
 from repro.certify.results import GlobalCertificate, LocalCertificate
 from repro.encoding.itne import encode_itne
 from repro.encoding.single import encode_single_network
-from repro.milp.expr import as_expr
-from repro.milp.solution import SolveStatus
 from repro.nn.affine import AffineLayer, affine_chain_forward
 from repro.nn.network import Network, as_affine_chain
 
 __all__ = ["SplitConfig", "certify_local_split", "certify_global_split"]
-
-#: Resource-limit statuses that soundly fall back to a bound (mirrors
-#: :mod:`repro.certify.exact`); anything else non-optimal raises.
-_LIMIT_STATUSES = (SolveStatus.TIME_LIMIT, SolveStatus.ITERATION_LIMIT)
 
 
 @dataclass
@@ -225,35 +220,20 @@ def _local_outcome(
     results,
     input_vars,
 ) -> _LeafOutcome:
-    """Assemble a local leaf's outcome from its 2-per-output solves."""
-    out_dim = layers[-1].out_dim
-    interval = leaf.bounds.output
-    lo = np.empty(out_dim)
-    hi = np.empty(out_dim)
-    limit_hits = 0
+    """Assemble a local leaf's outcome from its (min, max)-per-output solves."""
+    lo, hi, limit_hits = limited_ranges(
+        results[0::2], results[1::2], leaf.bounds.output, "split leaf solve"
+    )
     witness = None
     witness_eps = None
-    for j in range(out_dim):
-        r_lo, r_hi = results[2 * j], results[2 * j + 1]
-        for r in (r_lo, r_hi):
-            if not r.is_optimal and r.status not in _LIMIT_STATUSES:
-                raise RuntimeError(
-                    f"split leaf solve failed on output {j}: "
-                    f"status={r.status.value} ({r.message})"
-                )
-        b_lo = r_lo.sound_bound()
-        b_hi = r_hi.sound_bound()
-        lo[j] = float(interval.lo[j]) if b_lo is None else max(b_lo, float(interval.lo[j]))
-        hi[j] = float(interval.hi[j]) if b_hi is None else min(b_hi, float(interval.hi[j]))
-        limit_hits += (not r_lo.is_optimal) + (not r_hi.is_optimal)
-        # Track the extremal feasible input as a concrete witness.
-        for r in (r_lo, r_hi):
-            if not r.is_optimal:
-                continue
-            x = np.array([r[v] for v in input_vars])
-            eps = np.abs(affine_chain_forward(layers, x) - base)
-            if witness_eps is None or eps.max() > witness_eps.max():
-                witness_eps, witness = eps, x
+    # Track the extremal feasible input as a concrete witness.
+    for r in results:
+        if not r.is_optimal:
+            continue
+        x = np.array([r[v] for v in input_vars])
+        eps = np.abs(affine_chain_forward(layers, x) - base)
+        if witness_eps is None or eps.max() > witness_eps.max():
+            witness_eps, witness = eps, x
     return _LeafOutcome(
         eps=variation_from_reference(lo, hi, base),
         out_lo=lo,
@@ -283,10 +263,7 @@ def _solve_local_leaf(
     enc = encode_single_network(
         layers, leaf.box, pre_act_bounds=leaf.bounds.y
     )
-    objectives = []
-    for handle in enc.output:
-        expr = as_expr(handle)
-        objectives.extend([(expr, "min"), (expr, "max")])
+    objectives = min_max_objectives(enc.output)
     results = enc.model.solve_many(
         objectives, backend=backend,
         time_limit=_per_solve_limit(time_limit, len(objectives)),
@@ -317,10 +294,7 @@ def _solve_global_leaf(
         second = x0 + d0
         enc.model.add_constr(second >= float(domain.lo[k]))
         enc.model.add_constr(second <= float(domain.hi[k]))
-    objectives = []
-    for handle in enc.output_distance:
-        expr = as_expr(handle)
-        objectives.extend([(expr, "min"), (expr, "max")])
+    objectives = min_max_objectives(enc.output_distance)
     results = enc.model.solve_many(
         objectives, backend=backend,
         time_limit=_per_solve_limit(time_limit, len(objectives)),
@@ -337,42 +311,27 @@ def _global_outcome(
     input_vars,
     input_dist_vars,
 ) -> _LeafOutcome:
-    """Assemble a global leaf's outcome from its 2-per-output solves.
+    """Assemble a global leaf's outcome from its (min, max)-per-output solves.
 
     Twin of :func:`_local_outcome` for the ITNE distance encoding.
     """
-    out_dim = layers[-1].out_dim
-    interval = leaf.bounds.output_distance
-    eps = np.empty(out_dim)
-    limit_hits = 0
+    lo, hi, limit_hits = limited_ranges(
+        results[0::2], results[1::2], leaf.bounds.output_distance, "split leaf solve"
+    )
     witness = None
     witness_eps = None
-    for j in range(out_dim):
-        r_lo, r_hi = results[2 * j], results[2 * j + 1]
-        for r in (r_lo, r_hi):
-            if not r.is_optimal and r.status not in _LIMIT_STATUSES:
-                raise RuntimeError(
-                    f"split leaf solve failed on output {j}: "
-                    f"status={r.status.value} ({r.message})"
-                )
-        b_lo = r_lo.sound_bound()
-        b_hi = r_hi.sound_bound()
-        lo = float(interval.lo[j]) if b_lo is None else max(b_lo, float(interval.lo[j]))
-        hi = float(interval.hi[j]) if b_hi is None else min(b_hi, float(interval.hi[j]))
-        limit_hits += (not r_lo.is_optimal) + (not r_hi.is_optimal)
-        eps[j] = max(abs(lo), abs(hi))
-        for r in (r_lo, r_hi):
-            if not r.is_optimal:
-                continue
-            x = np.array([r[v] for v in input_vars])
-            xh = x + np.array([r[v] for v in input_dist_vars])
-            pair_eps = np.abs(
-                affine_chain_forward(layers, xh) - affine_chain_forward(layers, x)
-            )
-            if witness_eps is None or pair_eps.max() > witness_eps.max():
-                witness_eps, witness = pair_eps, np.stack([x, xh])
+    for r in results:
+        if not r.is_optimal:
+            continue
+        x = np.array([r[v] for v in input_vars])
+        xh = x + np.array([r[v] for v in input_dist_vars])
+        pair_eps = np.abs(
+            affine_chain_forward(layers, xh) - affine_chain_forward(layers, x)
+        )
+        if witness_eps is None or pair_eps.max() > witness_eps.max():
+            witness_eps, witness = pair_eps, np.stack([x, xh])
     return _LeafOutcome(
-        eps=eps,
+        eps=np.maximum(np.abs(lo), np.abs(hi)),
         out_lo=None,
         out_hi=None,
         exact=limit_hits == 0,

@@ -184,6 +184,12 @@ class BranchBoundBackend:
 
         seq = itertools.count()
         heap: list[_Node] = [_Node(obj, next(seq), lo0, hi0)]
+        # Nodes whose LP relaxation failed (neither optimal nor
+        # infeasible) prove nothing about their subtree: they stay open
+        # at their parent's bound, and the solve ends with their status.
+        failed: list[tuple[_Node, SolveStatus]] = []
+        failed_bound = math.inf
+        gap_closed = False
         incumbent_obj = math.inf
         incumbent_x: np.ndarray | None = None
         nodes_explored = 0
@@ -196,7 +202,7 @@ class BranchBoundBackend:
                     incumbent_x,
                     nodes_explored,
                     SolveStatus.TIME_LIMIT,
-                    heap,
+                    heap + [n for n, _ in failed],
                     lp_iters,
                 )
             if nodes_explored >= self.max_nodes:
@@ -205,18 +211,20 @@ class BranchBoundBackend:
                     incumbent_x,
                     nodes_explored,
                     SolveStatus.ITERATION_LIMIT,
-                    heap,
+                    heap + [n for n, _ in failed],
                     lp_iters,
                 )
             node = heapq.heappop(heap)
             if mip_gap is not None and incumbent_x is not None:
-                # Best-first order makes the popped node's bound THE
-                # best open bound right now — no heap scan needed.  The
-                # gap is checked on every pop (not only after incumbent
-                # updates), so a slowly-improving bound also terminates.
-                gap = abs(incumbent_obj - node.bound) / max(1.0, abs(incumbent_obj))
+                # Best-first order makes the popped node's bound the best
+                # heap bound — no heap scan needed.  The gap is checked
+                # on every pop (not only after incumbent updates), so a
+                # slowly-improving bound also terminates.
+                best_bound = min(node.bound, failed_bound)
+                gap = abs(incumbent_obj - best_bound) / max(1.0, abs(incumbent_obj))
                 if gap <= mip_gap:
                     heapq.heappush(heap, node)  # keep the bound sound
+                    gap_closed = True
                     break
             if node.bound >= incumbent_obj - 1e-12:
                 continue  # pruned by bound
@@ -225,6 +233,10 @@ class BranchBoundBackend:
             )
             lp_iters += iters
             nodes_explored += 1
+            if status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
+                failed.append((node, status))
+                failed_bound = min(failed_bound, node.bound)
+                continue
             if status is not SolveStatus.OPTIMAL or obj >= incumbent_obj - 1e-12:
                 continue
             frac_col = self._most_fractional(x, int_cols)
@@ -232,9 +244,10 @@ class BranchBoundBackend:
                 incumbent_obj = obj
                 incumbent_x = x
                 if mip_gap is not None and heap:
-                    best_bound = heap[0].bound  # heap is ordered by bound
+                    best_bound = min(heap[0].bound, failed_bound)
                     gap = abs(incumbent_obj - best_bound) / max(1.0, abs(incumbent_obj))
                     if gap <= mip_gap:
+                        gap_closed = True
                         break
                 continue
             val = x[frac_col]
@@ -249,9 +262,16 @@ class BranchBoundBackend:
             if lo_child2[frac_col] <= hi_child2[frac_col]:
                 heapq.heappush(heap, _Node(obj, next(seq), lo_child2, hi_child2))
 
+        # A closed gap covers the failed nodes' bounds too, and a failed
+        # node the incumbent dominates hides nothing better; otherwise
+        # the solve ends with the status of the best-bound failed node.
+        left = [(n, s) for n, s in failed if n.bound < incumbent_obj - 1e-12]
+        status = SolveStatus.INFEASIBLE
+        if left and not gap_closed:
+            status = min(left, key=lambda pair: pair[0].bound)[1]
         return self._finish(
-            incumbent_obj, incumbent_x, nodes_explored, SolveStatus.INFEASIBLE,
-            heap, lp_iters,
+            incumbent_obj, incumbent_x, nodes_explored, status,
+            heap + [n for n, _ in failed], lp_iters,
         )
 
     @staticmethod
@@ -272,19 +292,19 @@ class BranchBoundBackend:
         x: "np.ndarray | None",
         nodes: int,
         fail_status: SolveStatus,
-        heap: "list[_Node]",
+        open_nodes: "list[_Node]",
         lp_iters: int = 0,
     ) -> SolveResult:
         """Wrap up: report the incumbent if any, else the failure status.
 
         The sound dual bound is the minimum over the open nodes' LP
-        bounds (the heap is ordered by bound, so that is the heap head),
-        capped by the incumbent itself: when the search space is
-        exhausted — or every open node is dominated — the incumbent is
-        the optimum.  Interrupted solves (time/node limits, MIP-gap
-        early exit) therefore still report a finite, sound ``bound``.
+        bounds (heap nodes and nodes whose LP failed), capped by the
+        incumbent itself: when the search space is exhausted — or every
+        open node is dominated — the incumbent is the optimum.
+        Interrupted solves (time/node limits, MIP-gap early exit, failed
+        node LPs) therefore still report a finite, sound ``bound``.
         """
-        best_open = heap[0].bound if heap else math.inf
+        best_open = min((n.bound for n in open_nodes), default=math.inf)
         if x is not None:
             status = (
                 SolveStatus.OPTIMAL

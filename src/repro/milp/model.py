@@ -422,6 +422,19 @@ class Model:
         return len(self.constraints) + sum(b.num_rows for b in self._blocks)
 
     @property
+    def num_nonzeros(self) -> int:
+        """Stored entries of the sparse export's ``A_ub`` and ``A_eq`` together.
+
+        Counted without exporting: one per coefficient of a per-row
+        constraint, one per distinct ``(row, column)`` of a block (the
+        export sums duplicate block entries into one).
+        """
+        n = self.num_vars
+        return sum(len(c.expr.coeffs) for c in self.constraints) + sum(
+            int(np.unique(b.row * n + b.col).size) for b in self._blocks
+        )
+
+    @property
     def blocks(self) -> list[ConstraintBlock]:
         """Registered constraint blocks, in insertion order."""
         return self._blocks

@@ -96,9 +96,8 @@ class ScipyBackend:
         return SolverSession(self, model, sparse=True)
 
     @staticmethod
-    def objectives_per_stack(a_ub: object, a_eq: object) -> int:
-        """How many copies of this constraint system one stack holds."""
-        nnz = _as_csr(a_ub).nnz + _as_csr(a_eq).nnz
+    def objectives_per_stack(nnz: int) -> int:
+        """How many copies of a system with ``nnz`` matrix nonzeros one stack holds."""
         return max(1, STACK_NNZ // max(1, nnz))
 
     def solve_lp_stack(

@@ -24,7 +24,7 @@ from repro.milp.expr import LinExpr, Var
 from repro.milp.model import Model
 from repro.milp.solution import SolveResult, finalize_user_sense
 
-__all__ = ["SolverSession", "open_session"]
+__all__ = ["SolverSession", "objectives_per_stack", "open_session"]
 
 
 class SolverSession:
@@ -39,7 +39,7 @@ class SolverSession:
     Args:
         backend: A backend instance exposing ``_solve_std``.
         model: The model to snapshot (not referenced after ``__init__``
-            except for objective-vector assembly).
+            except for objective-vector assembly and stack sizing).
         sparse: Export/cached-matrix representation.
     """
 
@@ -118,13 +118,10 @@ class SolverSession:
         1 unless the session is a pure LP on a backend that stacks LPs
         (``objectives_per_stack``/``solve_lp_stack``, as scipy/HiGHS
         does); then as many copies of the system as the backend's
-        nonzero budget allows.
+        nonzero budget allows (module-level :func:`objectives_per_stack`).
         """
         self._require_open()
-        per_stack = getattr(self._backend, "objectives_per_stack", None)
-        if per_stack is None or self._integrality.any():
-            return 1
-        return int(per_stack(self._a_ub, self._a_eq))
+        return objectives_per_stack(self._model, self._backend)
 
     def solve_objectives(
         self,
@@ -216,6 +213,24 @@ class SolverSession:
             alone.status.value, alone.objective,
             f"stacked LP objective {pick}",
         )
+
+
+def objectives_per_stack(model: Model, backend: "str | object" = "scipy") -> int:
+    """Objectives one stacked solve of ``model`` on ``backend`` holds.
+
+    1 for a model with integer variables and for a backend that does
+    not stack LPs; otherwise the backend's ``objectives_per_stack``
+    policy applied to :attr:`Model.num_nonzeros`, read without an
+    export.  :meth:`SolverSession.objectives_per_stack` and the
+    process fan-out both size their stacks here, so the fan-out's
+    chunks fall on the serial path's stack boundaries.
+    """
+    from repro.milp.backend import get_backend
+
+    per_stack = getattr(get_backend(backend), "objectives_per_stack", None)
+    if per_stack is None or model.num_binary > 0:
+        return 1
+    return int(per_stack(model.num_nonzeros))
 
 
 def open_session(model: Model, backend: "str | object" = "scipy") -> SolverSession:

@@ -28,6 +28,10 @@ from repro.milp.solution import SolveStatus
 
 _BIG = 1e15
 
+#: Phase-1 feasibility tolerance (sum of the artificials), and the
+#: largest row or bound violation an ``optimal`` answer may carry.
+_FEAS_TOL = 1e-7
+
 #: Consecutive degenerate (zero-step) Dantzig pivots tolerated before
 #: switching to Bland's rule; a non-degenerate pivot switches back.
 _DEGENERATE_STREAK = 12
@@ -216,8 +220,27 @@ def solve_lp(
             x[j] = z[col] + lb
         else:
             x[j] = z[col] - z[col + 1]
+    if _violation(x, a_ub, b_ub, a_eq, b_eq, bounds) > _FEAS_TOL:
+        # Pivoting on a tiny coefficient can leave a basic variable
+        # negative while the reduced costs still read optimal.
+        return LpResult(SolveStatus.ERROR, math.nan, np.empty(0), iterations=iterations)
     objective = float(c @ x)
     return LpResult(SolveStatus.OPTIMAL, objective, x, iterations=iterations)
+
+
+def _violation(
+    x: np.ndarray,
+    a_ub: np.ndarray,
+    b_ub: np.ndarray,
+    a_eq: np.ndarray,
+    b_eq: np.ndarray,
+    bounds: list[tuple[float, float]],
+) -> float:
+    """Largest violation of ``x`` over the rows and bounds (0 if feasible)."""
+    lo = np.array([-math.inf if lb is None else lb for lb, _ in bounds], dtype=float)
+    hi = np.array([math.inf if ub is None else ub for _, ub in bounds], dtype=float)
+    parts = [lo - x, x - hi, a_ub @ x - b_ub, np.abs(a_eq @ x - b_eq)]
+    return max(float(np.max(p, initial=0.0)) for p in parts)
 
 
 def _phase1(
@@ -235,7 +258,7 @@ def _phase1(
     status, iters = _iterate(tableau, basis, obj, cols + m, max_iter, tol, pricing)
     if status is not SolveStatus.OPTIMAL:
         return status, basis, tableau, iters
-    if -obj[-1] > 1e-7:
+    if -obj[-1] > _FEAS_TOL:
         return SolveStatus.INFEASIBLE, basis, tableau, iters
     # Pivot artificials out of the basis where possible.
     for row_idx, col in enumerate(basis):

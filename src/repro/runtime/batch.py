@@ -1182,13 +1182,6 @@ def _solve_chunk(payload):
     return model.solve_many(objectives, backend=backend, time_limit=time_limit)
 
 
-def _objectives_per_stack(session, count: int) -> int:
-    """Stack size of ``count`` objectives on ``session`` (``None``: sessionless)."""
-    if session is None or count <= 1:
-        return 1
-    return session.objectives_per_stack()
-
-
 def parallel_solve_many(
     model,
     objectives,
@@ -1201,15 +1194,15 @@ def parallel_solve_many(
     The objective list is split into one contiguous chunk per worker;
     each worker pickles the model once and runs the export-once
     ``Model.solve_many`` on its chunk.  Chunk boundaries fall on the
-    serial path's stack boundaries (see
-    :meth:`~repro.milp.session.SolverSession.objectives_per_stack`), so
+    serial path's stack boundaries (both are sized by
+    :func:`~repro.milp.session.objectives_per_stack`), so
     every block-diagonal LP a worker solves is the one the serial path
-    solves.  The parent exports the model once, into the session it
-    reads the stack size from; with one worker, every objective is
-    solved on that session.  A chunk whose worker failed is re-solved
-    inline with ``Model.solve_many``.  This is the engine behind
-    ``CertifierConfig.workers`` — Algorithm 1's four min/max LPs per
-    neuron of a layer are independent and fan perfectly.
+    solves.  The parent never exports the model: it takes the stack
+    size from the model's nonzero count, and with one worker it runs
+    ``Model.solve_many`` inline.  A chunk whose worker failed is
+    re-solved inline with ``Model.solve_many``.  This is the engine
+    behind ``CertifierConfig.workers`` — Algorithm 1's four min/max LPs
+    per neuron of a layer are independent and fan perfectly.
 
     Args:
         model: The shared :class:`~repro.milp.model.Model`.
@@ -1222,26 +1215,14 @@ def parallel_solve_many(
         One :class:`~repro.milp.solution.SolveResult` per objective, in
         input order — bit-identical to the serial ``solve_many``.
     """
-    from repro.milp.session import open_session
+    from repro.milp.session import objectives_per_stack
 
     objectives = list(objectives)
-    try:
-        session = open_session(model, backend=backend)
-    except TypeError:
-        session = None  # sessionless backend: one objective per stack
-    try:
-        per_stack = _objectives_per_stack(session, len(objectives))
-        stacks = math.ceil(len(objectives) / per_stack)
-        workers = min(max_workers or os.cpu_count() or 1, stacks)
-        if workers <= 1:
-            if session is None:
-                return model.solve_many(
-                    objectives, backend=backend, time_limit=time_limit
-                )
-            return session.solve_objectives(objectives, time_limit=time_limit)
-    finally:
-        if session is not None:
-            session.close()
+    per_stack = objectives_per_stack(model, backend)
+    stacks = math.ceil(len(objectives) / per_stack)
+    workers = min(max_workers or os.cpu_count() or 1, stacks)
+    if workers <= 1:
+        return model.solve_many(objectives, backend=backend, time_limit=time_limit)
     chunk = math.ceil(stacks / workers) * per_stack
     chunks = [objectives[k : k + chunk] for k in range(0, len(objectives), chunk)]
     parts: list[list | None] = [None] * len(chunks)

@@ -11,8 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.bounds import Box
+from repro.bounds import Box, get_propagator
 from repro.certify import certify_exact_global
+from repro.certify.splitting import _Leaf, _solve_global_leaf, _solve_local_leaf
 from repro.milp.solution import SolveResult, SolveStatus
 from repro.nn.affine import AffineLayer, affine_chain_forward
 from repro.runtime import BatchCertifier, global_query
@@ -113,11 +114,104 @@ class TestTimeLimitedExactGlobal:
         with pytest.raises(RuntimeError, match="status=error"):
             certify_exact_global(layers, domain, 0.02, time_limit=0.01)
 
+    def test_failure_names_the_network_output(self, domain, monkeypatch):
+        layers = hard_chain(np.random.default_rng(2), width=4, depth=2)
+        layers[-1] = AffineLayer(np.ones((3, 4)), np.zeros(3), relu=False)
+
+        def broken_solve_many(model, objectives, backend="scipy", time_limit=None):
+            return [SolveResult(status=SolveStatus.ERROR) for _ in objectives]
+
+        monkeypatch.setattr("repro.milp.model.Model.solve_many", broken_solve_many)
+        with pytest.raises(RuntimeError, match="on output 2: status=error"):
+            certify_exact_global(layers, domain, 0.02, outputs=[2])
+
     def test_unlimited_stays_exact(self, domain):
         small = hard_chain(np.random.default_rng(1), width=4, depth=2)
         cert = certify_exact_global(small, domain, 0.05)
         assert cert.exact
         assert cert.detail["limit_hits"] == 0
+
+
+def fake_solve_many(make):
+    """A ``Model.solve_many`` answering objective ``k`` with ``make(k, sense)``."""
+
+    def solve_many(model, objectives, backend="scipy", time_limit=None):
+        return [make(k, sense) for k, (_, sense) in enumerate(objectives)]
+
+    return solve_many
+
+
+class TestSplitLeafLimits:
+    """The split leaves share the exact certifier's limit policy."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return hard_chain(np.random.default_rng(2), width=4, depth=2)
+
+    def local_leaf(self, layers, box):
+        bounds = get_propagator("symbolic").propagate(layers, box)
+        return _Leaf(box, bounds, np.zeros(1), depth=0)
+
+    def global_leaf(self, layers, box, delta):
+        bounds = get_propagator("symbolic").propagate(layers, box, delta)
+        return _Leaf(box, bounds, np.zeros(1), depth=0)
+
+    def test_error_from_local_leaf_raises(self, small, domain, monkeypatch):
+        leaf = self.local_leaf(small, domain)
+        monkeypatch.setattr(
+            "repro.milp.model.Model.solve_many",
+            fake_solve_many(lambda k, s: SolveResult(SolveStatus.ERROR, message="boom")),
+        )
+        with pytest.raises(RuntimeError, match="status=error"):
+            _solve_local_leaf(small, leaf, np.zeros(1), "scipy", None)
+
+    def test_error_from_global_leaf_raises(self, small, domain, monkeypatch):
+        leaf = self.global_leaf(small, domain, 0.02)
+        monkeypatch.setattr(
+            "repro.milp.model.Model.solve_many",
+            fake_solve_many(lambda k, s: SolveResult(SolveStatus.ERROR, message="boom")),
+        )
+        with pytest.raises(RuntimeError, match="status=error"):
+            _solve_global_leaf(small, leaf, 0.02, domain, "scipy", None)
+
+    def test_local_limit_falls_back_to_bound_within_interval(
+        self, small, domain, monkeypatch
+    ):
+        leaf = self.local_leaf(small, domain)
+        interval = leaf.bounds.output
+        width = float(interval.hi[0] - interval.lo[0])
+        tighter_lo = float(interval.lo[0]) + 0.25 * width
+
+        def make(k, sense):
+            # min: a dual bound inside the interval; max: no bound at all.
+            bound = tighter_lo if sense == "min" else math.nan
+            return SolveResult(SolveStatus.TIME_LIMIT, objective=0.0, bound=bound)
+
+        monkeypatch.setattr("repro.milp.model.Model.solve_many", fake_solve_many(make))
+        base = affine_chain_forward(small, domain.center)
+        out = _solve_local_leaf(small, leaf, base, "scipy", 1.0)
+        assert out.out_lo[0] == tighter_lo
+        assert out.out_hi[0] == interval.hi[0]
+        assert out.limit_hits == 2 and not out.exact
+        assert out.witness is None  # a limited incumbent is no witness
+
+    def test_global_limit_falls_back_to_bound_within_interval(
+        self, small, domain, monkeypatch
+    ):
+        leaf = self.global_leaf(small, domain, 0.02)
+        interval = leaf.bounds.output_distance
+        lo, hi = float(interval.lo[0]), float(interval.hi[0])
+        assert lo < 0.0 < hi
+
+        def make(k, sense):
+            # Both dual bounds inside the interval, so both are used.
+            bound = 0.5 * lo if sense == "min" else 0.25 * hi
+            return SolveResult(SolveStatus.TIME_LIMIT, objective=0.0, bound=bound)
+
+        monkeypatch.setattr("repro.milp.model.Model.solve_many", fake_solve_many(make))
+        out = _solve_global_leaf(small, leaf, 0.02, domain, "scipy", 1.0)
+        assert out.eps[0] == max(0.5 * abs(lo), 0.25 * hi)
+        assert out.limit_hits == 2 and not out.exact
 
 
 class TestBatchTimeLimits:

@@ -92,6 +92,71 @@ class TestBranchBoundEdgeCases:
         assert loose.nodes <= exact.nodes  # the early exit actually exits
 
 
+class TestFailedNodeRelaxation:
+    """A node LP that fails (neither optimal nor infeasible) proves
+    nothing about its subtree, so it must not be pruned like an
+    infeasible one: the solve ends non-optimal with a sound bound."""
+
+    @staticmethod
+    def knapsack():
+        # max 3x + 2y  s.t.  2x + 2y <= 5,  x, y in {0..3};  optimum 6.
+        m = Model()
+        x = m.add_var(lb=0, ub=3, vtype="integer")
+        y = m.add_var(lb=0, ub=3, vtype="integer")
+        m.add_constr(2 * x + 2 * y <= 5)
+        m.set_objective(3 * x + 2 * y, sense="max")
+        return m
+
+    @staticmethod
+    def failing(lp_solver, fail_at, failure):
+        """A backend whose ``fail_at``-th LP relaxation returns ``failure``."""
+        backend = BranchBoundBackend(lp_solver)
+        count = iter(range(1, 10**6))
+
+        def relax(*args):
+            if next(count) == fail_at:
+                return failure, math.nan, np.empty(0), 0
+            return BranchBoundBackend._solve_relaxation(backend, *args)
+
+        backend._solve_relaxation = relax
+        return backend
+
+    @pytest.mark.parametrize("lp_solver", ["highs", "simplex"])
+    @pytest.mark.parametrize("failure", [SolveStatus.ERROR, SolveStatus.ITERATION_LIMIT])
+    def test_every_failed_call_keeps_bound_sound(self, lp_solver, failure):
+        m = self.knapsack()
+        clean = BranchBoundBackend(lp_solver)
+        calls = []
+        real = clean._solve_relaxation
+        clean._solve_relaxation = lambda *a: calls.append(1) or real(*a)
+        assert clean.solve(m).objective == pytest.approx(6.0)
+        for fail_at in range(1, len(calls) + 1):
+            r = self.failing(lp_solver, fail_at, failure).solve(m)
+            if r.is_optimal:
+                assert r.objective == pytest.approx(6.0), fail_at
+                continue
+            if fail_at == 1:  # the root: nothing is known at all
+                assert r.sound_bound() is None
+                continue
+            assert r.sound_bound() is not None, fail_at
+            assert r.sound_bound() >= 6.0 - 1e-9, fail_at
+
+    @pytest.mark.parametrize("lp_solver", ["highs", "simplex"])
+    def test_closed_gap_is_optimal_over_failed_nodes(self, lp_solver):
+        """A MIP-gap exit proves the gap over failed nodes' bounds too."""
+        m = self.knapsack()
+        statuses = []
+        for fail_at in range(2, 6):
+            r = self.failing(lp_solver, fail_at, SolveStatus.ERROR).solve(m, mip_gap=0.5)
+            assert r.sound_bound() >= 6.0 - 1e-9, fail_at
+            if r.is_optimal:
+                assert r.bound - r.objective <= 0.5 * abs(r.objective), fail_at
+            statuses.append(r.status)
+        # Failing the 4th or 5th LP leaves a failed node open, below the
+        # incumbent's dominance, when the gap closes.
+        assert statuses == [SolveStatus.ERROR] * 2 + [SolveStatus.OPTIMAL] * 2
+
+
 class TestScipyDualBound:
     def test_bound_matches_objective_when_proven(self):
         m = Model()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import scipy.optimize as sopt
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.milp.simplex import solve_lp
@@ -49,7 +49,18 @@ def test_simplex_matches_highs(instance):
         assert mine.status.value == "infeasible"
 
 
+# Pivoting on the 5.96e-8 coefficient once left a basic variable at -1
+# while the solver still reported "optimal" (bound or row 1 violated by 1).
+_TINY_PIVOT = (
+    np.array([[1.0, -1.0], [0.0, 5.96e-8]]),
+    np.array([-1.0, -1.1754943508222875e-38]),
+    [(0.0, 0.0), (0.0, 1.0)],
+)
+
+
 @given(lp_instances())
+@example((np.array([0.0, 0.0]), *_TINY_PIVOT))
+@example((np.array([1.0, -1.0]), *_TINY_PIVOT))
 @settings(max_examples=40, deadline=None)
 def test_simplex_solution_is_feasible(instance):
     c, a, b, bounds = instance

@@ -404,10 +404,63 @@ class TestParallelSolveMany:
         inline = parallel_solve_many(
             enc.model, objectives, backend="scipy", max_workers=1
         )
-        assert len(exports) == 1  # the stack-size probe's session solves too
+        assert len(exports) == 1  # the inline solve_many's own session
         for a, b in zip(inline, serial):
             assert a.status == b.status
             assert a.objective == b.objective
+
+    def test_fan_out_exports_nothing_in_the_parent(self, layers, monkeypatch, tmp_path):
+        import os
+
+        from repro.encoding.single import encode_single_network
+        from repro.milp.model import Model
+
+        enc = encode_single_network(layers, Box.uniform(3, 0.0, 1.0))
+        objectives = []
+        for handle in enc.output:
+            expr = handle.to_expr() if not hasattr(handle, "coeffs") else handle
+            objectives.extend([(expr, "min"), (expr, "max")])
+        serial = enc.model.solve_many(objectives, backend="scipy")
+        log = tmp_path / "exports.log"
+        real_export = Model.to_standard_form
+
+        def export(model, *args, **kwargs):
+            with open(log, "a") as fh:  # forked workers inherit the spy
+                fh.write(f"{os.getpid()}\n")
+            return real_export(model, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "to_standard_form", export)
+        fanned = parallel_solve_many(
+            enc.model, objectives, backend="scipy", max_workers=2
+        )
+        pids = log.read_text().split()
+        assert str(os.getpid()) not in pids
+        assert len(pids) == 2  # one export per worker chunk
+        for a, b in zip(fanned, serial):
+            assert a.status == b.status
+            assert a.objective == b.objective
+
+    @pytest.mark.parametrize("dnn_id", [3, 4, 5])
+    def test_stack_size_from_model_matches_export(self, dnn_id, tmp_path, monkeypatch):
+        """The unexported nonzero count both stack sizes read is the export's."""
+        from repro.zoo import get_network
+
+        net = get_network(dnn_id, cache_dir=tmp_path).network
+        models = []
+        real_solve = GlobalRobustnessCertifier._solve
+
+        def solve(self, model, objectives):
+            models.append(model)
+            return real_solve(self, model, objectives)
+
+        monkeypatch.setattr(GlobalRobustnessCertifier, "_solve", solve)
+        GlobalRobustnessCertifier(net, CertifierConfig(window=2)).certify(
+            Box.uniform(7, 0.0, 1.0), 0.001
+        )
+        assert {m.name for m in models} == {"itne", "first-copy"}
+        for model in models:
+            _, a_ub, _, a_eq, _, _, _ = model.to_standard_form(sparse=True)
+            assert model.num_nonzeros == a_ub.nnz + a_eq.nnz
 
     def test_single_objective_short_circuits(self, layers):
         from repro.encoding.single import encode_single_network
@@ -421,6 +474,7 @@ class TestParallelSolveMany:
     def test_lp_only_certifier_workers_are_bit_identical(self, monkeypatch):
         """Chunks fall on stack boundaries, so fan-out changes no bit."""
         import repro.runtime.batch as batch_module
+        from repro.milp.session import objectives_per_stack
 
         rng = np.random.default_rng(5)
         dims = [7, 40, 40, 2]
@@ -434,20 +488,14 @@ class TestParallelSolveMany:
         ]
         fanned_layers = []
         fanned_models = []
-        real_per_stack = batch_module._objectives_per_stack
         real_fan_out = batch_module.parallel_solve_many
 
-        def per_stack(model, backend):
-            stack = real_per_stack(model, backend)
-            fanned_layers[-1].append(stack)
-            return stack
-
         def fan_out(model, objectives, **kwargs):
-            fanned_layers.append([len(objectives)])
+            stack = objectives_per_stack(model, kwargs["backend"])
+            fanned_layers.append([len(objectives), stack])
             fanned_models.append(model.name)
             return real_fan_out(model, objectives, **kwargs)
 
-        monkeypatch.setattr(batch_module, "_objectives_per_stack", per_stack)
         monkeypatch.setattr(batch_module, "parallel_solve_many", fan_out)
         box = Box.uniform(7, 0.0, 1.0)
         serial = GlobalRobustnessCertifier(

@@ -10,9 +10,15 @@ import numpy as np
 import pytest
 
 from perfbench.trace import Tracer, installed
-from repro.bounds import Box
-from repro.certify import CertifierConfig, GlobalRobustnessCertifier
-from repro.nn.affine import AffineLayer
+from repro.bounds import Box, get_propagator
+from repro.certify import (
+    CertifierConfig,
+    GlobalRobustnessCertifier,
+    certify_exact_global,
+    certify_local_exact,
+)
+from repro.certify.presolve import perturbation_ball, variation_from_reference
+from repro.nn.affine import AffineLayer, affine_chain_forward
 from repro.runtime import BatchCertifier, local_queries
 
 
@@ -90,3 +96,47 @@ class TestTracedBoundsSpans:
             "bounds.propagate",
         ) in chains
         assert not any("bounds.propagate_many" in chain for chain in chains)
+
+
+class TestTracedSolveSpans:
+    def test_split_leaves_encode_and_solve_inside_the_run(self):
+        # A net/δ/ε setting whose split query reaches 2 MILP leaves at
+        # depth 1 (ε between the exact value and the root bound).
+        rng = np.random.default_rng(11)
+        dims = [3, 5, 5, 2]
+        net = [
+            AffineLayer(
+                1.5 * rng.standard_normal((dims[i + 1], dims[i])) / np.sqrt(dims[i]),
+                0.2 * rng.standard_normal(dims[i + 1]),
+                relu=i < 2,
+            )
+            for i in range(3)
+        ]
+        domain = Box.uniform(3, 0.0, 1.0)
+        center = np.array([0.4, 0.6, 0.5])
+        delta = 0.1
+        exact = certify_local_exact(net, center, delta, domain=domain)
+        ball = perturbation_ball(center, delta, domain)
+        root = get_propagator("symbolic").propagate(net, ball).output
+        root_ub = float(variation_from_reference(
+            root.lo, root.hi, affine_chain_forward(net, center)
+        ).max())
+        results = []
+        chains = traced_chains(
+            lambda: results.extend(BatchCertifier(max_workers=1).run(
+                local_queries(
+                    net, center[None], delta, domain=domain, split=True,
+                    split_depth=1, epsilon=0.5 * (exact.epsilon + root_ub),
+                )
+            ))
+        )
+        assert results[0].certificate.detail["milp_leaves"] == 2
+        for leaf in ("encoding.single", "milp.export", "milp.solve"):
+            assert ("runtime.run", "certify.split", leaf) in chains
+
+    def test_exact_global_solves_are_traced(self, layers):
+        chains = traced_chains(
+            lambda: certify_exact_global(layers, Box.uniform(3, 0.0, 1.0), 0.05)
+        )
+        assert ("milp.export",) in chains
+        assert ("milp.solve",) in chains
