@@ -105,7 +105,7 @@ def check_finite(what: str, **arrays: Any) -> None:
     """Every value in every named array must be finite.
 
     Used on exported standard forms: a NaN/inf coefficient silently
-    poisons simplex pivoting and HiGHS presolve alike.
+    poisons HiGHS presolve and pivoting alike.
     """
     for name, array in arrays.items():
         if array is None:

@@ -163,7 +163,6 @@ class _LeafOutcome:
     limit_hits: int
     witness_eps: np.ndarray | None = None
     witness: np.ndarray | None = None
-    pivots: int = 0
 
 
 def _bisect(box: Box, dim: int) -> tuple[Box, Box]:
@@ -242,7 +241,6 @@ def _local_outcome(
         limit_hits=limit_hits,
         witness_eps=witness_eps,
         witness=witness,
-        pivots=sum(r.iterations for r in results),
     )
 
 
@@ -338,7 +336,6 @@ def _global_outcome(
         limit_hits=limit_hits,
         witness_eps=witness_eps,
         witness=witness,
-        pivots=sum(r.iterations for r in results),
     )
 
 
@@ -470,7 +467,6 @@ class _SplitRun:
         self.milp_limit_hits = 0
         self.proved_by_bounds = 0
         self.root_bounds: LayerBounds | None = None
-        self.simplex_pivots = 0
 
     # -- per-box primitives --------------------------------------------------
 
@@ -631,9 +627,6 @@ class _SplitRun:
                 self.kind, self.layers, self.milp_leaves, extra,
                 self.config, self.deadline,
             )
-            # LP iteration counts of the leaf solves (nonzero for the
-            # pure-python backends).
-            self.simplex_pivots = sum(o.pivots for o in outcomes if o is not None)
             for leaf, outcome in zip(self.milp_leaves, outcomes):
                 if outcome is None:
                     self.undecided.append((leaf.box, leaf.eps_ub))
@@ -704,8 +697,6 @@ class _SplitRun:
             "milp_limit_hits": self.milp_limit_hits,
             "undecided": len(self.undecided),
         }
-        if self.simplex_pivots:
-            info["simplex_pivots"] = self.simplex_pivots
         if self.config.record_boxes:
             terminal = [box for box, _, _ in self.proved]
             terminal += [box for box, _ in self.undecided]

@@ -34,6 +34,7 @@ from repro.certify import (
     certify_exact_global,
     pgd_underapproximation,
 )
+from repro.milp.backend import BACKEND_NAMES
 from repro.nn import load_network
 from repro.nn.lipschitz import linf_gain_upper_bound
 
@@ -128,8 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--window", type=int, default=2, help="ND window W")
     p_cert.add_argument("--refine", type=int, default=0,
                         help="neurons refined per sub-network")
-    p_cert.add_argument("--backend", default="scipy",
-                        help="scipy | python | python:simplex")
+    p_cert.add_argument("--backend", choices=BACKEND_NAMES, default="scipy",
+                        help="MILP/LP solver (both names are HiGHS)")
     p_cert.add_argument("--bounds", choices=_BOUNDS_CHOICES, default=None,
                         help="bound propagator seeding big-M ranges / the "
                         "initial range table (default: ibp; the --split "
@@ -173,8 +174,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="ND window (method=nd)")
     p_batch.add_argument("--workers", type=int, default=None,
                          help="worker processes (default: all cores)")
-    p_batch.add_argument("--backend", default="scipy",
-                         help="scipy | python | python:simplex")
+    p_batch.add_argument("--backend", choices=BACKEND_NAMES, default="scipy",
+                         help="MILP/LP solver (both names are HiGHS)")
     p_batch.add_argument("--bounds", choices=_BOUNDS_CHOICES, default=None,
                          help="bound propagator for the solver tier "
                          "(default: ibp for the MILP tier, symbolic for "

@@ -2,23 +2,18 @@
 
 This package is the repository's substitute for Gurobi.  It provides a
 small but complete modeling API (:class:`Var`, :class:`LinExpr`,
-:class:`Constraint`, :class:`Model`) together with two interchangeable
-solving backends:
+:class:`Constraint`, :class:`Model`) and one solver backend,
+:mod:`repro.milp.scipy_backend`, which compiles a model to
+``scipy.optimize.milp`` / ``scipy.optimize.linprog`` (HiGHS).
 
-* :mod:`repro.milp.scipy_backend` — compiles a model to
-  ``scipy.optimize.milp`` / ``scipy.optimize.linprog`` (HiGHS), the
-  default and fastest backend.
-* :mod:`repro.milp.branch_bound` — a pure-Python branch-and-bound MILP
-  solver built on LP relaxations, usable with either HiGHS LPs or the
-  dense simplex implementation in :mod:`repro.milp.simplex`.
-
-Both backends share one result contract
+Results follow one contract
 (:func:`repro.milp.solution.finalize_user_sense`): objectives are
-reported in the user's sense — including incumbents of time/node-limited
+reported in the user's sense — including incumbents of time-limited
 solves — and ``SolveResult.bound`` always carries a sound dual bound.
 Constraint matrices export sparse (``Model.to_standard_form(sparse=True)``,
-CSR from COO triplets) on the HiGHS paths, dense for the simplex; multi-
-objective batches reuse one export via ``Model.solve_many`` everywhere.
+CSR from COO triplets); multi-objective batches reuse one export via
+``Model.solve_many``.  The test-suite checks HiGHS against an exact
+rational LP/MILP oracle.
 
 Typical usage::
 
@@ -39,12 +34,7 @@ from __future__ import annotations
 from repro.milp.expr import LinExpr, Var, VType, as_expr
 from repro.milp.model import Constraint, ConstraintBlock, Model, Sense
 from repro.milp.solution import SolveResult, SolveStatus
-from repro.milp.backend import (
-    BackendSpec,
-    available_backends,
-    get_backend,
-    register_backend,
-)
+from repro.milp.backend import get_backend
 from repro.milp.session import SolverSession, open_session
 
 __all__ = [
@@ -59,9 +49,6 @@ __all__ = [
     "SolveResult",
     "SolveStatus",
     "get_backend",
-    "available_backends",
-    "register_backend",
-    "BackendSpec",
     "SolverSession",
     "open_session",
 ]

@@ -151,8 +151,8 @@ class Model:
     per-row :class:`Constraint` objects built with ``<=``/``>=``/``==``
     on expressions, and :class:`ConstraintBlock` batches appended
     array-natively via :meth:`add_linear_rows` (the encoders' fast
-    path).  Solving delegates to a pluggable backend (HiGHS via scipy by
-    default, or the pure-Python branch-and-bound solver).
+    path).  Solving delegates to the HiGHS backend
+    (:class:`~repro.milp.scipy_backend.ScipyBackend`).
     """
 
     def __init__(self, name: str = "model") -> None:
@@ -507,9 +507,9 @@ class Model:
                 Blocks appended via :meth:`add_linear_rows` flow in by
                 triplet concatenation without any per-row Python walk.
                 Encoded networks have a few non-zeros per row, so this
-                is the fast path for anything beyond toy models; the
-                scipy backend uses it by default.  The dense export
-                remains for the self-contained simplex solver.
+                is the only form the solver backend reads.  The dense
+                export is the reference the sparse export is tested
+                against.
         """
         n = self.num_vars
         c = np.zeros(n)
@@ -647,11 +647,11 @@ class Model:
         time_limit: float | None = None,
         mip_gap: float | None = None,
     ) -> SolveResult:
-        """Solve the model with the requested backend.
+        """Solve the model with HiGHS.
 
         Args:
-            backend: ``"scipy"`` (HiGHS) or ``"python"`` (own
-                branch-and-bound over HiGHS/simplex LP relaxations).
+            backend: ``"scipy"``/``"highs"`` or a backend instance (see
+                :func:`~repro.milp.backend.get_backend`).
             time_limit: Optional wall-clock limit in seconds.
             mip_gap: Optional relative MIP gap termination tolerance.
 
@@ -672,17 +672,15 @@ class Model:
 
         This is the one multi-objective path, the hot path of Algorithm
         1 (min/max objectives per neuron over one sub-network encoding).
-        Backends with an ``open_session(model)`` method (both built-ins)
-        export the constraint matrices once into a
+        It exports the constraint matrices once into the backend's
         :class:`~repro.milp.session.SolverSession`, which swaps only the
-        cost vector and, on scipy/HiGHS, stacks pure-LP objectives into
-        block-diagonal solves.  Third-party backends without sessions
-        fall back to repeated solves with the model's objective
-        restored afterwards.
+        cost vector and stacks pure-LP objectives into block-diagonal
+        solves.  The model itself, objective included, is left
+        unchanged.
 
         Args:
             objectives: Pairs ``(expression, "min"|"max")``.
-            backend: Backend name or instance.
+            backend: ``"scipy"``/``"highs"`` or a backend instance.
             time_limit: Per-solve time limit.
 
         Returns:
@@ -690,20 +688,8 @@ class Model:
         """
         from repro.milp.backend import get_backend
 
-        solver = get_backend(backend)
-        opener = getattr(solver, "open_session", None)
-        if opener is not None:
-            with opener(self) as session:
-                return session.solve_objectives(objectives, time_limit=time_limit)
-        results = []
-        saved = (self.objective, self.objective_sense)
-        try:
-            for expr, sense in objectives:
-                self.set_objective(expr, sense=sense)
-                results.append(solver.solve(self, time_limit=time_limit))
-        finally:
-            self.objective, self.objective_sense = saved
-        return results
+        with get_backend(backend).open_session(self) as session:
+            return session.solve_objectives(objectives, time_limit=time_limit)
 
     def relaxed(self) -> "Model":
         """Return a copy with all integrality requirements dropped."""

@@ -93,7 +93,7 @@ class ScipyBackend:
         """
         from repro.milp.session import SolverSession
 
-        return SolverSession(self, model, sparse=True)
+        return SolverSession(self, model)
 
     @staticmethod
     def objectives_per_stack(nnz: int) -> int:

@@ -2,10 +2,8 @@
 
 A :class:`SolverSession` snapshots a :class:`~repro.milp.model.Model`'s
 standard form once and then answers a *sequence* of solves under
-swapped objectives without ever re-exporting.  Every backend exposing
-``_solve_std`` (scipy/HiGHS, python B&B) shares this one class; on a
-backend that stacks LPs (scipy/HiGHS), pure-LP objectives are solved
-several at a time as one block-diagonal LP.  It carries every
+swapped objectives without ever re-exporting; pure-LP objectives are
+solved several at a time as one block-diagonal LP.  It carries every
 multi-objective solve (:meth:`Model.solve_many`: Algorithm 1's LP
 stacks, the exact and global certifiers, split leaves).
 
@@ -15,7 +13,7 @@ was opened are not seen.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -24,26 +22,28 @@ from repro.milp.expr import LinExpr, Var
 from repro.milp.model import Model
 from repro.milp.solution import SolveResult, finalize_user_sense
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.milp.scipy_backend import ScipyBackend
+
 __all__ = ["SolverSession", "objectives_per_stack", "open_session"]
 
 
 class SolverSession:
     """Objective swaps + re-solves over one cached standard form.
 
-    Create via :func:`open_session` or a backend's ``open_session``
-    method.  The session captures the model's export once; afterwards
+    Create via :func:`open_session` or ``ScipyBackend.open_session``.
+    The session captures the model's sparse export once; afterwards
     :meth:`set_objective` swaps the cost vector and :meth:`solve`
     re-solves without re-export, and :meth:`solve_objectives` runs a
     whole objective list, stacked where the backend allows.
 
     Args:
-        backend: A backend instance exposing ``_solve_std``.
+        backend: The backend instance solving the snapshot.
         model: The model to snapshot (not referenced after ``__init__``
             except for objective-vector assembly and stack sizing).
-        sparse: Export/cached-matrix representation.
     """
 
-    def __init__(self, backend: object, model: Model, sparse: bool = True) -> None:
+    def __init__(self, backend: "ScipyBackend", model: Model) -> None:
         (
             self._c,
             self._a_ub,
@@ -52,7 +52,7 @@ class SolverSession:
             self._b_eq,
             bounds,
             self._integrality,
-        ) = model.to_standard_form(sparse=sparse)
+        ) = model.to_standard_form(sparse=True)
         self._backend = backend
         self._model = model
         self._lo = np.array([b[0] for b in bounds], dtype=float)
@@ -115,10 +115,9 @@ class SolverSession:
     def objectives_per_stack(self) -> int:
         """Objectives :meth:`solve_objectives` hands the backend per call.
 
-        1 unless the session is a pure LP on a backend that stacks LPs
-        (``objectives_per_stack``/``solve_lp_stack``, as scipy/HiGHS
-        does); then as many copies of the system as the backend's
-        nonzero budget allows (module-level :func:`objectives_per_stack`).
+        1 unless the session is a pure LP; then as many copies of the
+        system as the backend's nonzero budget allows (module-level
+        :func:`objectives_per_stack`).
         """
         self._require_open()
         return objectives_per_stack(self._model, self._backend)
@@ -218,40 +217,28 @@ class SolverSession:
 def objectives_per_stack(model: Model, backend: "str | object" = "scipy") -> int:
     """Objectives one stacked solve of ``model`` on ``backend`` holds.
 
-    1 for a model with integer variables and for a backend that does
-    not stack LPs; otherwise the backend's ``objectives_per_stack``
-    policy applied to :attr:`Model.num_nonzeros`, read without an
-    export.  :meth:`SolverSession.objectives_per_stack` and the
-    process fan-out both size their stacks here, so the fan-out's
-    chunks fall on the serial path's stack boundaries.
+    1 for a model with integer variables; otherwise the backend's
+    ``objectives_per_stack`` policy applied to
+    :attr:`Model.num_nonzeros`, read without an export.
+    :meth:`SolverSession.objectives_per_stack` and the process fan-out
+    both size their stacks here, so the fan-out's chunks fall on the
+    serial path's stack boundaries.
     """
     from repro.milp.backend import get_backend
 
-    per_stack = getattr(get_backend(backend), "objectives_per_stack", None)
-    if per_stack is None or model.num_binary > 0:
+    if model.num_binary > 0:
         return 1
-    return int(per_stack(model.num_nonzeros))
+    return int(get_backend(backend).objectives_per_stack(model.num_nonzeros))
 
 
 def open_session(model: Model, backend: "str | object" = "scipy") -> SolverSession:
-    """Open a :class:`SolverSession` on ``model`` with a named backend.
+    """Open a :class:`SolverSession` on ``model`` with a backend.
 
     Args:
         model: The model to snapshot.
-        backend: Registry name (``"scipy"``, ``"python:simplex"``, ...)
-            or a backend instance.
-
-    Raises:
-        TypeError: The backend has no session support (no
-            ``open_session`` method).
+        backend: ``"scipy"``/``"highs"`` or a backend instance (see
+            :func:`~repro.milp.backend.get_backend`).
     """
     from repro.milp.backend import get_backend
 
-    solver = get_backend(backend)
-    opener = getattr(solver, "open_session", None)
-    if opener is None:
-        raise TypeError(
-            f"backend {getattr(solver, 'name', solver)!r} does not support "
-            "solver sessions (no open_session method)"
-        )
-    return opener(model)
+    return get_backend(backend).open_session(model)

@@ -33,8 +33,6 @@ class SolveResult:
         backend: Name of the backend that produced the result.
         solve_time: Wall-clock seconds spent inside the backend.
         nodes: Branch-and-bound nodes explored (0 for pure LPs).
-        iterations: Simplex pivots spent on this solve, summed over all
-            LP relaxations (0 for backends that do not report it).
         message: Backend-specific diagnostic text.
     """
 
@@ -44,7 +42,6 @@ class SolveResult:
     backend: str = ""
     solve_time: float = 0.0
     nodes: int = 0
-    iterations: int = 0
     message: str = ""
     # Sound objective bound: for MILPs solved to a gap, the incumbent
     # `objective` may under-shoot the true optimum; `bound` is always on

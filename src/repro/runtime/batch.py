@@ -148,6 +148,9 @@ class CertificationQuery:
             raise ValueError(
                 f"unknown query kind {self.kind!r}; expected one of {QUERY_KINDS}"
             )
+        from repro.milp.backend import get_backend
+
+        get_backend(self.backend)  # an unknown name fails here, not per worker
         if self.time_limit is not None and not self.time_limit > 0:
             # `not > 0` (rather than `<= 0`) also rejects NaN, which
             # would otherwise reach the solver and silently disable the

@@ -14,8 +14,8 @@ Two deliberately small primitives:
   analogue of ``math.isclose`` with repo-wide defaults.
 
 The defaults (``ATOL``/``RTOL``) match the ``1e-9`` jitter budget already
-used by :class:`repro.bounds.interval.Box` validation and the simplex
-pivot tolerance scale, so callers normally pass no tolerance at all.
+used by :class:`repro.bounds.interval.Box` validation, so callers
+normally pass no tolerance at all.
 """
 
 from __future__ import annotations

@@ -1,22 +1,13 @@
-"""Backend-registry semantics: names, variants, instances."""
+"""Backend name resolution: the two HiGHS names, instances, rejections."""
 
 import pytest
 
-from repro.milp import backend as backend_registry
-from repro.milp.backend import BackendSpec, available_backends, get_backend
-from repro.milp.branch_bound import BranchBoundBackend
+from repro.milp.backend import get_backend
 
-# Registry-mediated class access (RPR003): the registry is the single
-# source of truth for which concrete class serves "scipy".
 ScipyBackend = type(get_backend("scipy"))
 
 
 class TestNames:
-    def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert {"scipy", "highs", "python"} <= set(names)
-        assert names == sorted(names)
-
     def test_highs_is_a_real_entry(self):
         backend = get_backend("highs")
         assert isinstance(backend, ScipyBackend)
@@ -25,37 +16,16 @@ class TestNames:
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("gurobi")
 
+    @pytest.mark.parametrize("name", ["python", "python:simplex", "python:highs"])
+    def test_removed_backends_are_unknown(self, name):
+        with pytest.raises(ValueError, match=r"available: \['scipy', 'highs'\]"):
+            get_backend(name)
+
     def test_unsupported_variant_raises(self):
-        # The old registry silently ignored ":variant" on backends
-        # without variants — "scipy:simplex" quietly solved with HiGHS.
-        with pytest.raises(ValueError, match="does not support variant"):
+        # A ":variant" suffix is never silently ignored.
+        with pytest.raises(ValueError, match="unknown backend"):
             get_backend("scipy:simplex")
 
-    def test_unsupported_variant_message_lists_supported(self):
-        with pytest.raises(ValueError, match=r"\(supported: highs, simplex\)"):
-            get_backend("python:dual")
-
     def test_instance_passes_through(self):
-        backend = BranchBoundBackend(lp_solver="simplex")
+        backend = object()  # tests substitute fakes this way
         assert get_backend(backend) is backend
-
-    def test_python_variants_resolve(self):
-        assert get_backend("python").lp_solver == "highs"
-        assert get_backend("python:highs").lp_solver == "highs"
-        assert get_backend("python:simplex").lp_solver == "simplex"
-
-    def test_third_party_backend_resolves_with_variants(self, monkeypatch):
-        sentinel = object()
-        monkeypatch.setitem(
-            backend_registry._REGISTRY,
-            "custom",
-            BackendSpec(
-                name="custom", factory=lambda variant: sentinel,
-                variants=("fast",),
-            ),
-        )
-        assert "custom" in available_backends()
-        assert get_backend("custom") is sentinel
-        assert get_backend("custom:fast") is sentinel
-        with pytest.raises(ValueError, match="does not support variant"):
-            get_backend("custom:slow")

@@ -27,14 +27,6 @@ class TestSolveMany:
         r = m.solve()
         assert r.objective == pytest.approx(2.0)
 
-    def test_python_backend_fallback(self):
-        m = Model()
-        x = m.add_var(lb=0, ub=3, vtype="integer")
-        m.add_constr(2 * x <= 5)
-        results = m.solve_many([(x, "max"), (x, "min")], backend="python")
-        assert results[0].objective == pytest.approx(2.0)
-        assert results[1].objective == pytest.approx(0.0)
-
     def test_constant_in_objective(self):
         m = Model()
         x = m.add_var(lb=0, ub=1)

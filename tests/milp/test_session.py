@@ -1,28 +1,25 @@
 """SolverSession property tests: session solves == from-scratch solves.
 
 The session contract is behavioral: after any sequence of objective
-swaps, :meth:`SolverSession.solve` must report the same status and
-optimum as exporting a *fresh* :class:`Model` with that objective, and
-a stacked :meth:`SolverSession.solve_objectives` must report what
-solving the objectives one at a time reports.  These tests assert both
-on random LP/MILP instances for every session-capable backend.
+swaps, :meth:`SolverSession.solve` must report the status and optimum
+of a *fresh* :class:`Model` with that objective (its exact optimum,
+from the rational oracle), and a stacked
+:meth:`SolverSession.solve_objectives` must report what solving the
+objectives one at a time reports.  These tests assert both on random
+LP/MILP instances.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
+from exact_oracle import assert_agrees, solve_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._sanitize import sanitizing
 from repro.milp import Model, SolveStatus, as_expr, open_session
 from repro.milp.solution import SolveResult
-
-#: Backends every parity test runs under: the sparse scipy session and
-#: the dense pure-python B&B session.
-SESSION_BACKENDS = ["scipy", "python:simplex"]
-
 
 class RandomInstance:
     """A feasible-by-construction random LP/MILP.
@@ -104,34 +101,21 @@ def linexpr(xs, c, constant=0.0):
     return expr
 
 
-def assert_same_answer(result, reference):
-    __tracebackhide__ = True
-    assert result.status == reference.status, (
-        f"session status {result.status} != fresh {reference.status}"
-    )
-    if reference.status is SolveStatus.OPTIMAL:
-        assert result.objective == pytest.approx(
-            reference.objective, rel=1e-6, abs=1e-7
-        )
-
-
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=10, deadline=None)
 def test_objective_swaps_match_fresh(seed):
     inst = RandomInstance(seed)
     model, xs = inst.build()
     model.set_objective(linexpr(xs, inst.c, inst.constant), inst.sense)
-    sessions = [open_session(model, backend=b) for b in SESSION_BACKENDS]
-    for _ in range(3):
-        c = inst.rng.standard_normal(inst.n)
-        constant = float(inst.rng.standard_normal())
-        sense = "min" if inst.rng.integers(0, 2) == 0 else "max"
-        fresh_model, fxs = inst.build()
-        fresh_model.set_objective(linexpr(fxs, c, constant), sense)
-        reference = fresh_model.solve()
-        for session in sessions:
+    with open_session(model) as session:
+        for _ in range(3):
+            c = inst.rng.standard_normal(inst.n)
+            constant = float(inst.rng.standard_normal())
+            sense = "min" if inst.rng.integers(0, 2) == 0 else "max"
+            fresh_model, fxs = inst.build()
+            fresh_model.set_objective(linexpr(fxs, c, constant), sense)
             session.set_objective(linexpr(xs, c, constant), sense)
-            assert_same_answer(session.solve(), reference)
+            assert_agrees(session.solve(), solve_model(fresh_model))
 
 
 @given(seed=st.integers(0, 10**6))
@@ -142,17 +126,16 @@ def test_milp_objective_swaps_match_fresh(seed):
     lo, hi = inst.tighten()
     block = inst.random_rows(k=1)
     model, xs = inst.build(lo=lo, hi=hi, extra_rows=[block])
-    sessions = [open_session(model, backend=b) for b in SESSION_BACKENDS]
     c = inst.rng.standard_normal(inst.n)
 
     fresh_model, fxs = inst.build(lo=lo, hi=hi, extra_rows=[block])
     fresh_model.set_objective(linexpr(fxs, c, inst.constant), "max")
-    reference = fresh_model.solve()
-    for session in sessions:
+    reference = solve_model(fresh_model)
+    with open_session(model) as session:
         session.set_objective(linexpr(xs, c, inst.constant), "max")
-        assert_same_answer(session.solve(), reference)
+        assert_agrees(session.solve(), reference)
         # Re-solving an unchanged session is idempotent.
-        assert_same_answer(session.solve(), reference)
+        assert_agrees(session.solve(), reference)
 
 
 # -- stacked multi-objective solves (scipy/HiGHS) -------------------------

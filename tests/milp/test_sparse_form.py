@@ -1,12 +1,11 @@
-"""Sparse standard-form export and its acceptance by every solve path."""
+"""Sparse standard-form export, checked against the dense reference."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from exact_oracle import OPTIMAL, assert_agrees, solve_exact, solve_model
 
 from repro.milp import Model
-from repro.milp.branch_bound import BranchBoundBackend
-from repro.milp.simplex import solve_lp
 
 
 def mixed_model():
@@ -64,25 +63,8 @@ class TestSparseSolvePaths:
         m = mixed_model()
         r = m.solve(backend="scipy")  # sparse export is the default path
         assert r.is_optimal
-        # Independent check against the python backend on dense export.
-        ref = BranchBoundBackend(lp_solver="simplex").solve(m)
-        assert r.objective == pytest.approx(ref.objective, abs=1e-8)
-
-    def test_branch_bound_highs_with_sparse(self):
-        m = mixed_model()
-        r = BranchBoundBackend(lp_solver="highs").solve(m)
-        ref = m.solve(backend="scipy")
-        assert r.is_optimal
-        assert r.objective == pytest.approx(ref.objective, abs=1e-8)
-
-    def test_simplex_accepts_sparse_matrices(self):
-        m = mixed_model().relaxed()
-        c, a_ub, b_ub, a_eq, b_eq, bounds, _ = m.to_standard_form(sparse=True)
-        lp_sparse = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
-        c, a_ub, b_ub, a_eq, b_eq, bounds, _ = m.to_standard_form()
-        lp_dense = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
-        assert lp_sparse.status == lp_dense.status
-        assert lp_sparse.objective == pytest.approx(lp_dense.objective, abs=1e-9)
+        # Independent check: the exact optimum of the dense export.
+        assert_agrees(r, solve_model(m), tol=1e-8)
 
     def test_solve_objectives_sparse_matches_dense_per_solve(self):
         m = mixed_model()
@@ -91,51 +73,63 @@ class TestSparseSolvePaths:
         fast = m.solve_many(objectives, backend="scipy")
         for (expr, sense), got in zip(objectives, fast):
             m.set_objective(expr, sense=sense)
-            ref = m.solve(backend="python:simplex")  # dense, independent
-            assert got.objective == pytest.approx(ref.objective, abs=1e-7)
+            assert_agrees(got, solve_model(m), tol=1e-7)  # dense, exact
+
+
+def equality_lp(c, a_eq, b_eq, bounds):
+    """HiGHS and exact results of ``min c·x`` s.t. ``a_eq x = b_eq``, bounds."""
+    m = Model()
+    xs = m.add_vars_array(len(c), lb=[lo for lo, _ in bounds], ub=[hi for _, hi in bounds])
+    m.add_linear_rows(a_eq, "==", b_eq)
+    m.set_objective(sum(float(cj) * x for cj, x in zip(c, xs)))
+    exact = solve_exact(c, np.zeros((0, len(c))), [], a_eq, b_eq, bounds)
+    assert exact.status == OPTIMAL
+    assert [sum(a * v for a, v in zip(row, exact.x)) for row in a_eq] == list(b_eq)
+    return m.solve(), exact
 
 
 class TestSimplexPhase1Pruning:
     """Redundant equality rows leave artificials basic at zero; the
-    phase-1 pruning path must pivot them out (or carry the zero rows)
-    without corrupting the phase-2 optimum."""
+    oracle's phase 1 must pivot them out (or drop the zero rows)
+    without corrupting the phase-2 optimum, and HiGHS must agree."""
 
     def test_duplicated_equality_row(self):
         # x + y == 2 stated twice; min x with x,y in [0, 2] -> x = 0.
         c = np.array([1.0, 0.0])
         a_eq = np.array([[1.0, 1.0], [1.0, 1.0]])
         b_eq = np.array([2.0, 2.0])
-        res = solve_lp(c, np.zeros((0, 2)), np.zeros(0), a_eq, b_eq, [(0, 2), (0, 2)])
-        assert res.status.value == "optimal"
-        assert res.objective == pytest.approx(0.0, abs=1e-9)
-        np.testing.assert_allclose(a_eq @ res.x, b_eq, atol=1e-9)
+        highs, exact = equality_lp(c, a_eq, b_eq, [(0, 2), (0, 2)])
+        assert exact.objective == 0
+        assert_agrees(highs, exact, tol=1e-9)
 
     def test_linearly_dependent_equality_rows(self):
         # Second row is 2x the first: same feasible set, rank 1.
         c = np.array([1.0, 2.0, 0.0])
         a_eq = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
         b_eq = np.array([3.0, 6.0])
-        res = solve_lp(
-            c, np.zeros((0, 3)), np.zeros(0), a_eq, b_eq,
-            [(0, 3), (0, 3), (0, 3)],
-        )
-        assert res.status.value == "optimal"
+        highs, exact = equality_lp(c, a_eq, b_eq, [(0, 3), (0, 3), (0, 3)])
         # Optimal: push mass onto the free (zero-cost) third variable.
-        assert res.objective == pytest.approx(0.0, abs=1e-9)
-        np.testing.assert_allclose(a_eq @ res.x, b_eq, atol=1e-9)
+        assert exact.objective == 0
+        assert_agrees(highs, exact, tol=1e-9)
+
+    def test_zero_artificial_pivoted_out(self):
+        # y + z == 2 and x + y + z == 2 force x = 0: phase 1 ends with an
+        # artificial basic at zero in a row with structural entries left.
+        a_eq = np.array([[0.0, -1.0, -1.0], [-2.0, -2.0, -2.0]])
+        c = np.array([-1.0, 1.0, 0.0])
+        highs, exact = equality_lp(c, a_eq, np.array([-2.0, -4.0]), [(0, 2)] * 3)
+        assert exact.objective == 0
+        assert_agrees(highs, exact, tol=1e-9)
 
     def test_redundant_rows_against_highs(self):
         rng = np.random.default_rng(3)
-        a = rng.standard_normal((2, 3))
+        # On a 1/8 grid every sum and product below is exact, so the
+        # third row is redundant in the float data itself (rounded
+        # floats made it inconsistent by ~1e-16: exactly infeasible).
+        a = np.round(8 * rng.standard_normal((2, 3))) / 8
         a_eq = np.vstack([a, a[0] + a[1]])  # third row = sum of first two
-        x_feas = rng.random(3)
+        x_feas = np.round(8 * rng.random(3)) / 8
         b_eq = a_eq @ x_feas
         c = rng.standard_normal(3)
-        bounds = [(-2.0, 2.0)] * 3
-        import scipy.optimize as sopt
-
-        ref = sopt.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-        mine = solve_lp(c, np.zeros((0, 3)), np.zeros(0), a_eq, b_eq, bounds)
-        assert ref.status == 0
-        assert mine.status.value == "optimal"
-        assert mine.objective == pytest.approx(ref.fun, abs=1e-7)
+        highs, exact = equality_lp(c, a_eq, b_eq, [(-2.0, 2.0)] * 3)
+        assert_agrees(highs, exact, tol=1e-7)

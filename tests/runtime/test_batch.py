@@ -80,6 +80,10 @@ class TestQueryValidation:
             kind="local-exact", layers=layers, delta=0.0, center=centers[0],
         )
 
+    def test_unknown_backend_rejected_at_construction(self, layers, centers):
+        with pytest.raises(ValueError, match="unknown backend 'python'"):
+            local_queries(layers, centers, 0.1, backend="python")
+
     def test_split_needs_epsilon(self, layers, centers):
         with pytest.raises(ValueError, match="epsilon"):
             CertificationQuery(

@@ -180,6 +180,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "must be > 0" in err
 
+    @pytest.mark.parametrize("command", ["certify", "batch"])
+    def test_unknown_backend_is_a_usage_error(self, model_path, capsys, command):
+        # Rejected by argparse before any network is encoded or query run.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, model_path, "--delta", "0.01", "--backend", "gurobi"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'gurobi'" in capsys.readouterr().err
+
     def test_time_limit_negative_rejected(self, model_path, capsys):
         with pytest.raises(SystemExit):
             main(["certify", model_path, "--delta", "0.01",
