@@ -18,9 +18,10 @@ test-sanitize:
 		$(PYTHON) -m pytest -x -q tests/bounds tests/milp tests/certify tests/analysis
 
 # CI chaos job: runtime + certify suites with every worker process
-# raising one injected fault, then the fault suite itself env-free.
+# raising one injected fault on its first query and on its first split
+# leaf, then the fault suite itself env-free.
 test-chaos:
-	REPRO_FAULTS="batch.worker:raise@1" PYTHONPATH=src \
+	REPRO_FAULTS="batch.worker:raise@1;split.leaf:raise@1" PYTHONPATH=src \
 		$(PYTHON) -m pytest -x -q tests/runtime tests/certify
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/runtime/test_faults.py
 

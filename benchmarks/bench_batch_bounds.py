@@ -52,22 +52,26 @@ def verdict(cert) -> str:
     return "none" if cert is None else cert.detail["verdict"]
 
 
-def _timed_min(fn, repeats=3):
-    """Best-of-``repeats`` wall clock for a deterministic callable.
+def _timed_min(*fns, repeats=3):
+    """Best-of-``repeats`` wall clock for each deterministic callable.
 
     Every compared path here is seeded and deterministic, so repeats
     return identical results; taking the minimum time strips scheduler
     noise that would otherwise flake the 20 % regression gate on the
-    sub-100 ms measurements.
+    sub-100 ms measurements.  The callables are timed turn about,
+    repeat by repeat, so a slow phase of the host slows every side of a
+    compared pair instead of only the side timed during it.
+
+    Returns one ``(best seconds, last result)`` pair per callable.
     """
-    best = None
-    result = None
+    best = [float("inf")] * len(fns)
+    results = [None] * len(fns)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None or elapsed < best else best
-    return best, result
+        for k, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            results[k] = fn()
+            best[k] = min(best[k], time.perf_counter() - t0)
+    return list(zip(best, results))
 
 
 def _verdict_counts(verdicts: list[str]) -> dict:
@@ -97,16 +101,16 @@ def local_sweep(layers, domain, delta, n_centers, n_eps, seed=0) -> dict:
     deltas = np.full(len(stacked), delta)
     epsilons = np.tile(eps_grid, n_centers)
 
-    t_loop, loop = _timed_min(lambda: [
-        presolve_local(
-            layers, stacked[q], float(deltas[q]), float(epsilons[q]),
-            domain=domain,
-        )
-        for q in range(len(stacked))
-    ])
-    t_batched, batched = _timed_min(
+    (t_loop, loop), (t_batched, batched) = _timed_min(
+        lambda: [
+            presolve_local(
+                layers, stacked[q], float(deltas[q]), float(epsilons[q]),
+                domain=domain,
+            )
+            for q in range(len(stacked))
+        ],
         lambda: presolve_local_many(layers, stacked, deltas, epsilons,
-                                    domain=domain)
+                                    domain=domain),
     )
 
     verdicts_loop = [verdict(c) for c in loop]
@@ -133,12 +137,12 @@ def global_sweep(layers, domain, delta_range, n_deltas, n_eps, seed=0) -> dict:
     deltas = np.repeat(delta_grid, n_eps)
     epsilons = np.tile(eps_grid, n_deltas)
 
-    t_loop, loop = _timed_min(lambda: [
-        presolve_global(layers, domain, float(d), float(e))
-        for d, e in zip(deltas, epsilons)
-    ])
-    t_batched, batched = _timed_min(
-        lambda: presolve_global_many(layers, domain, deltas, epsilons)
+    (t_loop, loop), (t_batched, batched) = _timed_min(
+        lambda: [
+            presolve_global(layers, domain, float(d), float(e))
+            for d, e in zip(deltas, epsilons)
+        ],
+        lambda: presolve_global_many(layers, domain, deltas, epsilons),
     )
 
     verdicts_loop = [verdict(c) for c in loop]
@@ -167,19 +171,18 @@ def frontier_scenario(
     target = splitting_provable_target(layers, domain, delta, partitions=partitions)
     epsilon = target["epsilon"]
 
-    def timed(frontier_batch: int):
+    def run(frontier_batch: int):
         config = SplitConfig(
             time_limit=time_limit, max_domains=max_domains,
             frontier_batch=frontier_batch,
         )
-        return _timed_min(
-            lambda: certify_global_split(layers, domain, delta, epsilon,
-                                         config=config),
-            repeats=5,
+        return lambda: certify_global_split(
+            layers, domain, delta, epsilon, config=config
         )
 
-    t_seq, cert_seq = timed(1)
-    t_batched, cert_batched = timed(SplitConfig().frontier_batch)
+    (t_seq, cert_seq), (t_batched, cert_batched) = _timed_min(
+        run(1), run(SplitConfig().frontier_batch), repeats=5
+    )
     return {
         "epsilon_target": epsilon,
         "bound_tightness": target["bound_tightness"],

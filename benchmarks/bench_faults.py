@@ -37,6 +37,7 @@ import time
 
 import numpy as np
 
+from benchmarks.bench_batch_bounds import _timed_min
 from benchmarks.bench_splitting import tiny_chain
 from benchmarks.conftest import write_bench_json
 from repro import _faults
@@ -52,18 +53,6 @@ from repro.runtime.retry import RetryPolicy
 #: (``session.solve`` / ``scipy.solve`` / ``solve.chunk``) a query of
 #: the benchmarked shape can hit.
 HOOKS_PER_QUERY = 64
-
-
-def _timed_min(fn, repeats=3):
-    """Best-of-``repeats`` wall clock for a deterministic callable."""
-    best = None
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None or elapsed < best else best
-    return best, result
 
 
 def _loop_guarded(iterations: int) -> float:
@@ -91,8 +80,11 @@ def hook_overhead(iterations: int) -> dict:
     across machines of different absolute speed.
     """
     faults.clear()
-    t_guarded, _ = _timed_min(lambda: _loop_guarded(iterations), repeats=7)
-    t_plain, _ = _timed_min(lambda: _loop_plain(iterations), repeats=7)
+    (t_guarded, _), (t_plain, _) = _timed_min(
+        lambda: _loop_guarded(iterations),
+        lambda: _loop_plain(iterations),
+        repeats=7,
+    )
     return {
         "iterations": iterations,
         "time_guarded": t_guarded,

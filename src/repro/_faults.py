@@ -98,6 +98,10 @@ class InjectedFault(RuntimeError):
         self.point = point
         self.hit = hit
 
+    def __reduce__(self) -> tuple[type[InjectedFault], tuple[str, int]]:
+        # Rebuilds from its fields when a pool worker ships it back.
+        return (type(self), (self.point, self.hit))
+
 
 @dataclass(frozen=True)
 class FaultSpec:

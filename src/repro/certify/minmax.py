@@ -39,6 +39,10 @@ class RangeSolveError(RuntimeError):
         self.output = output
         self.result = result
 
+    def __reduce__(self) -> tuple[type[RangeSolveError], tuple[str, int, SolveResult]]:
+        # Rebuilds from its fields when a leaf worker ships it back.
+        return (type(self), (self.what, self.output, self.result))
+
 
 def min_max_objectives(handles: Sequence[Var | LinExpr]) -> list[tuple[LinExpr, str]]:
     """``[(h₀, "min"), (h₀, "max"), (h₁, "min"), ...]``."""

@@ -52,6 +52,8 @@ from repro.encoding.itne import encode_itne
 from repro.encoding.single import encode_single_network
 from repro.nn.affine import AffineLayer, affine_chain_forward
 from repro.nn.network import Network, as_affine_chain
+from repro.runtime.batch import Outcome, fan_out
+from repro.runtime.retry import RetryPolicy
 
 __all__ = ["SplitConfig", "certify_local_split", "certify_global_split"]
 
@@ -85,7 +87,8 @@ class SplitConfig:
         time_limit: Shared wall-clock deadline in seconds for the whole
             query (bounding, attacks and leaf MILPs together).  ``None``
             = unlimited.  When the deadline interrupts the run, the
-            verdict is ``"undecided"`` and ``exact=False``.
+            verdict is ``"undecided"`` and ``exact=False``; a pooled
+            leaf still running past it (plus slack) is killed.
         leaf_workers: Process count for solving leaf MILPs concurrently
             (``None`` = serial; the batch engine grants its worker
             budget here when a split query runs inline).
@@ -197,6 +200,14 @@ def _split_dimension(layers: list[AffineLayer], box: Box, worst_output: int) -> 
 
 # -- leaf MILP solving --------------------------------------------------------
 
+#: Floor on one leaf solve's time limit (see :func:`_per_solve_limit`).
+_MIN_SOLVE_SECONDS = 0.05
+
+#: The pool attempts each leaf once; a leaf it loses re-solves in the
+#: submitting process, which retries a transient failure once.
+_POOLED_LEAF = RetryPolicy(max_attempts=1)
+_INLINE_LEAF = RetryPolicy(max_attempts=2, base_delay=0.0)
+
 
 def _per_solve_limit(leaf_budget: float | None, n_solves: int) -> float | None:
     """Split a leaf's remaining wall-clock budget across its solves.
@@ -209,34 +220,51 @@ def _per_solve_limit(leaf_budget: float | None, n_solves: int) -> float | None:
     """
     if leaf_budget is None:
         return None
-    return max(leaf_budget / max(n_solves, 1), 0.05)
+    return max(leaf_budget / max(n_solves, 1), _MIN_SOLVE_SECONDS)
 
 
-def _local_outcome(
+def _leaf_outcome(
     layers: list[AffineLayer],
     leaf: _Leaf,
-    base: np.ndarray,
     results,
-    input_vars,
+    enc,
+    base: np.ndarray | None = None,
 ) -> _LeafOutcome:
-    """Assemble a local leaf's outcome from its (min, max)-per-output solves."""
+    """Assemble a leaf's outcome from its (min, max)-per-output solves.
+
+    A local leaf (``base`` given) ranges the outputs over its box; a
+    global one ranges the twin output distance, and its witnesses are
+    input pairs.
+    """
+    local = base is not None
+    interval = leaf.bounds.output if local else leaf.bounds.output_distance
     lo, hi, limit_hits = limited_ranges(
-        results[0::2], results[1::2], leaf.bounds.output, "split leaf solve"
+        results[0::2], results[1::2], interval, "split leaf solve"
     )
     witness = None
     witness_eps = None
-    # Track the extremal feasible input as a concrete witness.
+    # Track the extremal feasible input (pair) as a concrete witness.
     for r in results:
         if not r.is_optimal:
             continue
-        x = np.array([r[v] for v in input_vars])
-        eps = np.abs(affine_chain_forward(layers, x) - base)
+        x = np.array([r[v] for v in enc.input_vars])
+        if local:
+            point, eps = x, np.abs(affine_chain_forward(layers, x) - base)
+        else:
+            xh = x + np.array([r[v] for v in enc.input_dist_vars])
+            point = np.stack([x, xh])
+            eps = np.abs(
+                affine_chain_forward(layers, xh) - affine_chain_forward(layers, x)
+            )
         if witness_eps is None or eps.max() > witness_eps.max():
-            witness_eps, witness = eps, x
+            witness_eps, witness = eps, point
     return _LeafOutcome(
-        eps=variation_from_reference(lo, hi, base),
-        out_lo=lo,
-        out_hi=hi,
+        eps=(
+            variation_from_reference(lo, hi, base) if local
+            else np.maximum(np.abs(lo), np.abs(hi))
+        ),
+        out_lo=lo if local else None,
+        out_hi=hi if local else None,
         exact=limit_hits == 0,
         limit_hits=limit_hits,
         witness_eps=witness_eps,
@@ -266,7 +294,7 @@ def _solve_local_leaf(
         objectives, backend=backend,
         time_limit=_per_solve_limit(time_limit, len(objectives)),
     )
-    return _local_outcome(layers, leaf, base, results, enc.input_vars)
+    return _leaf_outcome(layers, leaf, results, enc, base)
 
 
 def _solve_global_leaf(
@@ -297,57 +325,25 @@ def _solve_global_leaf(
         objectives, backend=backend,
         time_limit=_per_solve_limit(time_limit, len(objectives)),
     )
-    return _global_outcome(
-        layers, leaf, results, enc.input_vars, enc.input_dist_vars
-    )
+    return _leaf_outcome(layers, leaf, results, enc)
 
 
-def _global_outcome(
-    layers: list[AffineLayer],
-    leaf: _Leaf,
-    results,
-    input_vars,
-    input_dist_vars,
-) -> _LeafOutcome:
-    """Assemble a global leaf's outcome from its (min, max)-per-output solves.
+def _leaf_worker(payload) -> _LeafOutcome | None:
+    """Solve one leaf MILP on what the shared deadline leaves it.
 
-    Twin of :func:`_local_outcome` for the ITNE distance encoding.
+    The budget is read as the leaf starts; past the deadline it returns
+    ``None`` unsolved, and the leaf stays undecided (sound).
     """
-    lo, hi, limit_hits = limited_ranges(
-        results[0::2], results[1::2], leaf.bounds.output_distance, "split leaf solve"
-    )
-    witness = None
-    witness_eps = None
-    for r in results:
-        if not r.is_optimal:
-            continue
-        x = np.array([r[v] for v in input_vars])
-        xh = x + np.array([r[v] for v in input_dist_vars])
-        pair_eps = np.abs(
-            affine_chain_forward(layers, xh) - affine_chain_forward(layers, x)
-        )
-        if witness_eps is None or pair_eps.max() > witness_eps.max():
-            witness_eps, witness = pair_eps, np.stack([x, xh])
-    return _LeafOutcome(
-        eps=np.maximum(np.abs(lo), np.abs(hi)),
-        out_lo=None,
-        out_hi=None,
-        exact=limit_hits == 0,
-        limit_hits=limit_hits,
-        witness_eps=witness_eps,
-        witness=witness,
-    )
-
-
-def _leaf_worker(payload) -> _LeafOutcome:
-    """Picklable entry point for parallel leaf solving."""
-    kind, layers, leaf, extra, backend, time_limit = payload
+    kind, layers, leaf, extra, backend, deadline = payload
+    budget = None if deadline is None else deadline - time.perf_counter()
+    if budget is not None and budget <= 0:
+        return None
     if _faults.ENABLED:
         _faults.fault_point("split.leaf")
     if kind == "local":
-        return _solve_local_leaf(layers, leaf, extra, backend, time_limit)
+        return _solve_local_leaf(layers, leaf, extra, backend, budget)
     delta, domain = extra
-    return _solve_global_leaf(layers, leaf, delta, domain, backend, time_limit)
+    return _solve_global_leaf(layers, leaf, delta, domain, backend, budget)
 
 
 def _solve_leaves(
@@ -361,63 +357,40 @@ def _solve_leaves(
     """Solve every leaf MILP, worst-excess first, optionally in parallel.
 
     Returns one outcome per leaf (input order); ``None`` marks a leaf
-    the deadline prevented from being solved at all.  Parallel mode
-    reuses the batch engine's pool machinery (and its fall-back-serial
-    contract on platforms that cannot fork).
+    left unsolved by the deadline or by two transient failures.  Pooled
+    leaves (``leaf_workers > 1``) run once each; every leaf the pool
+    loses (or reaps past the deadline) re-solves here, and a leaf's
+    permanent failure is re-raised.
     """
     if not leaves:
         return []
     order = sorted(
         range(len(leaves)), key=lambda i: -float(leaves[i].eps_ub.max())
     )
-    outcomes: list[_LeafOutcome | None] = [None] * len(leaves)
-    from repro.runtime.batch import _POOL_FAILURES
-
-    transient = _POOL_FAILURES + (_faults.InjectedFault,)
-    workers = 1 if config.leaf_workers is None else config.leaf_workers
-    workers = min(workers, len(leaves))
+    payloads = [
+        (kind, layers, leaves[i], extra, config.backend, deadline) for i in order
+    ]
+    workers = min(config.leaf_workers or 1, len(leaves))
+    outcomes: list[Outcome | None] = [None] * len(payloads)
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        remaining = None if deadline is None else deadline - time.perf_counter()
-        if remaining is not None and remaining <= 0:
-            return outcomes
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_leaf_worker, (
-                        kind, layers, leaves[i], extra, config.backend,
-                        remaining,
-                    )): i
-                    for i in order
-                }
-                for future in as_completed(futures):
-                    try:
-                        outcomes[futures[future]] = future.result()
-                    except transient:
-                        # Salvage: keep every leaf that finished; this
-                        # one re-solves in the serial sweep below.
-                        continue
-        except _POOL_FAILURES:
-            pass  # sandboxes without fork: fall through to serial
-    for i in order:
-        if outcomes[i] is not None:
-            continue  # solved by the pool (or a salvaged remnant of it)
-        remaining = None if deadline is None else deadline - time.perf_counter()
-        if remaining is not None and remaining <= 0:
-            break  # deadline: remaining leaves stay undecided (sound)
-        payload = (kind, layers, leaves[i], extra, config.backend, remaining)
-        try:
-            outcomes[i] = _leaf_worker(payload)
-        except transient:
-            # One inline retry for transient failures (injected chaos
-            # faults, IPC hiccups); a second failure leaves the leaf
-            # undecided, which the driver already treats soundly.
-            try:
-                outcomes[i] = _leaf_worker(payload)
-            except transient:
-                continue
-    return outcomes
+        # A leaf that starts just before the deadline still gets the
+        # per-solve floor for each of its min/max solves; the kill
+        # comes no earlier than that.
+        slack = _MIN_SOLVE_SECONDS * 2 * layers[-1].out_dim
+        outcomes = fan_out(
+            _leaf_worker, payloads, workers, _POOLED_LEAF,
+            deadline=None if deadline is None else deadline + slack,
+        )
+    redo = [k for k, o in enumerate(outcomes) if o is None or o.lost is not None]
+    inline = fan_out(_leaf_worker, [payloads[k] for k in redo], 1, _INLINE_LEAF)
+    for k, outcome in zip(redo, inline):
+        outcomes[k] = outcome
+    solved: list[_LeafOutcome | None] = [None] * len(leaves)
+    for i, outcome in zip(order, outcomes):
+        if outcome.exc is not None:
+            raise outcome.exc
+        solved[i] = outcome.value  # None when lost or out of time
+    return solved
 
 
 # -- the branch-and-bound driver ----------------------------------------------

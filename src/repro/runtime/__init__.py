@@ -5,15 +5,19 @@ queries — one local certificate per data sample, one global certificate
 per model, four small LP/MILPs per neuron inside Algorithm 1's ND loop.
 This package fans those queries across worker processes:
 
+* :func:`~repro.runtime.batch.fan_out` — the one supervised process
+  fan-out (retry, pool salvage and rebuild, hard-limit watchdog) that
+  every pool in the package goes through.
 * :class:`~repro.runtime.batch.BatchCertifier` — executes a list of
   declarative :class:`~repro.runtime.batch.CertificationQuery` objects
-  on a ``ProcessPoolExecutor`` with deterministic result ordering,
-  progress callbacks and per-query failure capture.
-* :func:`~repro.runtime.batch.parallel_solve_many` — the lower-level
+  through the fan-out with deterministic result ordering, progress
+  callbacks and per-query failure capture.
+* :func:`~repro.runtime.batch.parallel_solve_many` — the objective
   fan-out used by :class:`~repro.certify.global_cert.GlobalRobustnessCertifier`
   when ``CertifierConfig.workers > 1``: chunks a model's objective list
   across processes (export-once semantics are preserved inside each
-  worker, which runs ``Model.solve_many`` on its chunk).
+  worker, which runs ``Model.solve_many`` on its chunk).  The split
+  tier's leaf MILPs (``SplitConfig.leaf_workers``) fan out the same way.
 * :mod:`~repro.runtime.retry` / :mod:`~repro.runtime.faults` — the
   fault-tolerance substrate: :class:`~repro.runtime.retry.RetryPolicy`
   (transient-vs-permanent triage, deterministic backoff, per-batch

@@ -13,25 +13,20 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import pickle
 import signal
+import threading
 import time
 import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    as_completed,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 #: Exceptions meaning "the process pool itself is unusable" (cannot
-#: fork/spawn, or a worker died mid-batch) — distinct from a query
-#: failure, which workers capture per query.  The supervisor salvages
-#: every already-completed result and re-dispatches (or runs inline)
-#: only the unfinished queries.
-_POOL_FAILURES = (OSError, PermissionError, BrokenProcessPool)
+#: fork/spawn, or a worker died mid-task) — distinct from a task
+#: failure, which workers capture per task.
+_POOL_FAILURES = (OSError, BrokenProcessPool)
 
 import numpy as np
 
@@ -279,20 +274,25 @@ def _try_presolve(query: CertificationQuery):
     return presolve_global(query.layers, query.domain, query.delta, query.epsilon)
 
 
+def _exact_parity_limit(query: CertificationQuery) -> float | None:
+    """``time_limit`` for the split tier and the local kinds.
+
+    ``None`` stays unlimited — parity with the exact certifiers whose
+    verdicts they reproduce — as does ``inf``; a set limit is the split
+    tier's shared whole-run deadline, or a local kind's per-solve cap.
+    """
+    limit = query.time_limit
+    return None if limit is not None and math.isinf(limit) else limit
+
+
 def _run_split(query: CertificationQuery):
     """Run the input-splitting tier for an undecided ε-query."""
     from repro.certify import SplitConfig, certify_global_split, certify_local_split
 
-    # `time_limit=None` stays unlimited — parity with the monolithic
-    # `certify_local_exact`/`certify_exact_global` verdicts this tier
-    # must reproduce; a set limit is the shared whole-run deadline.
-    time_limit = query.time_limit
-    if time_limit is not None and math.isinf(time_limit):
-        time_limit = None
     config = SplitConfig(
         backend=query.backend,
         bounds=query.effective_bounds(),
-        time_limit=time_limit,
+        time_limit=_exact_parity_limit(query),
         leaf_workers=query.split_workers,
     )
     if query.max_domains is not None:
@@ -320,6 +320,8 @@ def _execute_query(query: CertificationQuery):
         certify_local_nd,
     )
 
+    if _faults.ENABLED:
+        _faults.fault_point("batch.worker")
     if query.wants_presolve():
         cert = _try_presolve(query)
         if cert is not None:
@@ -328,29 +330,16 @@ def _execute_query(query: CertificationQuery):
     if query.split:
         return _run_split(query)
 
-    # Local kinds share the split tier's convention: `time_limit=None`
-    # stays genuinely unlimited (exact-verdict parity), a set limit caps
-    # each objective solve, `inf` is spelled-out unlimited.
-    local_limit = query.time_limit
-    if local_limit is not None and math.isinf(local_limit):
-        local_limit = None
-    if query.kind == "local-exact":
-        return certify_local_exact(
-            query.layers, query.center, query.delta,
-            domain=query.domain, backend=query.backend, bounds=query.effective_bounds(),
-            time_limit=local_limit,
-        )
-    if query.kind == "local-nd":
-        return certify_local_nd(
-            query.layers, query.center, query.delta,
-            window=query.window, domain=query.domain, backend=query.backend,
-            bounds=query.effective_bounds(), time_limit=local_limit,
-        )
-    if query.kind == "local-lpr":
-        return certify_local_lpr(
-            query.layers, query.center, query.delta,
-            domain=query.domain, backend=query.backend, bounds=query.effective_bounds(),
-            time_limit=local_limit,
+    if query.kind.startswith("local"):
+        certify, extra = {
+            "local-exact": (certify_local_exact, {}),
+            "local-nd": (certify_local_nd, {"window": query.window}),
+            "local-lpr": (certify_local_lpr, {}),
+        }[query.kind]
+        return certify(
+            query.layers, query.center, query.delta, domain=query.domain,
+            backend=query.backend, bounds=query.effective_bounds(),
+            time_limit=_exact_parity_limit(query), **extra,
         )
     if query.kind == "global":
         # The CLI's algorithm-1 knobs (window, refine, backend, limit)
@@ -371,59 +360,6 @@ def _execute_query(query: CertificationQuery):
         backend=query.backend, time_limit=query.effective_time_limit(),
         bounds=query.effective_bounds(),
     )
-
-
-#: Start-notification sink installed by :func:`_pool_init` in supervised
-#: worker processes: ``(query index, worker pid)`` markers let the
-#: parent's watchdog know *which* worker owns a query and since when.
-#: ``None`` outside supervised pools (serial runs, plain pools).
-_START_SINK = None
-
-
-def _pool_init(sink, plan) -> None:
-    """Worker initializer for supervised pools.
-
-    Wires the start-marker sink and installs a *fresh* copy of the
-    parent's fault plan, so every worker replays its own deterministic
-    fault schedule from hit 1 regardless of the multiprocessing start
-    method (fork would otherwise inherit the parent's hit counters).
-    """
-    global _START_SINK
-    _START_SINK = sink
-    if plan is not None:
-        _faults.install(plan.fresh())
-
-
-def _run_one(payload: tuple[int, CertificationQuery]) -> BatchResult:
-    """Worker entry point: never raises, captures failures per query."""
-    index, query = payload
-    t0 = time.perf_counter()
-    sink = _START_SINK
-    if sink is not None:
-        # Before any work (and any fault point): a crash after this
-        # marker is attributable to this query, and the watchdog clock
-        # for it starts at parent receipt time.
-        sink.put((index, os.getpid()))
-    try:
-        if _faults.ENABLED:
-            _faults.fault_point("batch.worker")
-        cert = _execute_query(query)
-        return BatchResult(
-            index=index, tag=query.tag, certificate=cert,
-            elapsed=time.perf_counter() - t0,
-        )
-    # repro-lint: ignore[RPR005] — swallows *any* per-query failure (bad dims, solver errors, encoding bugs) so one bad query cannot sink the batch; everything swallowed is surfaced verbatim in BatchResult.error/.detail
-    except Exception as exc:
-        cls = type(exc)
-        return BatchResult(
-            index=index, tag=query.tag, error=traceback.format_exc(),
-            detail={
-                "error_type": f"{cls.__module__}.{cls.__qualname__}",
-                "error_message": str(exc),
-                "traceback": traceback.format_exc(),
-            },
-            elapsed=time.perf_counter() - t0,
-        )
 
 
 # -- graceful degradation -----------------------------------------------------
@@ -598,7 +534,6 @@ class BatchCertifier:
             "groups": 0, "queries": 0, "answered": 0,
         }
         self.fault_stats: dict[str, int] = dict(_FAULT_STATS_ZERO)
-        self._retry_budget = 0
 
     def _bulk_presolve(
         self, queries: list[CertificationQuery]
@@ -651,19 +586,14 @@ class BatchCertifier:
             )
             t0 = time.perf_counter()
             try:
-                if family == "local":
-                    certs = presolve_many(
-                        first.layers, "local",
-                        centers=np.stack(
-                            [queries[i].center for i in members]
-                        ),
-                        domain=first.domain, deltas=deltas, epsilons=epsilons,
-                    )
-                else:
-                    certs = presolve_many(
-                        first.layers, "global",
-                        domain=first.domain, deltas=deltas, epsilons=epsilons,
-                    )
+                centers = (
+                    np.stack([queries[i].center for i in members])
+                    if family == "local" else None
+                )
+                certs = presolve_many(
+                    first.layers, family, centers=centers,
+                    domain=first.domain, deltas=deltas, epsilons=epsilons,
+                )
             # repro-lint: ignore[RPR005] — a failing batched pass must not sink the submission; the group silently falls back to per-query scalar presolve in the workers, whose per-query error capture reports whatever is actually wrong
             except Exception:
                 continue
@@ -705,158 +635,256 @@ class BatchCertifier:
             return []
         results: list[BatchResult | None] = [None] * total
         done = 0
-        answered, screened = self._bulk_presolve(queries)
-        for index, result in sorted(answered.items()):
+
+        def finish(index: int, result: BatchResult) -> None:
+            nonlocal done
             results[index] = result
             done += 1
             if progress is not None:
                 progress(done, total, result)
+
+        answered, screened = self._bulk_presolve(queries)
+        for index, result in sorted(answered.items()):
+            finish(index, result)
         pending = [
             (i, replace(q, presolve=False) if i in screened else q)
             for i, q in enumerate(queries)
             if results[i] is None
         ]
-        if not pending:
-            return [r for r in results if r is not None]
         workers = self.max_workers or os.cpu_count() or 1
         workers = min(workers, len(pending))
-        self._retry_budget = self.retry.batch_budget(len(pending))
-        if workers == 1:
-            if (
-                len(pending) == 1
-                and pending[0][1].split
-                and pending[0][1].split_workers is None
-            ):
-                # A batch of one split query runs inline; hand the
-                # engine's process budget to its leaf MILPs instead so
-                # the pool still does the parallel work.
-                index, query = pending[0]
-                pending = [(index, replace(
-                    query, split_workers=self.max_workers or os.cpu_count() or 1
-                ))]
-            dispatched = self._run_serial(pending, total, done, progress)
-        else:
-            supervisor = _PoolSupervisor(self, workers, total, done, progress)
-            dispatched = supervisor.run(pending)
-        for result in dispatched:
-            results[result.index] = result
+        if (
+            workers == 1
+            and len(pending) == 1
+            and pending[0][1].split
+            and pending[0][1].split_workers is None
+        ):
+            # A batch of one split query runs inline; hand the engine's
+            # process budget to its leaf MILPs instead so the pool still
+            # does the parallel work.
+            index, query = pending[0]
+            pending = [(index, replace(
+                query, split_workers=self.max_workers or os.cpu_count() or 1
+            ))]
+        fan_out(
+            _execute_query, [query for _, query in pending], workers,
+            self.retry, self.query_timeout, stats=self.fault_stats,
+            on_done=lambda k, outcome: finish(
+                pending[k][0], self._result(*pending[k], outcome)
+            ),
+            dispatch_point="batch.dispatch",
+        )
         return [r for r in results if r is not None]  # every slot filled
 
-    def _run_serial(self, pending, total, done, progress) -> list[BatchResult]:
-        """Inline execution with the same retry/degradation semantics."""
-        results = []
-        for index, query in pending:
-            result = self._attempt_serial(index, query)
-            results.append(result)
-            done += 1
-            if progress is not None:
-                progress(done, total, result)
-        return results
-
-    def _attempt_serial(
-        self, index: int, query: CertificationQuery, prior_attempts: int = 0
+    def _result(
+        self, index: int, query: CertificationQuery, outcome: Outcome
     ) -> BatchResult:
-        """Run one query inline under the retry policy until resolved.
-
-        Transient failures retry with backoff while attempts and the
-        batch budget last, then degrade; permanent failures surface
-        immediately as error results.  ``prior_attempts`` carries over
-        attempts a pool already charged before falling back inline.
-        """
-        attempt = prior_attempts
-        while True:
-            attempt += 1
-            result = _run_one((index, query))
-            if result.error is None:
-                break
-            error_type = str((result.detail or {}).get("error_type", ""))
-            if self.retry.classify_name(error_type) != "transient":
-                break
-            if attempt >= self.retry.max_attempts or self._retry_budget <= 0:
-                self.fault_stats["degraded"] += 1
-                result = _degraded_result(index, query, error_type, attempt)
-                break
-            self._retry_budget -= 1
-            self.fault_stats["retries"] += 1
-            time.sleep(self.retry.delay(attempt, index))
-        detail = dict(result.detail or {})
-        detail.setdefault("attempts", attempt)
-        result.detail = detail
-        return result
+        """A query's :class:`BatchResult`; a lost query degrades soundly."""
+        if outcome.lost is not None:
+            self.fault_stats["degraded"] += 1
+            return _degraded_result(index, query, outcome.lost, outcome.attempts)
+        error = outcome.error or {}
+        return BatchResult(
+            index=index, tag=query.tag, certificate=outcome.value,
+            error=error.get("traceback"), elapsed=outcome.elapsed,
+            detail={**error, "attempts": outcome.attempts},
+        )
 
 
-class _PoolSupervisor:
-    """One :meth:`BatchCertifier.run`'s process-pool lifecycle.
+# -- process fan-out ----------------------------------------------------------
 
-    The naive ``submit-all / as_completed`` loop it replaces had two
-    production-fatal behaviors: a single worker death broke the pool
-    and *discarded every completed result* (the whole batch re-ran
-    serially), and a wedged native solve stalled the batch forever
-    because ``time_limit`` is cooperative.  The supervisor instead:
 
-    * salvages every completed future when the pool breaks, rebuilds
-      the pool (up to ``RetryPolicy.max_pool_rebuilds`` times) and
-      re-dispatches only the unfinished queries;
-    * retries transient per-query failures under the engine's
-      :class:`~repro.runtime.retry.RetryPolicy` with deterministic
-      backoff and the shared batch budget;
-    * enforces ``query_timeout`` as a *hard* wall-clock limit: workers
-      report ``(query, pid)`` start markers through a
-      ``multiprocessing.SimpleQueue``, and a watchdog SIGKILLs any
-      worker whose query is overdue (the broken pool is then rebuilt
-      and the timed-out query degrades);
-    * when the pool cannot be (re)built at all, finishes the remaining
-      queries inline — completed pool results are still kept.
-
-    Queries resolve exactly once each (progress fires exactly once per
-    query, monotonically), to a successful result, a permanent error
-    result, or a sound degraded answer.
+@dataclass
+class Outcome:
+    """How one :func:`fan_out` task resolved: exactly one of a ``value``;
+    a permanent failure (``exc`` to re-raise, and ``error``: its
+    ``error_type``, ``error_message`` and worker ``traceback``); or
+    ``lost``, why it was given up (transient attempts or the retry
+    budget ran out, or the watchdog reaped it).
     """
+
+    value: object = None
+    exc: BaseException | None = None
+    error: dict[str, str] | None = None
+    lost: str | None = None
+    attempts: int = 0
+    elapsed: float = 0.0
+
+
+#: Longest a fresh pool's first tasks wait for each other to start.
+_START_SECONDS = 1.0
+
+#: Installed by :func:`_pool_init` in pool workers: the sink of the
+#: ``(task index, pid)`` start markers the parent's watchdog reads, and
+#: the barrier a worker's first task waits at (``None`` once passed).
+_START_SINK = None
+_START_GATE = None
+
+
+def _pool_init(sink, plan, gate) -> None:
+    """Worker initializer: start-marker sink, first-task gate, and a
+    *fresh* copy of the parent's fault plan, so every worker replays its
+    own fault schedule from hit 1 whatever the start method (fork would
+    otherwise inherit the parent's hit counters).
+    """
+    global _START_SINK, _START_GATE
+    _START_SINK, _START_GATE = sink, gate
+    if plan is not None:
+        _faults.install(plan.fresh())
+
+
+def _start_together() -> None:
+    """Hold a worker's first task until the pool's first round started.
+
+    The first round's tasks then go one per worker, so which task a
+    per-worker fault schedule hits never depends on start-up timing.
+    """
+    global _START_GATE
+    gate, _START_GATE = _START_GATE, None
+    if gate is None:
+        return
+    try:
+        gate.wait(timeout=_START_SECONDS)
+        gate.abort()  # a sibling whose first task comes later won't wait
+    except threading.BrokenBarrierError:
+        pass  # released already, or a sibling never started
+
+
+def _failure(exc: BaseException) -> Outcome:
+    """The failure record of ``exc``; call inside its handler."""
+    cls = type(exc)
+    return Outcome(exc=exc, error={
+        "error_type": f"{cls.__module__}.{cls.__qualname__}",
+        "error_message": str(exc),
+        "traceback": traceback.format_exc(),
+    })
+
+
+def _attempt(fn: Callable[[object], object], payload: object) -> Outcome:
+    """One attempt at one task; never raises, captures the failure."""
+    t0 = time.perf_counter()
+    try:
+        outcome = Outcome(value=fn(payload))
+    # repro-lint: ignore[RPR005] — swallows *any* task failure (bad dims, solver errors, encoding bugs, injected faults) so one bad task cannot sink the fan-out; the parent triages it with RetryPolicy.classify and surfaces (or re-raises) every permanent one verbatim
+    except Exception as exc:
+        outcome = _failure(exc)
+    outcome.elapsed = time.perf_counter() - t0
+    return outcome
+
+
+def _pool_task(task: tuple) -> Outcome:
+    """Worker entry point: start marker, one attempt, a shippable outcome."""
+    fn, index, payload = task
+    _start_together()
+    # Before any work (and any fault point): a crash after this marker
+    # is attributable to this task, and the watchdog clock for it
+    # starts at parent receipt time.
+    _START_SINK.put((index, os.getpid()))
+    outcome = _attempt(fn, payload)
+    if outcome.error is not None:
+        try:
+            pickle.loads(pickle.dumps(outcome.exc))
+        # repro-lint: ignore[RPR005] — an exception the parent could not rebuild would break the whole pool there; it ships as a stand-in carrying its type name and message, beside its unchanged record
+        except Exception:
+            outcome.exc = RuntimeError(
+                f"{outcome.error['error_type']}: {outcome.error['error_message']}"
+            )
+    return outcome
+
+
+def fan_out(
+    fn: Callable[[object], object],
+    payloads: Sequence[object],
+    workers: int,
+    policy: RetryPolicy,
+    timeout: float | None = None,
+    **options,
+) -> list[Outcome]:
+    """Run ``fn`` on every payload; one :class:`Outcome` each, in order.
+
+    The runtime's one process fan-out: batch queries, Algorithm 1's
+    objective chunks and the split tier's leaf MILPs all go through it.
+    ``workers == 1`` runs inline, with no pool, queue or thread.  The
+    submitting process triages each failed attempt with
+    :meth:`~repro.runtime.retry.RetryPolicy.classify`: a transient one
+    retries with backoff while ``policy.max_attempts`` and its
+    ``batch_budget`` last, then the task is lost; a permanent one
+    resolves at once.  In pool mode a broken pool's completed futures
+    are salvaged and only unfinished tasks re-dispatched (uncharged if
+    their worker never started them) on a rebuilt pool, up to
+    ``policy.max_pool_rebuilds`` times, after which the rest run inline.
+    ``timeout`` (seconds per task) and the ``deadline`` option (a
+    ``time.perf_counter()`` instant) are *hard* limits: workers report
+    ``(task, pid)`` start markers and a watchdog SIGKILLs the worker of
+    an overdue task, which is lost (retried with ``retry_timeouts``).
+
+    Other keyword options: ``stats``, a counter dict to add ``retries``,
+    ``timeouts``, ``workers_killed`` and ``pool_rebuilds`` to;
+    ``on_done(index, outcome)``, fired in the submitting process once
+    per task as it resolves; ``dispatch_point``, a fault point fired
+    before each pool submit.
+    """
+    supervisor = _PoolSupervisor(fn, payloads, workers, policy, timeout, **options)
+    return supervisor.run_inline() if workers <= 1 else supervisor.run()
+
+
+@dataclass
+class _PoolSupervisor:
+    """One :func:`fan_out` call's task lifecycle, pooled or inline."""
+
+    fn: Callable[[object], object]
+    payloads: Sequence[object]
+    workers: int
+    policy: RetryPolicy
+    timeout: float | None = None
+    deadline: float | None = None
+    stats: dict[str, int] = field(default_factory=lambda: dict(_FAULT_STATS_ZERO))
+    on_done: Callable[[int, Outcome], None] | None = None
+    dispatch_point: str | None = None
 
     #: Event-loop tick: bounds watchdog latency and backoff sleep.
     _POLL_SECONDS = 0.05
 
-    def __init__(self, engine, workers, total, done, progress) -> None:
-        self.engine = engine
-        self.policy: RetryPolicy = engine.retry
-        self.workers = workers
-        self.query_timeout = engine.query_timeout
-        self.stats = engine.fault_stats
-        self.total = total
-        self.completed = done
-        self.progress = progress
+    def __post_init__(self) -> None:
+        self.budget = self.policy.batch_budget(len(self.payloads))
         self.pool = None
         self.sink = None
         self.broken = False
         self.rebuilds = 0
-        self.queries: dict[int, CertificationQuery] = {}
-        self.attempts: dict[int, int] = {}
-        self.waiting: dict[int, float] = {}  # index -> earliest dispatch stamp
+        self.attempts = [0] * len(self.payloads)
+        # index -> earliest dispatch stamp; every task starts waiting
+        self.waiting = dict.fromkeys(range(len(self.payloads)), 0.0)
         self.futures: dict = {}              # Future -> index
         self.running: dict[int, tuple[int, float]] = {}  # index -> (pid, since)
-        self.timed_out: set[int] = set()
-        self.finals: dict[int, BatchResult] = {}
+        self.reaped: dict[int, str] = {}     # index -> why the watchdog killed it
+        self.finals: dict[int, Outcome] = {}
 
-    def run(self, pending) -> list[BatchResult]:
-        """Resolve every pending query; results sorted by index."""
-        self.queries = dict(pending)
-        self.attempts = {i: 0 for i in self.queries}
-        self.waiting = {i: 0.0 for i in self.queries}
+    def run_inline(self) -> list[Outcome]:
+        """Resolve every task in this process; outcomes in payload order."""
+        self._run_waiting_inline()
+        return [self.finals[i] for i in range(len(self.payloads))]
+
+    def run(self) -> list[Outcome]:
+        """Resolve every task through the pool; outcomes in payload order.
+
+        Once no pool can be (re)built, whatever is left runs inline;
+        completed pool results are kept.
+        """
         try:
-            while len(self.finals) < len(self.queries):
+            while len(self.finals) < len(self.payloads):
                 if not self._step():
-                    self._serial_fallback()
+                    self._run_waiting_inline()
                     break
         finally:
             self._teardown_pool()
-        return [self.finals[i] for i in sorted(self.finals)]
+        return [self.finals[i] for i in range(len(self.payloads))]
 
     def _step(self) -> bool:
         """One event-loop tick; False when no pool can be (re)built."""
         now = time.perf_counter()
         ready = sorted(i for i, stamp in self.waiting.items() if stamp <= now)
         if ready and not self.broken:
-            if not self._ensure_pool():
+            if not self._ensure_pool(len(ready)):
                 return False
             for index in ready:
                 if self.broken:
@@ -872,7 +900,7 @@ class _PoolSupervisor:
             self._teardown_pool()
         return True
 
-    def _ensure_pool(self) -> bool:
+    def _ensure_pool(self, first_round: int) -> bool:
         if self.pool is not None:
             return True
         if self.rebuilds > self.policy.max_pool_rebuilds:
@@ -882,31 +910,36 @@ class _PoolSupervisor:
             self.pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_pool_init,
-                initargs=(self.sink, _faults.active_plan()),
+                initargs=(
+                    self.sink, _faults.active_plan(),
+                    multiprocessing.Barrier(min(self.workers, first_round)),
+                ),
             )
         except _POOL_FAILURES:
             # Sandboxes without fork support and similar: stay correct,
-            # run inline (the caller falls back via _serial_fallback).
+            # run inline (the caller falls back to the inline loop).
             self.pool = None
             return False
         return True
 
     def _dispatch(self, index: int) -> None:
-        query = self.queries[index]
         self.attempts[index] += 1
         del self.waiting[index]
         try:
-            if _faults.ENABLED:
-                _faults.fault_point("batch.dispatch")
-            future = self.pool.submit(_run_one, (index, query))
-        except _faults.InjectedFault as exc:
-            self._transient(index, str(exc))
+            if self.dispatch_point is not None and _faults.ENABLED:
+                _faults.fault_point(self.dispatch_point)
+            future = self.pool.submit(
+                _pool_task, (self.fn, index, self.payloads[index])
+            )
         except _POOL_FAILURES:
-            # The pool was already unusable; the query never ran, so
+            # The pool was already unusable; the task never ran, so
             # requeue it uncharged.
             self.broken = True
             self.attempts[index] -= 1
             self.waiting[index] = 0.0
+        # repro-lint: ignore[RPR005] — a failed dispatch (an injected dispatch fault, ...) is triaged like any failed attempt: transient ones retry, permanent ones resolve with their record
+        except Exception as exc:
+            self._resolve(index, _failure(exc))
         else:
             self.futures[future] = index
 
@@ -942,45 +975,38 @@ class _PoolSupervisor:
         for future in [f for f in self.futures if f.done()]:
             index = self.futures.pop(future)
             started = self.running.pop(index, None)
-            was_timed_out = index in self.timed_out
-            self.timed_out.discard(index)
+            reaped = self.reaped.pop(index, None)
             try:
-                result = future.result()
-            except _faults.InjectedFault as exc:
-                self._transient(index, str(exc))
-                continue
+                outcome = future.result()
             except _POOL_FAILURES:
                 self.broken = True
-                if was_timed_out:
-                    self._timeout(index)
+                if reaped is not None:
+                    self._timeout(index, reaped)
                 elif started is None:
                     # Never reached a worker — an innocent victim of
                     # whatever broke the pool.  Requeue uncharged.
                     self.attempts[index] -= 1
                     self.waiting[index] = 0.0
                 else:
-                    self._transient(index, "worker process died mid-query")
+                    self._transient(index, "worker process died mid-task")
                 continue
-            if result.error is None:
-                self._finalize(self._stamped(result, index))
-                continue
-            error_type = str((result.detail or {}).get("error_type", ""))
-            if self.policy.classify_name(error_type) == "transient":
-                self._transient(index, error_type)
-            else:
-                self._finalize(self._stamped(result, index))
+            self._resolve(index, outcome)
 
     def _watchdog(self) -> None:
-        if self.query_timeout is None:
-            return
         now = time.perf_counter()
         for index, (pid, since) in self.running.items():
-            if index in self.timed_out or now - since <= self.query_timeout:
+            if index in self.reaped:
+                continue
+            if self.timeout is not None and now - since > self.timeout:
+                reason = f"hard timeout: no result within {self.timeout:.6g}s"
+            elif self.deadline is not None and now > self.deadline:
+                reason = "hard deadline passed"
+            else:
                 continue
             # SIGKILL is deliberate: a wedged native solve ignores
             # cooperative signals.  The kill breaks the pool; the
             # normal salvage/rebuild path cleans up after it.
-            self.timed_out.add(index)
+            self.reaped[index] = reason
             self.stats["workers_killed"] += 1
             self.broken = True
             try:
@@ -988,53 +1014,55 @@ class _PoolSupervisor:
             except (ProcessLookupError, PermissionError):
                 pass  # worker already gone; the broken pool surfaces it
 
+    def _resolve(self, index: int, outcome: Outcome) -> None:
+        """Retry a transient failure; finalize anything else."""
+        if (
+            outcome.error is not None
+            and self.policy.classify(outcome.exc) == "transient"
+        ):
+            self._transient(index, outcome.error["error_type"])
+        else:
+            self._finalize(index, outcome)
+
     def _transient(self, index: int, reason: str) -> None:
-        """Retry a transiently failed query, or degrade it soundly."""
+        """Schedule a retry of a transiently failed task, or lose it."""
         attempt = self.attempts[index]
-        if attempt < self.policy.max_attempts and self.engine._retry_budget > 0:
-            self.engine._retry_budget -= 1
+        if attempt < self.policy.max_attempts and self.budget > 0:
+            self.budget -= 1
             self.stats["retries"] += 1
             self.waiting[index] = (
                 time.perf_counter() + self.policy.delay(attempt, index)
             )
-            return
-        self.stats["degraded"] += 1
-        self._finalize(
-            _degraded_result(index, self.queries[index], reason, attempt)
-        )
+        else:
+            self._finalize(index, Outcome(lost=reason))
 
-    def _timeout(self, index: int) -> None:
-        """Resolve a query whose worker the watchdog had to kill."""
+    def _timeout(self, index: int, reason: str) -> None:
+        """Resolve a task whose worker the watchdog had to kill."""
         self.stats["timeouts"] += 1
         if self.policy.retry_timeouts:
-            self._transient(index, "hard query timeout")
-            return
-        self.stats["degraded"] += 1
-        self._finalize(_degraded_result(
-            index, self.queries[index],
-            f"hard timeout: no result within {self.query_timeout:.6g}s",
-            self.attempts[index],
-        ))
+            self._transient(index, "hard timeout")
+        else:
+            self._finalize(index, Outcome(lost=reason))
 
-    def _serial_fallback(self) -> None:
-        """Finish everything undispatched inline; keep pool results."""
-        for index in sorted(self.waiting):
-            del self.waiting[index]
-            self._finalize(self.engine._attempt_serial(
-                index, self.queries[index], self.attempts[index]
-            ))
+    def _run_waiting_inline(self) -> None:
+        """Resolve every waiting task in this process, lowest index first.
 
-    def _finalize(self, result: BatchResult) -> None:
-        self.finals[result.index] = result
-        self.completed += 1
-        if self.progress is not None:
-            self.progress(self.completed, self.total, result)
+        A task that fails transiently is waiting again, so it retries
+        (after its backoff) before the next task starts.
+        """
+        while self.waiting:
+            index = min(self.waiting)
+            pause = self.waiting.pop(index) - time.perf_counter()
+            if pause > 0:
+                time.sleep(pause)  # the task's retry backoff
+            self.attempts[index] += 1
+            self._resolve(index, _attempt(self.fn, self.payloads[index]))
 
-    def _stamped(self, result: BatchResult, index: int) -> BatchResult:
-        detail = dict(result.detail or {})
-        detail["attempts"] = self.attempts[index]
-        result.detail = detail
-        return result
+    def _finalize(self, index: int, outcome: Outcome) -> None:
+        outcome.attempts = self.attempts[index]
+        self.finals[index] = outcome
+        if self.on_done is not None:
+            self.on_done(index, outcome)
 
     def _teardown_pool(self) -> None:
         pool, self.pool = self.pool, None
@@ -1185,6 +1213,11 @@ def _solve_chunk(payload):
     return model.solve_many(objectives, backend=backend, time_limit=time_limit)
 
 
+#: A chunk gets one pooled attempt: the parent re-solves whatever the
+#: pool loses, so a retry in the pool would only add latency.
+_CHUNK_POLICY = RetryPolicy(max_attempts=1)
+
+
 def parallel_solve_many(
     model,
     objectives,
@@ -1202,10 +1235,10 @@ def parallel_solve_many(
     every block-diagonal LP a worker solves is the one the serial path
     solves.  The parent never exports the model: it takes the stack
     size from the model's nonzero count, and with one worker it runs
-    ``Model.solve_many`` inline.  A chunk whose worker failed is
-    re-solved inline with ``Model.solve_many``.  This is the engine
-    behind ``CertifierConfig.workers`` — Algorithm 1's four min/max LPs
-    per neuron of a layer are independent and fan perfectly.
+    ``Model.solve_many`` inline.  Each chunk gets one :func:`fan_out`
+    attempt and no hard time limit; a chunk the pool loses is re-solved
+    inline, and a chunk's permanent failure is re-raised.  This is the
+    engine behind ``CertifierConfig.workers``.
 
     Args:
         model: The shared :class:`~repro.milp.model.Model`.
@@ -1228,25 +1261,20 @@ def parallel_solve_many(
         return model.solve_many(objectives, backend=backend, time_limit=time_limit)
     chunk = math.ceil(stacks / workers) * per_stack
     chunks = [objectives[k : k + chunk] for k in range(0, len(objectives), chunk)]
-    parts: list[list | None] = [None] * len(chunks)
-    try:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = {
-                pool.submit(_solve_chunk, (model, part, backend, time_limit)): k
-                for k, part in enumerate(chunks)
-            }
-            for future in as_completed(futures):
-                try:
-                    parts[futures[future]] = future.result()
-                except _POOL_FAILURES + (_faults.InjectedFault,):
-                    # Salvage: keep every chunk that finished; only
-                    # this one re-solves inline below.
-                    continue
-    except _POOL_FAILURES:
-        pass  # pool never came up; unfinished chunks re-solve inline
-    for k, part in enumerate(parts):
-        if part is None:
-            parts[k] = model.solve_many(
-                chunks[k], backend=backend, time_limit=time_limit
+    outcomes = fan_out(
+        _solve_chunk,
+        [(model, part, backend, time_limit) for part in chunks],
+        len(chunks),
+        _CHUNK_POLICY,
+    )
+    results = []
+    for part, outcome in zip(chunks, outcomes):
+        if outcome.exc is not None:
+            raise outcome.exc
+        if outcome.lost is not None:
+            # Salvage: every other chunk's pool result is kept.
+            outcome.value = model.solve_many(
+                part, backend=backend, time_limit=time_limit
             )
-    return [result for part in parts for result in part]
+        results.extend(outcome.value)
+    return results

@@ -21,8 +21,8 @@ Fault-point catalog (all per-process, all zero-cost when disabled):
 ========================  ===================================================
 point                     hook site
 ========================  ===================================================
-``batch.dispatch``        ``BatchCertifier`` supervisor, before each submit
-``batch.worker``          ``runtime.batch._run_one``, per query attempt
+``batch.dispatch``        ``BatchCertifier``'s fan-out, before each submit
+``batch.worker``          ``runtime.batch._execute_query``, per attempt
 ``solve.chunk``           ``runtime.batch._solve_chunk`` objective chunks
 ``session.solve``         ``milp.session.SolverSession.solve``
 ``scipy.solve``           ``milp.scipy_backend.ScipyBackend`` standard solve

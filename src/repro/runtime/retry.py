@@ -11,10 +11,9 @@ capped exponential backoff with deterministic jitter (same seed, same
 schedule — chaos runs replay bit-identically) and a per-batch retry
 budget that bounds the total extra work whatever the failure pattern.
 
-Classification works on exception *instances* in the submitting
-process and on qualified class names for failures that crossed a
-process boundary as :class:`~repro.runtime.batch.BatchResult` detail
-records.
+Classification works on live exception *instances* in the submitting
+process: :func:`~repro.runtime.batch.fan_out` ships a worker's failure
+back whole, so one type table is the only definition of "transient".
 """
 
 from __future__ import annotations
@@ -24,32 +23,16 @@ from dataclasses import dataclass
 
 from repro._faults import InjectedFault
 
-__all__ = ["RetryPolicy", "TRANSIENT_ERROR_NAMES"]
+__all__ = ["RetryPolicy", "TRANSIENT_ERROR_TYPES"]
 
-#: Exception class names (bare, matched against the last component of
-#: the qualified ``error_type``) treated as transient.  OSError
-#: subclasses cover worker/IPC deaths; MemoryError is transient because
-#: a re-dispatch lands on a fresh worker with a clean heap.
-TRANSIENT_ERROR_NAMES = frozenset({
-    "BrokenPipeError",
-    "BrokenProcessPool",
-    "ConnectionError",
-    "ConnectionResetError",
-    "EOFError",
-    "InjectedFault",
-    "InterruptedError",
-    "MemoryError",
-    "OSError",
-    "PermissionError",
-    "TimeoutError",
-})
-
-#: Exception types treated as transient when caught live (parent side).
+#: Exception types treated as transient.  OSError and its subclasses
+#: (TimeoutError, BrokenPipeError, ConnectionError, ...) cover worker
+#: and IPC deaths; MemoryError is transient because a re-dispatch lands
+#: on a fresh worker with a clean heap.
 TRANSIENT_ERROR_TYPES = (
     OSError,
     EOFError,
     MemoryError,
-    TimeoutError,
     BrokenProcessPool,
     InjectedFault,
 )
@@ -126,11 +109,6 @@ class RetryPolicy:
             raise ValueError("jitter must be a fraction in [0, 1]")
         if self.max_pool_rebuilds < 0:
             raise ValueError("max_pool_rebuilds must be >= 0")
-
-    def classify_name(self, qualname: str) -> str:
-        """``"transient"`` or ``"permanent"`` for a qualified class name."""
-        name = qualname.rsplit(".", 1)[-1]
-        return "transient" if name in TRANSIENT_ERROR_NAMES else "permanent"
 
     def classify(self, exc: BaseException) -> str:
         """``"transient"`` or ``"permanent"`` for a live exception."""

@@ -157,29 +157,36 @@ class TestBatchFailureDetail:
         )
 
     def test_detail_captures_type_message_traceback(self):
-        from repro.runtime.batch import _run_one
+        from repro.runtime import BatchCertifier, RetryPolicy
+        from repro.runtime.batch import _execute_query, fan_out
 
-        result = _run_one((0, self.make_failing_query()))
+        (outcome,) = fan_out(
+            _execute_query, [self.make_failing_query()], 1, RetryPolicy()
+        )
+        assert outcome.value is None
+        assert outcome.error is not None
+        assert set(outcome.error) == {"error_type", "error_message", "traceback"}
+        # The qualified class name of what the broad handler swallowed.
+        assert "." in outcome.error["error_type"]
+        assert "Traceback" in outcome.error["traceback"]
+        (result,) = BatchCertifier(max_workers=1).run([self.make_failing_query()])
         assert not result.ok
         assert result.certificate is None
         assert result.detail is not None
-        assert set(result.detail) == {"error_type", "error_message", "traceback"}
-        # The qualified class name of what the broad handler swallowed.
-        assert "." in result.detail["error_type"]
         assert result.detail["traceback"] == result.error
-        assert "Traceback" in result.detail["traceback"]
+        assert result.detail["error_type"] == outcome.error["error_type"]
 
     def test_detail_none_on_success(self):
         from repro.bounds import Box
         from repro.nn.affine import AffineLayer
-        from repro.runtime import CertificationQuery
-        from repro.runtime.batch import _run_one
+        from repro.runtime import CertificationQuery, RetryPolicy
+        from repro.runtime.batch import _execute_query, fan_out
 
         layers = [AffineLayer(np.ones((2, 3)), np.zeros(2), relu=False)]
         query = CertificationQuery(
             kind="local-exact", layers=layers, delta=0.05,
             center=np.full(3, 0.5), domain=Box.uniform(3, 0.0, 1.0),
         )
-        result = _run_one((0, query))
-        assert result.ok, result.error
-        assert result.detail is None
+        (outcome,) = fan_out(_execute_query, [query], 1, RetryPolicy())
+        assert outcome.lost is None and outcome.value is not None, outcome.error
+        assert outcome.error is None and outcome.exc is None

@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import _faults
 from repro.bounds import Box
@@ -24,7 +26,7 @@ from repro.runtime.batch import (
     local_queries,
     parallel_solve_many,
 )
-from repro.runtime.retry import RetryPolicy, TRANSIENT_ERROR_NAMES
+from repro.runtime.retry import RetryPolicy, TRANSIENT_ERROR_TYPES
 
 
 @pytest.fixture(autouse=True)
@@ -161,24 +163,34 @@ class TestFaultRuntime:
 
 
 class TestRetryPolicy:
-    def test_classify_qualified_names(self):
-        policy = RetryPolicy()
-        for name in (
-            "concurrent.futures.process.BrokenProcessPool",
-            "repro._faults.InjectedFault",
-            "builtins.OSError",
-            "TimeoutError",
-        ):
-            assert policy.classify_name(name) == "transient"
-        for name in ("builtins.ValueError", "repro.milp.ModelError", ""):
-            assert policy.classify_name(name) == "permanent"
-        assert "InjectedFault" in TRANSIENT_ERROR_NAMES
-
     def test_classify_live_instances(self):
+        from concurrent.futures.process import BrokenProcessPool
+
         policy = RetryPolicy()
         assert policy.classify(OSError("fork failed")) == "transient"
         assert policy.classify(faults.InjectedFault("p", 1)) == "transient"
+        assert policy.classify(BrokenProcessPool("worker died")) == "transient"
+        assert policy.classify(TimeoutError("slow")) == "transient"
         assert policy.classify(ValueError("bad dims")) == "permanent"
+        assert policy.classify(RuntimeError("solver bug")) == "permanent"
+        assert faults.InjectedFault in TRANSIENT_ERROR_TYPES
+
+    def test_worker_failures_rebuild_in_the_parent(self):
+        """Exceptions a pool worker raises cross the pool as themselves."""
+        import pickle
+
+        from repro.certify.minmax import RangeSolveError
+        from repro.milp.solution import SolveResult, SolveStatus
+
+        fault = pickle.loads(pickle.dumps(faults.InjectedFault("p", 3)))
+        assert (fault.point, fault.hit) == ("p", 3)
+        assert RetryPolicy().classify(fault) == "transient"
+        failed = SolveResult(SolveStatus.ERROR, message="boom")
+        error = pickle.loads(pickle.dumps(RangeSolveError("leaf", 2, failed)))
+        assert (error.what, error.output, str(error)) == (
+            "leaf", 2, "leaf failed on output 2: status=error (boom)"
+        )
+        assert RetryPolicy().classify(error) == "permanent"
 
     def test_delay_is_deterministic_capped_exponential(self):
         policy = RetryPolicy(
@@ -299,27 +311,25 @@ class TestPoolSupervisor:
         baseline = BatchCertifier(max_workers=1).run(
             local_queries(layers, centers, 0.05, method="lpr")
         )
-        engine = BatchCertifier(
-            max_workers=2,
-            retry=RetryPolicy(base_delay=0.001, max_pool_rebuilds=0),
-        )
-        engine._retry_budget = engine.retry.batch_budget(len(queries))
+        policy = RetryPolicy(base_delay=0.001, max_pool_rebuilds=0)
+        stats = dict(batch_mod._FAULT_STATS_ZERO)
         plan = faults.FaultPlan.parse("batch.worker:crash@3")
         with faults.injected(plan):
+            # A pool of one worker (fan_out would run workers=1 inline).
             supervisor = batch_mod._PoolSupervisor(
-                engine, 1, len(queries), 0, None
+                batch_mod._execute_query, queries, 1, policy, stats=stats
             )
-            results = supervisor.run(list(enumerate(queries)))
-        assert [r.index for r in results] == list(range(len(queries)))
-        assert all(r.ok and not r.degraded for r in results)
+            outcomes = supervisor.run()
+        assert len(outcomes) == len(queries)  # one per query, in order
+        assert all(o.error is None and o.lost is None for o in outcomes)
         assert plan.hits("batch.worker") == 5  # N-K=4 re-runs + 1 retry
-        assert results[0].detail["attempts"] == 1  # salvaged from the pool
-        assert results[1].detail["attempts"] == 1
-        assert results[2].detail["attempts"] == 2  # the crash victim
-        assert engine.fault_stats["pool_rebuilds"] == 1
-        assert engine.fault_stats["degraded"] == 0
-        for got, want in zip(results, baseline):
-            assert np.array_equal(got.certificate.epsilons, want.certificate.epsilons)
+        assert outcomes[0].attempts == 1  # salvaged from the pool
+        assert outcomes[1].attempts == 1
+        assert outcomes[2].attempts == 2  # the crash victim
+        assert stats["pool_rebuilds"] == 1
+        assert stats["retries"] == 2  # the crash victim + the inline raise
+        for got, want in zip(outcomes, baseline):
+            assert np.array_equal(got.value.epsilons, want.certificate.epsilons)
 
     def test_watchdog_kills_stuck_workers_and_degrades(self, layers, centers):
         engine = BatchCertifier(
@@ -411,15 +421,19 @@ class TestFanoutSalvage:
         # chunk by chunk — never the whole objective list at once.
         assert chunk_sizes == [2, 2]
 
-    def test_split_leaf_salvage_matches_fault_free(self):
+    @staticmethod
+    def _two_leaf_setting():
+        """A net/δ/ε setting that provably reaches 2 MILP leaves at depth 1.
+
+        Root and children stay undecided by bounds; ε sits above the
+        exact value, so the fault-free verdict is "certified".  Returns
+        ``(layers, domain, center, delta, epsilon, exact certificate)``.
+        """
         from repro.bounds import get_propagator
-        from repro.certify import SplitConfig, certify_local_exact, certify_local_split
+        from repro.certify import certify_local_exact
         from repro.certify.presolve import perturbation_ball, variation_from_reference
         from repro.nn.affine import affine_chain_forward
 
-        # A net/δ/ε setting that provably reaches 2 MILP leaves at
-        # depth 1 (root and children undecided by bounds; ε above the
-        # exact value, so the fault-free verdict is "certified").
         rng = np.random.default_rng(11)
         dims = [3, 5, 5, 2]
         layers = [
@@ -441,6 +455,12 @@ class TestFanoutSalvage:
             affine_chain_forward(layers, center),
         ).max())
         epsilon = 0.5 * (exact.epsilon + root_ub)
+        return layers, domain, center, delta, epsilon, exact
+
+    def test_split_leaf_salvage_matches_fault_free(self):
+        from repro.certify import SplitConfig, certify_local_split
+
+        layers, domain, center, delta, epsilon, _ = self._two_leaf_setting()
         fault_free = certify_local_split(
             layers, center, delta, epsilon, domain=domain,
             config=SplitConfig(max_depth=1, seed=7),
@@ -457,6 +477,67 @@ class TestFanoutSalvage:
         assert plan.hits("split.leaf") >= 2
         assert chaotic.verdict == fault_free.verdict == "certified"
         assert np.allclose(chaotic.epsilons, fault_free.epsilons)
+
+    def test_split_hung_leaf_worker_is_reaped(self):
+        """A pooled leaf hung past the shared deadline is killed, not awaited.
+
+        Each worker's first leaf hangs for 4 s, twice the query's whole
+        1 s budget; the watchdog reaps both once the deadline (plus the
+        per-solve floor's slack) has passed, and the reaped leaves stay
+        undecided, which keeps the verdict sound.
+        """
+        from repro.certify import SplitConfig, certify_local_split
+
+        layers, domain, center, delta, epsilon, exact = self._two_leaf_setting()
+        config = SplitConfig(max_depth=1, seed=7, leaf_workers=2, time_limit=1.0)
+        with faults.injected(faults.FaultPlan.parse("split.leaf:hang=4")):
+            t0 = time.perf_counter()
+            cert = certify_local_split(
+                layers, center, delta, epsilon, domain=domain, config=config
+            )
+            elapsed = time.perf_counter() - t0
+        assert elapsed < 3.0  # the 4 s hangs never ran to completion
+        assert cert.verdict == "undecided" and not cert.exact
+        assert cert.detail["undecided"] >= 1
+        assert np.isfinite(cert.epsilons).all()
+        assert (cert.epsilons >= exact.epsilons - 1e-9).all()
+
+
+def _square_or_fail(x: int) -> int:
+    """A fan-out task: permanent failure below 0, transient failure at 0."""
+    if x < 0:
+        raise ValueError(f"negative payload {x}")
+    if x == 0:
+        raise ConnectionResetError("payload zero")
+    return x * x
+
+
+def _comparable(outcome):
+    """An outcome's fields, minus wall time and exception identity."""
+    exc = outcome.exc
+    return (
+        outcome.value, outcome.error, outcome.lost, outcome.attempts,
+        None if exc is None else (type(exc), exc.args),
+    )
+
+
+class TestFanOut:
+    @given(st.lists(st.integers(-2, 4), min_size=1, max_size=6))
+    @settings(max_examples=8, deadline=None)
+    def test_pool_matches_inline(self, payloads):
+        policy = RetryPolicy(max_attempts=2, base_delay=0.0)
+        inline = batch_mod.fan_out(_square_or_fail, payloads, 1, policy)
+        pooled = batch_mod.fan_out(_square_or_fail, payloads, 2, policy)
+        assert [_comparable(o) for o in pooled] == [_comparable(o) for o in inline]
+        for x, outcome in zip(payloads, inline):
+            if x > 0:
+                assert outcome.value == x * x and outcome.attempts == 1
+            elif x == 0:
+                assert outcome.lost == "builtins.ConnectionResetError"
+                assert outcome.attempts == 2
+            else:
+                assert isinstance(outcome.exc, ValueError)
+                assert outcome.error["error_type"] == "builtins.ValueError"
 
 
 # -- the acceptance chaos property --------------------------------------------
