@@ -28,7 +28,6 @@ def certify_global_btne_nd(
     input_box: Box,
     delta: float,
     window: int = 1,
-    backend: str = "scipy",
     bounds: str = "ibp",
 ) -> GlobalCertificate:
     """Global robustness via ND under BTNE (distance info lost).
@@ -41,7 +40,7 @@ def certify_global_btne_nd(
     t0 = time.perf_counter()
     layers = as_affine_chain(network)
     # Per-copy ND ranges (identical for both copies by symmetry).
-    out, milp_count = single_copy_nd(layers, input_box, window, bounds, backend)
+    out, milp_count = single_copy_nd(layers, input_box, window, bounds)
     # Output distance: difference of two independent copies of the range.
     epsilons = out.hi - out.lo
     return GlobalCertificate(
@@ -59,7 +58,6 @@ def certify_global_btne_lpr(
     network: Network | list[AffineLayer],
     input_box: Box,
     delta: float,
-    backend: str = "scipy",
     bounds: str = "ibp",
 ) -> GlobalCertificate:
     """Global robustness via LPR under BTNE.
@@ -74,7 +72,7 @@ def certify_global_btne_lpr(
     relax = [np.ones(l.out_dim, dtype=bool) for l in layers]
     enc = encode_btne(layers, input_box, delta, relax_mask=relax, bounds=bounds)
     objectives = min_max_objectives(enc.output_distance)
-    results = enc.model.solve_many(objectives, backend=backend)
+    results = enc.model.solve_many(objectives)
     lo, hi = optimal_ranges(results[0::2], results[1::2])
     return GlobalCertificate(
         delta=float(delta),

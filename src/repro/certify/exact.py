@@ -36,7 +36,6 @@ def certify_exact_global(
     input_box: Box,
     delta: float,
     encoding: str = "itne",
-    backend: str = "scipy",
     time_limit: float | None = None,
     outputs: list[int] | None = None,
     bounds: str = "ibp",
@@ -49,7 +48,6 @@ def certify_exact_global(
         delta: Perturbation bound δ.
         encoding: ``"itne"`` (all neurons refined) or ``"btne"`` (two
             independent copies, the encoding of [2]).
-        backend: MILP backend name.
         time_limit: Per-MILP time limit in seconds.  A limited solve
             never raises: its sound dual bound (or, failing that, the
             twin-IBP interval bound) certifies the output, and the
@@ -94,7 +92,7 @@ def certify_exact_global(
     # One SolverSession for the whole batch: the standard form is
     # exported once and only the objective vector is swapped per solve.
     objectives = min_max_objectives([enc.output_distance[j] for j in targets])
-    results = enc.model.solve_many(objectives, backend=backend, time_limit=time_limit)
+    results = enc.model.solve_many(objectives, time_limit=time_limit)
     # Sound bounds only: the dual bound of a limited solve, or the
     # objective of a proven-optimal one — never a limited incumbent.
     try:

@@ -53,10 +53,10 @@ class CertifierConfig:
     """Tuning knobs of Algorithm 1.
 
     Attributes:
-        window: Sub-network depth ``W`` (clipped to the layer index).
-        refine_count: Neurons refined (exactly encoded) per sub-network;
-            0 gives a pure LP pipeline.
-        backend: MILP/LP backend name.
+        window: Sub-network depth ``W``, at least 1 (clipped to the
+            layer index).
+        refine_count: Neurons refined (exactly encoded) per sub-network,
+            at least 0; 0 gives a pure LP pipeline.
         bounds: Bound propagator seeding the initial range table
             (``"ibp"`` — the paper's twin IBP — or ``"symbolic"`` for
             the backsubstitution bounds, which start the refinement from
@@ -87,13 +87,20 @@ class CertifierConfig:
 
     window: int = 2
     refine_count: int = 0
-    backend: str = "scipy"
     bounds: str = "ibp"
     couple_second_copy: bool = True
     lp_time_limit: float | None = None
     milp_time_limit: float | None = 30.0
     workers: int = 1
     verbose: bool = False
+
+    def __post_init__(self) -> None:
+        # The certificate records these as given, so a value the
+        # decomposition would silently clamp must not get that far.
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
+        if self.refine_count < 0:
+            raise ValueError("refine_count must be >= 0")
 
 
 class GlobalRobustnessCertifier:
@@ -256,13 +263,12 @@ class GlobalRobustnessCertifier:
             return parallel_solve_many(
                 model,
                 objectives,
-                backend=cfg.backend,
                 time_limit=time_limit,
                 max_workers=cfg.workers,
             )
         # Serial path: one SolverSession per model — the export is cached
         # once for all of its objective solves.
-        return model.solve_many(objectives, backend=cfg.backend, time_limit=time_limit)
+        return model.solve_many(objectives, time_limit=time_limit)
 
     def _check_shortcut(
         self,

@@ -63,7 +63,6 @@ def certify_local_exact(
     center: np.ndarray,
     delta: float,
     domain: Box | None = None,
-    backend: str = "scipy",
     bounds: str = "ibp",
     time_limit: float | None = None,
 ) -> LocalCertificate:
@@ -74,7 +73,7 @@ def certify_local_exact(
     :meth:`~repro.milp.solution.SolveResult.require_optimal`.
     """
     return _certify_whole_network(
-        network, center, delta, domain, backend, bounds, time_limit, relax=False
+        network, center, delta, domain, bounds, time_limit, relax=False
     )
 
 
@@ -84,7 +83,6 @@ def certify_local_nd(
     delta: float,
     window: int = 1,
     domain: Box | None = None,
-    backend: str = "scipy",
     bounds: str = "ibp",
     time_limit: float | None = None,
 ) -> LocalCertificate:
@@ -98,7 +96,7 @@ def certify_local_nd(
     t0 = time.perf_counter()
     layers = as_affine_chain(network)
     ball = perturbation_ball(center, delta, domain)
-    out, _ = single_copy_nd(layers, ball, window, bounds, backend, time_limit)
+    out, _ = single_copy_nd(layers, ball, window, bounds, time_limit)
     return _certificate(
         layers, center, delta, out.lo, out.hi, f"local-nd-w{window}", False, t0
     )
@@ -109,18 +107,17 @@ def certify_local_lpr(
     center: np.ndarray,
     delta: float,
     domain: Box | None = None,
-    backend: str = "scipy",
     bounds: str = "ibp",
     time_limit: float | None = None,
 ) -> LocalCertificate:
     """Local robustness via the triangle LP relaxation of every ReLU."""
     return _certify_whole_network(
-        network, center, delta, domain, backend, bounds, time_limit, relax=True
+        network, center, delta, domain, bounds, time_limit, relax=True
     )
 
 
 def _certify_whole_network(
-    network, center, delta, domain, backend, bounds, time_limit, relax
+    network, center, delta, domain, bounds, time_limit, relax
 ) -> LocalCertificate:
     """Output ranges over one encoding of the whole δ-ball (LPR if ``relax``)."""
     t0 = time.perf_counter()
@@ -129,7 +126,7 @@ def _certify_whole_network(
     relax_mask = [np.ones(layer.out_dim, dtype=bool) for layer in layers] if relax else None
     enc = encode_single_network(layers, ball, relax_mask=relax_mask, bounds=bounds)
     results = enc.model.solve_many(
-        min_max_objectives(enc.output), backend=backend, time_limit=time_limit
+        min_max_objectives(enc.output), time_limit=time_limit
     )
     lo, hi = optimal_ranges(results[0::2], results[1::2])
     method = "local-lpr" if relax else "local-exact"
@@ -141,7 +138,6 @@ def single_copy_nd(
     input_box: Box,
     window: int,
     bounds: str,
-    backend: str,
     time_limit: float | None = None,
 ) -> tuple[Box, int]:
     """Output range of one network copy by network decomposition.
@@ -166,7 +162,7 @@ def single_copy_nd(
             pre_act_bounds=y_ranges[sub.input_layer_index : i],
         )
         results = enc.model.solve_many(
-            min_max_objectives(enc.y[-1]), backend=backend, time_limit=time_limit
+            min_max_objectives(enc.y[-1]), time_limit=time_limit
         )
         solves += len(results)
         lo, hi = optimal_ranges(results[0::2], results[1::2])

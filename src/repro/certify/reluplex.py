@@ -47,7 +47,6 @@ class ReluplexStyleSolver:
     """Case-splitting exact solver for Problem 1.
 
     Args:
-        backend: LP backend used at every node.
         max_nodes: Safety cap on explored nodes (raises when exceeded so
             timing comparisons stay honest).
         tol: ReLU satisfaction tolerance.
@@ -58,12 +57,10 @@ class ReluplexStyleSolver:
 
     def __init__(
         self,
-        backend: str = "scipy",
         max_nodes: int = 2_000_000,
         tol: float = 1e-6,
         bounds: str = "ibp",
     ) -> None:
-        self.backend = backend
         self.max_nodes = max_nodes
         self.tol = tol
         self.bounds = bounds
@@ -138,7 +135,7 @@ class ReluplexStyleSolver:
             if self.nodes_explored > self.max_nodes:
                 raise RuntimeError("ReluplexStyleSolver: node budget exceeded")
             model.set_objective(objective * sign, sense="max")
-            result = model.solve(backend=self.backend)
+            result = model.solve()
             if not result.is_optimal:
                 return  # infeasible phase combination
             if result.objective <= best + self.tol:

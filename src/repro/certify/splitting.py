@@ -81,7 +81,6 @@ class SplitConfig:
             sequential tier's exploration exactly; larger waves keep the
             same soundness but may explore the tree in a different
             order near the domain budget.
-        backend: MILP backend for leaf solves.
         bounds: Bound propagator re-run per subdomain (default
             ``"symbolic"`` — the whole point is tight per-box bounds).
         time_limit: Shared wall-clock deadline in seconds for the whole
@@ -103,7 +102,6 @@ class SplitConfig:
     min_width: float = 1e-6
     attack_samples: int = 1
     frontier_batch: int = 8
-    backend: str = "scipy"
     bounds: str = "symbolic"
     time_limit: float | None = None
     leaf_workers: int | None = None
@@ -276,7 +274,6 @@ def _solve_local_leaf(
     layers: list[AffineLayer],
     leaf: _Leaf,
     base: np.ndarray,
-    backend: str,
     time_limit: float | None,
 ) -> _LeafOutcome:
     """Exact min/max of every output over one leaf box (single copy).
@@ -291,7 +288,7 @@ def _solve_local_leaf(
     )
     objectives = min_max_objectives(enc.output)
     results = enc.model.solve_many(
-        objectives, backend=backend,
+        objectives,
         time_limit=_per_solve_limit(time_limit, len(objectives)),
     )
     return _leaf_outcome(layers, leaf, results, enc, base)
@@ -302,7 +299,6 @@ def _solve_global_leaf(
     leaf: _Leaf,
     delta: float,
     domain: Box,
-    backend: str,
     time_limit: float | None,
 ) -> _LeafOutcome:
     """Exact output-distance extrema over one leaf (twin ITNE MILP).
@@ -322,7 +318,7 @@ def _solve_global_leaf(
         enc.model.add_constr(second <= float(domain.hi[k]))
     objectives = min_max_objectives(enc.output_distance)
     results = enc.model.solve_many(
-        objectives, backend=backend,
+        objectives,
         time_limit=_per_solve_limit(time_limit, len(objectives)),
     )
     return _leaf_outcome(layers, leaf, results, enc)
@@ -334,16 +330,16 @@ def _leaf_worker(payload) -> _LeafOutcome | None:
     The budget is read as the leaf starts; past the deadline it returns
     ``None`` unsolved, and the leaf stays undecided (sound).
     """
-    kind, layers, leaf, extra, backend, deadline = payload
+    kind, layers, leaf, extra, deadline = payload
     budget = None if deadline is None else deadline - time.perf_counter()
     if budget is not None and budget <= 0:
         return None
     if _faults.ENABLED:
         _faults.fault_point("split.leaf")
     if kind == "local":
-        return _solve_local_leaf(layers, leaf, extra, backend, budget)
+        return _solve_local_leaf(layers, leaf, extra, budget)
     delta, domain = extra
-    return _solve_global_leaf(layers, leaf, delta, domain, backend, budget)
+    return _solve_global_leaf(layers, leaf, delta, domain, budget)
 
 
 def _solve_leaves(
@@ -368,7 +364,7 @@ def _solve_leaves(
         range(len(leaves)), key=lambda i: -float(leaves[i].eps_ub.max())
     )
     payloads = [
-        (kind, layers, leaves[i], extra, config.backend, deadline) for i in order
+        (kind, layers, leaves[i], extra, deadline) for i in order
     ]
     workers = min(config.leaf_workers or 1, len(leaves))
     outcomes: list[Outcome | None] = [None] * len(payloads)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Any, Callable
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from repro.certify import (
     certify_exact_global,
     pgd_underapproximation,
 )
-from repro.milp.backend import BACKEND_NAMES
 from repro.nn import load_network
 from repro.nn.lipschitz import linf_gain_upper_bound
 
@@ -52,9 +52,9 @@ def _add_split_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--split", action="store_true",
                         help="decide the --epsilon query by input-splitting "
                         "branch-and-bound instead of one monolithic MILP")
-    parser.add_argument("--max-domains", type=int, default=None,
+    parser.add_argument("--max-domains", type=_int_at_least(1), default=None,
                         help="split tier: budget on evaluated subdomains")
-    parser.add_argument("--split-depth", type=int, default=None,
+    parser.add_argument("--split-depth", type=_int_at_least(0), default=None,
                         help="split tier: bisection depth at which "
                         "subdomains drop to MILP leaves")
 
@@ -75,6 +75,21 @@ def _positive_seconds(text: str) -> float:
             "(omit the flag for the default, or pass 'inf' for no limit)"
         )
     return value
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """Argparse type for an integer knob with a floor (else a usage error)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from exc
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _positive_epsilon(text: str) -> float:
@@ -126,11 +141,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="algorithm1 = the paper's over-approximation (default); "
         "exact/reluplex = exact baselines (exponential!)",
     )
-    p_cert.add_argument("--window", type=int, default=2, help="ND window W")
-    p_cert.add_argument("--refine", type=int, default=0,
+    p_cert.add_argument("--window", type=_int_at_least(1), default=2,
+                        help="ND window W")
+    p_cert.add_argument("--refine", type=_int_at_least(0), default=0,
                         help="neurons refined per sub-network")
-    p_cert.add_argument("--backend", choices=BACKEND_NAMES, default="scipy",
-                        help="MILP/LP solver (both names are HiGHS)")
     p_cert.add_argument("--bounds", choices=_BOUNDS_CHOICES, default=None,
                         help="bound propagator seeding big-M ranges / the "
                         "initial range table (default: ibp; the --split "
@@ -170,12 +184,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="random samples drawn from the domain")
     p_batch.add_argument("--inputs", default=None,
                          help="optional .npy file of samples (rows)")
-    p_batch.add_argument("--window", type=int, default=1,
+    p_batch.add_argument("--window", type=_int_at_least(1), default=1,
                          help="ND window (method=nd)")
     p_batch.add_argument("--workers", type=int, default=None,
                          help="worker processes (default: all cores)")
-    p_batch.add_argument("--backend", choices=BACKEND_NAMES, default="scipy",
-                         help="MILP/LP solver (both names are HiGHS)")
     p_batch.add_argument("--bounds", choices=_BOUNDS_CHOICES, default=None,
                          help="bound propagator for the solver tier "
                          "(default: ibp for the MILP tier, symbolic for "
@@ -203,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "query resolves to a sound degraded answer "
                          "(multi-worker runs only; --time-limit is the "
                          "cooperative solver budget)")
-    p_batch.add_argument("--max-retries", type=int, default=None,
+    p_batch.add_argument("--max-retries", type=_int_at_least(1), default=None,
                          help="attempts per query for transient failures "
                          "(worker deaths, broken pools) before a sound "
                          "degraded answer (default: 3)")
@@ -290,18 +302,19 @@ def _cmd_certify(args) -> int:
             print("error: --split needs an --epsilon target to decide",
                   file=sys.stderr)
             return 2
+        knobs: dict[str, Any] = {}
+        if args.max_domains is not None:
+            knobs["max_domains"] = args.max_domains
+        if args.split_depth is not None:
+            knobs["max_depth"] = args.split_depth
         config = SplitConfig(
-            backend=args.backend,
             bounds=args.bounds or "symbolic",
             time_limit=(
                 None if args.time_limit in (None, float("inf"))
                 else args.time_limit
             ),
+            **knobs,
         )
-        if args.max_domains is not None:
-            config.max_domains = args.max_domains
-        if args.split_depth is not None:
-            config.max_depth = args.split_depth
         cert = certify_global_split(net, domain, args.delta, args.epsilon,
                                     config=config)
         print(cert.summary())
@@ -319,7 +332,6 @@ def _cmd_certify(args) -> int:
         config = CertifierConfig(
             window=args.window,
             refine_count=args.refine,
-            backend=args.backend,
             bounds=args.bounds or "ibp",
             milp_time_limit=None if limit == float("inf") else limit,
         )
@@ -327,11 +339,11 @@ def _cmd_certify(args) -> int:
     elif args.method == "exact":
         limit = args.time_limit
         cert = certify_exact_global(
-            net, domain, args.delta, backend=args.backend, bounds=args.bounds or "ibp",
+            net, domain, args.delta, bounds=args.bounds or "ibp",
             time_limit=None if limit in (None, float("inf")) else limit,
         )
     else:
-        cert = ReluplexStyleSolver(backend=args.backend, bounds=args.bounds or "ibp").certify(
+        cert = ReluplexStyleSolver(bounds=args.bounds or "ibp").certify(
             net, domain, args.delta
         )
     print(cert.summary())
@@ -377,15 +389,12 @@ def _cmd_batch(args) -> int:
         return 2
     queries = local_queries(
         net, samples, args.delta,
-        method=args.method, domain=domain, backend=args.backend,
+        method=args.method, domain=domain,
         window=args.window, epsilon=args.epsilon, bounds=args.bounds,
         presolve=not args.no_presolve, split=args.split,
         max_domains=args.max_domains, split_depth=args.split_depth,
         time_limit=args.time_limit,
     )
-    if args.max_retries is not None and args.max_retries < 1:
-        print("error: --max-retries must be >= 1", file=sys.stderr)
-        return 2
     engine = BatchCertifier(
         max_workers=args.workers,
         bulk_presolve=not args.no_bulk_presolve,

@@ -2,9 +2,11 @@
 
 This package is the repository's substitute for Gurobi.  It provides a
 small but complete modeling API (:class:`Var`, :class:`LinExpr`,
-:class:`Constraint`, :class:`Model`) and one solver backend,
+:class:`Constraint`, :class:`Model`) and one solver,
 :mod:`repro.milp.scipy_backend`, which compiles a model to
-``scipy.optimize.milp`` / ``scipy.optimize.linprog`` (HiGHS).
+``scipy.optimize.milp`` / ``scipy.optimize.linprog`` (HiGHS).  There is
+no solver switch: ``Model.solve``, ``Model.solve_many`` and
+:func:`open_session` all go straight to HiGHS.
 
 Results follow one contract
 (:func:`repro.milp.solution.finalize_user_sense`): objectives are
@@ -34,7 +36,6 @@ from __future__ import annotations
 from repro.milp.expr import LinExpr, Var, VType, as_expr
 from repro.milp.model import Constraint, ConstraintBlock, Model, Sense
 from repro.milp.solution import SolveResult, SolveStatus
-from repro.milp.backend import get_backend
 from repro.milp.session import SolverSession, open_session
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "Sense",
     "SolveResult",
     "SolveStatus",
-    "get_backend",
     "SolverSession",
     "open_session",
 ]

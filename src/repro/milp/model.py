@@ -151,7 +151,7 @@ class Model:
     per-row :class:`Constraint` objects built with ``<=``/``>=``/``==``
     on expressions, and :class:`ConstraintBlock` batches appended
     array-natively via :meth:`add_linear_rows` (the encoders' fast
-    path).  Solving delegates to the HiGHS backend
+    path).  Solving delegates to HiGHS
     (:class:`~repro.milp.scipy_backend.ScipyBackend`).
     """
 
@@ -460,7 +460,7 @@ class Model:
     ) -> tuple[np.ndarray, LinExpr]:
         """Minimization-sense dense objective vector for ``expr``.
 
-        Shared by the backends' multi-objective fast paths so objective
+        Shared by the multi-objective session paths so objective
         assembly (Var coercion, max-sense negation, sense validation)
         cannot drift between them.
 
@@ -493,7 +493,7 @@ class Model:
 
         The objective vector ``c`` is always stated for *minimization*;
         callers must negate the optimum when ``objective_sense == 'max'``
-        (the backends do this).
+        (the solver wrapper does this).
 
         Row order: per-row :class:`Constraint` objects first (insertion
         order), then :class:`ConstraintBlock` rows (block insertion
@@ -507,7 +507,7 @@ class Model:
                 Blocks appended via :meth:`add_linear_rows` flow in by
                 triplet concatenation without any per-row Python walk.
                 Encoded networks have a few non-zeros per row, so this
-                is the only form the solver backend reads.  The dense
+                is the only form the solver reads.  The dense
                 export is the reference the sparse export is tested
                 against.
         """
@@ -643,36 +643,32 @@ class Model:
 
     def solve(
         self,
-        backend: str = "scipy",
         time_limit: float | None = None,
         mip_gap: float | None = None,
     ) -> SolveResult:
         """Solve the model with HiGHS.
 
         Args:
-            backend: ``"scipy"``/``"highs"`` or a backend instance (see
-                :func:`~repro.milp.backend.get_backend`).
             time_limit: Optional wall-clock limit in seconds.
             mip_gap: Optional relative MIP gap termination tolerance.
 
         Returns:
             A :class:`~repro.milp.solution.SolveResult`.
         """
-        from repro.milp.backend import get_backend
+        from repro.milp.scipy_backend import ScipyBackend
 
-        return get_backend(backend).solve(self, time_limit=time_limit, mip_gap=mip_gap)
+        return ScipyBackend().solve(self, time_limit=time_limit, mip_gap=mip_gap)
 
     def solve_many(
         self,
         objectives: Sequence[tuple[LinExpr | Var, str]],
-        backend: "str | object" = "scipy",
         time_limit: float | None = None,
     ) -> list[SolveResult]:
         """Solve the same constraint system under several objectives.
 
         This is the one multi-objective path, the hot path of Algorithm
         1 (min/max objectives per neuron over one sub-network encoding).
-        It exports the constraint matrices once into the backend's
+        It exports the constraint matrices once into a
         :class:`~repro.milp.session.SolverSession`, which swaps only the
         cost vector and stacks pure-LP objectives into block-diagonal
         solves.  The model itself, objective included, is left
@@ -680,15 +676,14 @@ class Model:
 
         Args:
             objectives: Pairs ``(expression, "min"|"max")``.
-            backend: ``"scipy"``/``"highs"`` or a backend instance.
             time_limit: Per-solve time limit.
 
         Returns:
             One :class:`SolveResult` per objective, in order.
         """
-        from repro.milp.backend import get_backend
+        from repro.milp.scipy_backend import ScipyBackend
 
-        with get_backend(backend).open_session(self) as session:
+        with ScipyBackend().open_session(self) as session:
             return session.solve_objectives(objectives, time_limit=time_limit)
 
     def relaxed(self) -> "Model":

@@ -65,8 +65,6 @@ class ScipyBackend:
     block-diagonal LP (:meth:`solve_lp_stack`).
     """
 
-    name = "scipy"
-
     def solve(
         self,
         model: "Model",
@@ -147,7 +145,6 @@ class ScipyBackend:
             return [
                 SolveResult(
                     status=SolveStatus.INFEASIBLE,
-                    backend=self.name,
                     solve_time=share,
                     message=stacked.message,
                 )
@@ -163,7 +160,6 @@ class ScipyBackend:
                     status=SolveStatus.OPTIMAL,
                     objective=objective,
                     values=x.copy(),
-                    backend=self.name,
                     solve_time=share,
                     message=stacked.message,
                     bound=objective,
@@ -194,7 +190,6 @@ class ScipyBackend:
         else:
             result = self._solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, time_limit)
         result.solve_time = time.perf_counter() - t0
-        result.backend = self.name
         return result
 
     @staticmethod

@@ -35,15 +35,15 @@ class SolverSession:
     The session captures the model's sparse export once; afterwards
     :meth:`set_objective` swaps the cost vector and :meth:`solve`
     re-solves without re-export, and :meth:`solve_objectives` runs a
-    whole objective list, stacked where the backend allows.
+    whole objective list, stacked where the nonzero budget allows.
 
     Args:
-        backend: The backend instance solving the snapshot.
+        solver: The HiGHS wrapper solving the snapshot.
         model: The model to snapshot (not referenced after ``__init__``
             except for objective-vector assembly and stack sizing).
     """
 
-    def __init__(self, backend: "ScipyBackend", model: Model) -> None:
+    def __init__(self, solver: "ScipyBackend", model: Model) -> None:
         (
             self._c,
             self._a_ub,
@@ -53,7 +53,7 @@ class SolverSession:
             bounds,
             self._integrality,
         ) = model.to_standard_form(sparse=True)
-        self._backend = backend
+        self._solver = solver
         self._model = model
         self._lo = np.array([b[0] for b in bounds], dtype=float)
         self._hi = np.array([b[1] for b in bounds], dtype=float)
@@ -105,7 +105,7 @@ class SolverSession:
         self._require_open()
         if _faults.ENABLED:
             _faults.fault_point("session.solve")
-        result = self._backend._solve_std(
+        result = self._solver._solve_std(
             self._c, self._a_ub, self._b_ub, self._a_eq, self._b_eq,
             list(zip(self._lo, self._hi)), self._integrality,
             time_limit, mip_gap,
@@ -113,14 +113,14 @@ class SolverSession:
         return finalize_user_sense(result, self._sense, self._constant)
 
     def objectives_per_stack(self) -> int:
-        """Objectives :meth:`solve_objectives` hands the backend per call.
+        """Objectives :meth:`solve_objectives` hands HiGHS per call.
 
         1 unless the session is a pure LP; then as many copies of the
-        system as the backend's nonzero budget allows (module-level
+        system as the solver's nonzero budget allows (module-level
         :func:`objectives_per_stack`).
         """
         self._require_open()
-        return objectives_per_stack(self._model, self._backend)
+        return objectives_per_stack(self._model)
 
     def solve_objectives(
         self,
@@ -129,7 +129,7 @@ class SolverSession:
     ) -> list[SolveResult]:
         """Solve the snapshot under several objectives, in order.
 
-        The objectives go to the backend in consecutive stacks of
+        The objectives go to HiGHS in consecutive stacks of
         :meth:`objectives_per_stack`.  A stack of one is a plain
         :meth:`solve`; a larger stack is one block-diagonal LP whose
         result k is what :meth:`solve` reports for objective k alone,
@@ -157,7 +157,7 @@ class SolverSession:
         group: 'Sequence[tuple["LinExpr | Var", str]]',
         time_limit: float | None,
     ) -> list[SolveResult] | None:
-        """Solve ``group`` in one backend call (see :meth:`solve_objectives`).
+        """Solve ``group`` in one solver call (see :meth:`solve_objectives`).
 
         Returns ``None`` when the stack came back neither optimal nor
         infeasible: the caller then solves the group one at a time.
@@ -169,7 +169,7 @@ class SolverSession:
         senses = [sense for _, sense in group]
         constants = [expr.constant for _, expr in vectors]
         self._c, self._sense, self._constant = vectors[-1][0], senses[-1], constants[-1]
-        stacked = self._backend.solve_lp_stack(
+        stacked = self._solver.solve_lp_stack(
             [c for c, _ in vectors], self._a_ub, self._b_ub, self._a_eq,
             self._b_eq, self._lo, self._hi, time_limit,
         )
@@ -214,31 +214,25 @@ class SolverSession:
         )
 
 
-def objectives_per_stack(model: Model, backend: "str | object" = "scipy") -> int:
-    """Objectives one stacked solve of ``model`` on ``backend`` holds.
+def objectives_per_stack(model: Model) -> int:
+    """Objectives one stacked solve of ``model`` holds.
 
-    1 for a model with integer variables; otherwise the backend's
-    ``objectives_per_stack`` policy applied to
+    1 for a model with integer variables; otherwise
+    ``ScipyBackend.objectives_per_stack`` applied to
     :attr:`Model.num_nonzeros`, read without an export.
     :meth:`SolverSession.objectives_per_stack` and the process fan-out
     both size their stacks here, so the fan-out's chunks fall on the
     serial path's stack boundaries.
     """
-    from repro.milp.backend import get_backend
+    from repro.milp.scipy_backend import ScipyBackend
 
     if model.num_binary > 0:
         return 1
-    return int(get_backend(backend).objectives_per_stack(model.num_nonzeros))
+    return int(ScipyBackend.objectives_per_stack(model.num_nonzeros))
 
 
-def open_session(model: Model, backend: "str | object" = "scipy") -> SolverSession:
-    """Open a :class:`SolverSession` on ``model`` with a backend.
+def open_session(model: Model) -> SolverSession:
+    """Open a HiGHS :class:`SolverSession` on ``model``."""
+    from repro.milp.scipy_backend import ScipyBackend
 
-    Args:
-        model: The model to snapshot.
-        backend: ``"scipy"``/``"highs"`` or a backend instance (see
-            :func:`~repro.milp.backend.get_backend`).
-    """
-    from repro.milp.backend import get_backend
-
-    return get_backend(backend).open_session(model)
+    return ScipyBackend().open_session(model)

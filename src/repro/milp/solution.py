@@ -1,4 +1,4 @@
-"""Solve results and status codes shared by every MILP backend."""
+"""Solve results and status codes of the MILP layer."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 
 
 class SolveStatus(enum.Enum):
-    """Outcome of a solve call, harmonized across backends."""
+    """Outcome of a solve call, harmonized across HiGHS's LP and MILP codes."""
 
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -22,7 +22,7 @@ class SolveStatus(enum.Enum):
 
 @dataclass
 class SolveResult:
-    """Solution returned by a backend.
+    """Solution returned by the solver.
 
     Attributes:
         status: Harmonized solver status.
@@ -30,16 +30,14 @@ class SolveResult:
             report the maximum, not the negated minimum).
         values: Array of variable values in column order (empty when no
             incumbent exists).
-        backend: Name of the backend that produced the result.
-        solve_time: Wall-clock seconds spent inside the backend.
+        solve_time: Wall-clock seconds spent inside the solver.
         nodes: Branch-and-bound nodes explored (0 for pure LPs).
-        message: Backend-specific diagnostic text.
+        message: Solver diagnostic text.
     """
 
     status: SolveStatus
     objective: float = float("nan")
     values: np.ndarray = field(default_factory=lambda: np.empty(0))
-    backend: str = ""
     solve_time: float = 0.0
     nodes: int = 0
     message: str = ""
@@ -105,8 +103,8 @@ def finalize_user_sense(
 ) -> SolveResult:
     """Translate a raw minimization-sense result into the user's sense.
 
-    Every backend internally minimizes; this single transform guarantees
-    identical result semantics across backends (the contract stated on
+    The solver internally minimizes; this single transform guarantees
+    identical result semantics on every solve path (the contract stated on
     :class:`SolveResult`): whenever a finite incumbent objective exists —
     proven optimal *or* the best solution found before a time/node limit
     — it is reported in the user's sense with the objective constant
@@ -114,7 +112,7 @@ def finalize_user_sense(
     time-limited max-sense solves still carry a sound upper bound.
 
     Args:
-        result: Backend result, objective/bound in minimization sense.
+        result: Raw solver result, objective/bound in minimization sense.
         sense: The user's objective sense, ``"min"`` or ``"max"``.
         constant: The affine objective's constant term.
 

@@ -21,7 +21,7 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 #: Exceptions meaning "the process pool itself is unusable" (cannot
 #: fork/spawn, or a worker died mid-task) — distinct from a task
@@ -70,9 +70,9 @@ class CertificationQuery:
         center: The sample for local kinds (ignored for global kinds).
         domain: Input domain; required for global kinds, optional clip
             for local kinds.
-        window: ND window ``W`` (``local-nd`` / ``global``).
-        refine_count: Neurons refined per sub-network (``global`` only).
-        backend: MILP/LP backend name.
+        window: ND window ``W`` (``local-nd`` / ``global``); at least 1.
+        refine_count: Neurons refined per sub-network (``global`` only);
+            at least 0.
         time_limit: Per-MILP time limit in seconds.  For global kinds
             ``None`` means "use the engine default"
             (:data:`DEFAULT_GLOBAL_TIME_LIMIT`, 30 s) — it does NOT
@@ -107,11 +107,11 @@ class CertificationQuery:
             ``global-exact``.  For split queries ``time_limit`` is the
             *shared* deadline of the whole query (bounding + leaf MILPs)
             rather than a per-MILP limit, and ``None`` stays unlimited.
-        max_domains: Split tier: budget on evaluated subdomains
-            (``None`` = the :class:`~repro.certify.splitting.SplitConfig`
-            default).
+        max_domains: Split tier: budget on evaluated subdomains, at
+            least 1 (``None`` = the
+            :class:`~repro.certify.splitting.SplitConfig` default).
         split_depth: Split tier: bisection depth at which subdomains
-            drop to MILP leaves (``None`` = config default).
+            drop to MILP leaves, at least 0 (``None`` = config default).
         split_workers: Split tier: process count for solving leaf MILPs
             concurrently.  Leave ``None``: the engine grants its own
             worker budget when the split query runs inline (a batch of
@@ -127,7 +127,6 @@ class CertificationQuery:
     domain: Box | None = None
     window: int = 2
     refine_count: int = 0
-    backend: str = "scipy"
     time_limit: float | None = None
     epsilon: float | None = None
     bounds: str | None = None
@@ -143,9 +142,15 @@ class CertificationQuery:
             raise ValueError(
                 f"unknown query kind {self.kind!r}; expected one of {QUERY_KINDS}"
             )
-        from repro.milp.backend import get_backend
-
-        get_backend(self.backend)  # an unknown name fails here, not per worker
+        # Knob ranges fail here, not per worker.
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
+        if self.refine_count < 0:
+            raise ValueError("refine_count must be >= 0")
+        if self.max_domains is not None and self.max_domains < 1:
+            raise ValueError("max_domains must be >= 1")
+        if self.split_depth is not None and self.split_depth < 0:
+            raise ValueError("split_depth must be >= 0")
         if self.time_limit is not None and not self.time_limit > 0:
             # `not > 0` (rather than `<= 0`) also rejects NaN, which
             # would otherwise reach the solver and silently disable the
@@ -289,16 +294,17 @@ def _run_split(query: CertificationQuery):
     """Run the input-splitting tier for an undecided ε-query."""
     from repro.certify import SplitConfig, certify_global_split, certify_local_split
 
+    knobs: dict[str, Any] = {}
+    if query.max_domains is not None:
+        knobs["max_domains"] = query.max_domains
+    if query.split_depth is not None:
+        knobs["max_depth"] = query.split_depth
     config = SplitConfig(
-        backend=query.backend,
         bounds=query.effective_bounds(),
         time_limit=_exact_parity_limit(query),
         leaf_workers=query.split_workers,
+        **knobs,
     )
-    if query.max_domains is not None:
-        config.max_domains = query.max_domains
-    if query.split_depth is not None:
-        config.max_depth = query.split_depth
     if query.kind == "local-exact":
         return certify_local_split(
             query.layers, query.center, query.delta, query.epsilon,
@@ -338,16 +344,15 @@ def _execute_query(query: CertificationQuery):
         }[query.kind]
         return certify(
             query.layers, query.center, query.delta, domain=query.domain,
-            backend=query.backend, bounds=query.effective_bounds(),
+            bounds=query.effective_bounds(),
             time_limit=_exact_parity_limit(query), **extra,
         )
     if query.kind == "global":
-        # The CLI's algorithm-1 knobs (window, refine, backend, limit)
+        # The CLI's algorithm-1 knobs (window, refine, bounds, limit)
         # plumb through 1:1; time_limit=None keeps the 30 s safeguard.
         config = CertifierConfig(
             window=query.window,
             refine_count=query.refine_count,
-            backend=query.backend,
             bounds=query.effective_bounds(),
             milp_time_limit=query.effective_time_limit(),
         )
@@ -357,7 +362,7 @@ def _execute_query(query: CertificationQuery):
     # "global-exact" — validated in CertificationQuery.__post_init__.
     return certify_exact_global(
         query.layers, query.domain, query.delta,
-        backend=query.backend, time_limit=query.effective_time_limit(),
+        time_limit=query.effective_time_limit(),
         bounds=query.effective_bounds(),
     )
 
@@ -1093,7 +1098,6 @@ def local_queries(
     delta: float,
     method: str = "exact",
     domain: Box | None = None,
-    backend: str = "scipy",
     window: int = 1,
     epsilon: float | None = None,
     bounds: str | None = None,
@@ -1113,7 +1117,6 @@ def local_queries(
         delta: Perturbation radius.
         method: ``"exact"``, ``"nd"`` or ``"lpr"``.
         domain: Optional domain box intersected with each δ-ball.
-        backend: Solver backend for every query.
         window: ND window (``method="nd"`` only).
         epsilon: Optional variation target enabling the presolve tier.
         bounds: Bound propagator for the MILP tier (``"ibp"`` /
@@ -1141,7 +1144,6 @@ def local_queries(
             center=np.asarray(center, dtype=float).reshape(-1),
             domain=domain,
             window=window,
-            backend=backend,
             epsilon=epsilon,
             bounds=bounds,
             presolve=presolve,
@@ -1161,7 +1163,6 @@ def global_query(
     delta: float,
     window: int = 2,
     refine_count: int = 0,
-    backend: str = "scipy",
     time_limit: float | None = None,
     exact: bool = False,
     epsilon: float | None = None,
@@ -1190,7 +1191,6 @@ def global_query(
         domain=domain,
         window=window,
         refine_count=refine_count,
-        backend=backend,
         time_limit=time_limit,
         epsilon=epsilon,
         bounds=bounds,
@@ -1207,10 +1207,10 @@ def global_query(
 
 def _solve_chunk(payload):
     """Worker: solve a contiguous chunk of objectives on a shared model."""
-    model, objectives, backend, time_limit = payload
+    model, objectives, time_limit = payload
     if _faults.ENABLED:
         _faults.fault_point("solve.chunk")
-    return model.solve_many(objectives, backend=backend, time_limit=time_limit)
+    return model.solve_many(objectives, time_limit=time_limit)
 
 
 #: A chunk gets one pooled attempt: the parent re-solves whatever the
@@ -1221,7 +1221,6 @@ _CHUNK_POLICY = RetryPolicy(max_attempts=1)
 def parallel_solve_many(
     model,
     objectives,
-    backend: str = "scipy",
     time_limit: float | None = None,
     max_workers: int | None = None,
 ):
@@ -1243,7 +1242,6 @@ def parallel_solve_many(
     Args:
         model: The shared :class:`~repro.milp.model.Model`.
         objectives: Pairs ``(expression, "min"|"max")``.
-        backend: Backend name.
         time_limit: Per-solve time limit in seconds.
         max_workers: Process count; ``None`` uses ``os.cpu_count()``.
 
@@ -1254,16 +1252,16 @@ def parallel_solve_many(
     from repro.milp.session import objectives_per_stack
 
     objectives = list(objectives)
-    per_stack = objectives_per_stack(model, backend)
+    per_stack = objectives_per_stack(model)
     stacks = math.ceil(len(objectives) / per_stack)
     workers = min(max_workers or os.cpu_count() or 1, stacks)
     if workers <= 1:
-        return model.solve_many(objectives, backend=backend, time_limit=time_limit)
+        return model.solve_many(objectives, time_limit=time_limit)
     chunk = math.ceil(stacks / workers) * per_stack
     chunks = [objectives[k : k + chunk] for k in range(0, len(objectives), chunk)]
     outcomes = fan_out(
         _solve_chunk,
-        [(model, part, backend, time_limit) for part in chunks],
+        [(model, part, time_limit) for part in chunks],
         len(chunks),
         _CHUNK_POLICY,
     )
@@ -1273,8 +1271,6 @@ def parallel_solve_many(
             raise outcome.exc
         if outcome.lost is not None:
             # Salvage: every other chunk's pool result is kept.
-            outcome.value = model.solve_many(
-                part, backend=backend, time_limit=time_limit
-            )
+            outcome.value = model.solve_many(part, time_limit=time_limit)
         results.extend(outcome.value)
     return results

@@ -1,9 +1,10 @@
 """Retry policy: transient-vs-permanent triage and deterministic backoff.
 
 A certification batch meets two very different kinds of failure.  A
-*permanent* one — bad center dimensions, an unknown backend, a genuine
-encoding bug — will fail identically on every attempt; retrying only
-burns the batch's time, so those surface immediately as error results.
+*permanent* one — bad center dimensions, a domain of the wrong width,
+a genuine encoding bug — will fail identically on every attempt;
+retrying only burns the batch's time, so those surface immediately as
+error results.
 A *transient* one — a worker killed by the OS, a broken pool, an
 injected chaos fault, a timeout — is expected to succeed on a clean
 re-dispatch, so the engine retries it under this module's policy:

@@ -47,7 +47,7 @@ RULE_FIXTURES = [
         "RPR003",
         "src/repro/certify/example.py",
         "from repro.milp.scipy_backend import ScipyBackend\n",
-        "from repro.milp.backend import get_backend\n\nbackend = get_backend('scipy')\n",
+        "from repro.milp import open_session\n\nsession = open_session(model)\n",
     ),
     (
         "RPR004",
@@ -132,7 +132,7 @@ class TestRuleScoping:
 
     def test_rpr003_allowed_inside_milp(self):
         src = "from repro.milp.scipy_backend import ScipyBackend\n"
-        assert lint(src, "src/repro/milp/backend.py") == []
+        assert lint(src, "src/repro/milp/session.py") == []
 
     def test_rpr004_from_import(self):
         assert "RPR004" in codes(lint("from time import time\n"))
@@ -258,14 +258,14 @@ class TestSatelliteRegressions:
         assert "RPR002" in codes(lint_source(reverted, relpath, relpath))
 
     def test_registry_fix_is_load_bearing(self):
-        # The pre-fix import shape of tests/milp/test_backend_registry.py.
+        # The import shape tests use to patch solver internals.
         # Test paths now carry the relaxed profile (RPR003 exempt there),
         # so the property is asserted on a src path instead.
         src = "from repro.milp import scipy_backend\n"
         relpath = "src/repro/certify/example.py"
         assert "RPR003" in codes(lint_source(src, relpath, relpath))
         # ... and the relaxed test profile really is relaxed.
-        test_relpath = "tests/milp/test_backend_registry.py"
+        test_relpath = "tests/milp/test_session.py"
         assert lint_source(src, test_relpath, test_relpath) == []
 
     def test_batch_waiver_is_load_bearing(self):

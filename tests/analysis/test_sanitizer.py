@@ -238,7 +238,7 @@ class TestHookSites:
         from repro.milp import open_session
 
         model, objectives = self._stacked_model()
-        with sanitizing(), open_session(model, backend="scipy") as session:
+        with sanitizing(), open_session(model) as session:
             assert session.objectives_per_stack() >= len(objectives)
             results = session.solve_objectives(objectives)
         assert [r.objective for r in results] == pytest.approx(
@@ -269,7 +269,7 @@ class TestHookSites:
             return results
 
         model, objectives = self._stacked_model()
-        with open_session(model, backend="scipy") as session, mock.patch.object(
+        with open_session(model) as session, mock.patch.object(
             ScipyBackend, "solve_lp_stack", corrupted
         ):
             with sanitizing():

@@ -153,3 +153,19 @@ class TestBookkeeping:
         ).certify(box, 0.05)
         assert cert.epsilons.shape == (2,)
         assert cert.epsilon == pytest.approx(cert.epsilons.max())
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "knobs,name",
+        [
+            ({"window": 0}, "window"),
+            ({"window": -3}, "window"),
+            ({"refine_count": -2}, "refine_count"),
+        ],
+    )
+    def test_out_of_range_knob_rejected(self, knobs, name):
+        # decompose() would clamp these silently while the certificate
+        # recorded the value as given.
+        with pytest.raises(ValueError, match=name):
+            CertifierConfig(**knobs)

@@ -102,7 +102,7 @@ class TestTimeLimitedExactGlobal:
         # genuine solver failure must not be masked as a limit hit.
         layers = hard_chain(np.random.default_rng(2), width=4, depth=2)
 
-        def broken_solve_many(model, objectives, backend="scipy", time_limit=None):
+        def broken_solve_many(model, objectives, time_limit=None):
             return [
                 SolveResult(status=SolveStatus.ERROR, message="boom")
                 for _ in objectives
@@ -118,7 +118,7 @@ class TestTimeLimitedExactGlobal:
         layers = hard_chain(np.random.default_rng(2), width=4, depth=2)
         layers[-1] = AffineLayer(np.ones((3, 4)), np.zeros(3), relu=False)
 
-        def broken_solve_many(model, objectives, backend="scipy", time_limit=None):
+        def broken_solve_many(model, objectives, time_limit=None):
             return [SolveResult(status=SolveStatus.ERROR) for _ in objectives]
 
         monkeypatch.setattr("repro.milp.model.Model.solve_many", broken_solve_many)
@@ -135,7 +135,7 @@ class TestTimeLimitedExactGlobal:
 def fake_solve_many(make):
     """A ``Model.solve_many`` answering objective ``k`` with ``make(k, sense)``."""
 
-    def solve_many(model, objectives, backend="scipy", time_limit=None):
+    def solve_many(model, objectives, time_limit=None):
         return [make(k, sense) for k, (_, sense) in enumerate(objectives)]
 
     return solve_many
@@ -163,7 +163,7 @@ class TestSplitLeafLimits:
             fake_solve_many(lambda k, s: SolveResult(SolveStatus.ERROR, message="boom")),
         )
         with pytest.raises(RuntimeError, match="status=error"):
-            _solve_local_leaf(small, leaf, np.zeros(1), "scipy", None)
+            _solve_local_leaf(small, leaf, np.zeros(1), None)
 
     def test_error_from_global_leaf_raises(self, small, domain, monkeypatch):
         leaf = self.global_leaf(small, domain, 0.02)
@@ -172,7 +172,7 @@ class TestSplitLeafLimits:
             fake_solve_many(lambda k, s: SolveResult(SolveStatus.ERROR, message="boom")),
         )
         with pytest.raises(RuntimeError, match="status=error"):
-            _solve_global_leaf(small, leaf, 0.02, domain, "scipy", None)
+            _solve_global_leaf(small, leaf, 0.02, domain, None)
 
     def test_local_limit_falls_back_to_bound_within_interval(
         self, small, domain, monkeypatch
@@ -189,7 +189,7 @@ class TestSplitLeafLimits:
 
         monkeypatch.setattr("repro.milp.model.Model.solve_many", fake_solve_many(make))
         base = affine_chain_forward(small, domain.center)
-        out = _solve_local_leaf(small, leaf, base, "scipy", 1.0)
+        out = _solve_local_leaf(small, leaf, base, 1.0)
         assert out.out_lo[0] == tighter_lo
         assert out.out_hi[0] == interval.hi[0]
         assert out.limit_hits == 2 and not out.exact
@@ -209,7 +209,7 @@ class TestSplitLeafLimits:
             return SolveResult(SolveStatus.TIME_LIMIT, objective=0.0, bound=bound)
 
         monkeypatch.setattr("repro.milp.model.Model.solve_many", fake_solve_many(make))
-        out = _solve_global_leaf(small, leaf, 0.02, domain, "scipy", 1.0)
+        out = _solve_global_leaf(small, leaf, 0.02, domain, 1.0)
         assert out.eps[0] == max(0.5 * abs(lo), 0.25 * hi)
         assert out.limit_hits == 2 and not out.exact
 

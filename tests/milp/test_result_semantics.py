@@ -74,7 +74,7 @@ class TestLpTimeLimitStatus:
         m = Model()
         x = m.add_var(lb=0, ub=1)
         m.set_objective(x, sense="max")
-        r = m.solve(backend="scipy", time_limit=3.0)
+        r = m.solve(time_limit=3.0)
         assert r.status is SolveStatus.TIME_LIMIT
 
 
@@ -109,7 +109,6 @@ OBJECTIVE_SETS = [
 ]
 
 
-@pytest.mark.parametrize("backend", ["scipy"])
 class TestSolveManyAllBackends:
     """solve_many must match per-solve and exact answers."""
 
@@ -124,23 +123,23 @@ class TestSolveManyAllBackends:
         return m, exprs
 
     @pytest.mark.parametrize("objset", OBJECTIVE_SETS)
-    def test_matches_per_solve(self, backend, objset):
+    def test_matches_per_solve(self, objset):
         m, exprs = self._model()
         objectives = [(exprs[name], sense) for name, sense in objset]
-        many = m.solve_many(objectives, backend=backend)
+        many = m.solve_many(objectives)
         for (expr, sense), got in zip(objectives, many):
             m.set_objective(expr, sense=sense)
-            ref = m.solve(backend=backend)
+            ref = m.solve()
             assert got.status == ref.status
             assert got.objective == pytest.approx(ref.objective, abs=1e-8)
             assert got.bound == pytest.approx(ref.bound, abs=1e-8)
             assert_agrees(got, solve_model(m))
 
-    def test_objective_restored(self, backend):
+    def test_objective_restored(self):
         m, exprs = self._model()
         original = exprs["first"]
         m.set_objective(original, sense="max")
-        m.solve_many([(exprs["mix"], "min"), (exprs["mix"], "max")], backend=backend)
+        m.solve_many([(exprs["mix"], "min"), (exprs["mix"], "max")])
         assert m.objective is original or m.objective.coeffs == original.coeffs
         assert m.objective_sense == "max"
 
@@ -151,7 +150,7 @@ class TestScipyDualBound:
         x = m.add_var(lb=0, ub=10, vtype="integer")
         m.add_constr(3 * x <= 10)
         m.set_objective(x, sense="max")
-        r = m.solve(backend="scipy")
+        r = m.solve()
         assert r.is_optimal
         assert r.objective == pytest.approx(3.0)
         assert r.bound >= r.objective - 1e-7
@@ -174,7 +173,7 @@ class TestScipyDualBound:
             sum(float(v) * x for v, x in zip(rng.uniform(1, 2, 12), xs)),
             sense="max",
         )
-        r = m.solve(backend="scipy")
+        r = m.solve()
         assert r.bound >= r.objective - 1e-6
 
     def test_min_bound_is_lower(self):
@@ -187,7 +186,7 @@ class TestScipyDualBound:
             sum(float(v) * x for v, x in zip(rng.uniform(1, 2, 12), xs)),
             sense="min",
         )
-        r = m.solve(backend="scipy")
+        r = m.solve()
         assert r.bound <= r.objective + 1e-6
 
     def test_solve_many_bounds_transformed(self):

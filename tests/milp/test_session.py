@@ -219,9 +219,7 @@ def stacked_and_singles(inst, edit=None, count=6, time_limit=None):
     if edit is not None:
         edit(model)
     objectives = random_objectives(inst, xs, count)
-    with open_session(model, backend="scipy") as stacked_session, open_session(
-        model, backend="scipy"
-    ) as single_session:
+    with open_session(model) as stacked_session, open_session(model) as single_session:
         with SolveSpy() as spy:
             stacked = stacked_session.solve_objectives(
                 objectives, time_limit=time_limit
@@ -281,7 +279,7 @@ def test_stack_with_an_unbounded_objective_falls_back(seed):
     free = model.add_var(lb=0.0, ub=np.inf)  # in no constraint
     objectives = random_objectives(inst, xs, 4)
     objectives.insert(2, (as_expr(free), "max"))
-    with open_session(model, backend="scipy") as session, SolveSpy() as spy:
+    with open_session(model) as session, SolveSpy() as spy:
         stacked = session.solve_objectives(objectives)
         singles = one_at_a_time(session, objectives)
     # One stacked call, then one call per objective for the fallback
@@ -311,12 +309,12 @@ def test_stack_time_limit_scales_and_limited_stack_falls_back(seed):
 
     def stack_times_out(backend, c, *args):
         if c.shape[0] > inst.n:
-            return SolveResult(status=SolveStatus.TIME_LIMIT, backend="scipy")
+            return SolveResult(status=SolveStatus.TIME_LIMIT)
         return real_std(backend, c, *args)
 
     model, xs = inst.build()
     objectives = random_objectives(inst, xs, 4)
-    with open_session(model, backend="scipy") as session:
+    with open_session(model) as session:
         reference = one_at_a_time(session, objectives, time_limit=30.0)
         with mock.patch.object(ScipyBackend, "_solve_std", stack_times_out):
             with SolveSpy() as spy:
@@ -345,7 +343,7 @@ def test_stack_boundaries_follow_the_budget():
     inst = RandomInstance(9, n=5, m=3)
     model, xs = inst.build()
     objectives = random_objectives(inst, xs, 7)
-    with open_session(model, backend="scipy") as session:
+    with open_session(model) as session:
         nnz = int(np.count_nonzero(inst.A))
         with mock.patch.object(scipy_backend, "STACK_NNZ", 3 * nnz):
             assert session.objectives_per_stack() == 3
@@ -374,7 +372,7 @@ def test_stacked_solve_leaves_the_last_objective_set():
     inst = RandomInstance(8)
     model, xs = inst.build()
     objectives = random_objectives(inst, xs, 3)
-    with open_session(model, backend="scipy") as session:
+    with open_session(model) as session:
         last = session.solve_objectives(objectives)[-1]
         again = session.solve()
     assert again.status is last.status
@@ -385,8 +383,8 @@ def test_backend_and_model_solve_many_share_the_session_path():
     inst = RandomInstance(2, n=6, m=4)
     model, xs = inst.build()
     objectives = random_objectives(inst, xs, 5)
-    with SolveSpy() as spy, open_session(model, backend="scipy") as session:
-        via_model = model.solve_many(objectives, backend="scipy")
+    with SolveSpy() as spy, open_session(model) as session:
+        via_model = model.solve_many(objectives)
         via_session = session.solve_objectives(objectives)
     assert spy.stacks == 2
     for a, b in zip(via_model, via_session):

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 from exact_oracle import assert_agrees, solve_model
 
-from repro.milp import Model, SolveStatus, get_backend
-
-#: The backend name the tests pass to ``Model.solve`` ("highs" is an
-#: alias of the same backend, see test_backend_registry.py).
-BACKENDS = ["scipy"]
+from repro.milp import Model, SolveStatus
 
 
 def knapsack_model():
@@ -25,70 +21,69 @@ def knapsack_model():
     return m, xs
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestBackendsAgree:
     """HiGHS gives the known and the exact optimum."""
 
-    def test_simple_lp(self, backend):
+    def test_simple_lp(self):
         m = Model()
         x = m.add_var(lb=0, ub=4)
         y = m.add_var(lb=0, ub=4)
         m.add_constr(x + y <= 5)
         m.set_objective(3 * x + 2 * y, sense="max")
-        r = m.solve(backend=backend)
+        r = m.solve()
         assert_agrees(r, solve_model(m))
         assert r.is_optimal
         assert r.objective == pytest.approx(14.0)
 
-    def test_knapsack(self, backend):
+    def test_knapsack(self):
         m, xs = knapsack_model()
-        r = m.solve(backend=backend)
+        r = m.solve()
         assert_agrees(r, solve_model(m))
         assert r.is_optimal
         assert r.objective == pytest.approx(13.0)
         chosen = {i for i, x in enumerate(xs) if r[x] > 0.5}
         assert chosen == {0, 1, 3}
 
-    def test_infeasible(self, backend):
+    def test_infeasible(self):
         m = Model()
         x = m.add_var(lb=0, ub=1)
         m.add_constr(x >= 2)
         m.set_objective(x)
-        r = m.solve(backend=backend)
+        r = m.solve()
         assert_agrees(r, solve_model(m))
         assert r.status is SolveStatus.INFEASIBLE
 
-    def test_free_variables_equality(self, backend):
+    def test_free_variables_equality(self):
         m = Model()
         x = m.add_var(lb=-math.inf, ub=math.inf)
         y = m.add_var(lb=-math.inf, ub=math.inf)
         m.add_constr(x + y == 3)
         m.add_constr(x - y <= 1)
         m.set_objective(x, sense="max")
-        r = m.solve(backend=backend)
+        r = m.solve()
         assert_agrees(r, solve_model(m))
         assert r.is_optimal
         assert r.objective == pytest.approx(2.0)
 
-    def test_objective_constant_included(self, backend):
+    def test_objective_constant_included(self):
         m = Model()
         x = m.add_var(lb=0, ub=1)
         m.set_objective(x + 10, sense="max")
-        r = m.solve(backend=backend)
+        r = m.solve()
         assert_agrees(r, solve_model(m))
         assert r.objective == pytest.approx(11.0)
 
-    def test_minimization(self, backend):
+    def test_minimization(self):
         m = Model()
         x = m.add_var(lb=-2, ub=5)
         m.set_objective(2 * x)
-        r = m.solve(backend=backend)
+        r = m.solve()
         assert_agrees(r, solve_model(m))
         assert r.objective == pytest.approx(-4.0)
 
-    def test_solution_is_feasible(self, backend):
+    def test_solution_is_feasible(self):
         m, _ = knapsack_model()
-        r = m.solve(backend=backend)
+        r = m.solve()
         assert_agrees(r, solve_model(m))
         assert m.check_feasible(r.values)
 
@@ -174,8 +169,9 @@ class TestModelUtilities:
             m.solve().require_optimal()
 
     def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            get_backend("gurobi")
+        # HiGHS is the only solver: there is no solver name to pass.
+        with pytest.raises(TypeError):
+            Model().solve(backend="gurobi")  # type: ignore[call-arg]
 
     def test_expression_value_via_result(self):
         m = Model()
@@ -193,8 +189,7 @@ class TestModelUtilities:
 class TestBigMReluPattern:
     """The exact pattern the encoders use must solve correctly."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_relu_bigm_exact(self, backend):
+    def test_relu_bigm_exact(self):
         # x = relu(y), y in [-2, 3]; maximize x - 0.5 y.
         m = Model()
         y = m.add_var(lb=-2, ub=3)
@@ -204,7 +199,7 @@ class TestBigMReluPattern:
         m.add_constr(x <= y - (-2) * (1 - z))
         m.add_constr(x <= 3 * z)
         m.set_objective(x - 0.5 * y, sense="max")
-        r = m.solve(backend=backend)
+        r = m.solve()
         assert_agrees(r, solve_model(m))
         assert r.is_optimal
         # optimum at y=0+, x=0 gives 0; at y=3, x=3 gives 1.5; at y=-2 x=0 gives 1.

@@ -61,7 +61,7 @@ class TestSparseExport:
 class TestSparseSolvePaths:
     def test_scipy_solve_uses_sparse_and_matches(self):
         m = mixed_model()
-        r = m.solve(backend="scipy")  # sparse export is the default path
+        r = m.solve()  # sparse export is the default path
         assert r.is_optimal
         # Independent check: the exact optimum of the dense export.
         assert_agrees(r, solve_model(m), tol=1e-8)
@@ -70,7 +70,7 @@ class TestSparseSolvePaths:
         m = mixed_model()
         x, y, z = m.variables
         objectives = [(x + y, "min"), (x + y, "max"), (x - z + 1.0, "max")]
-        fast = m.solve_many(objectives, backend="scipy")
+        fast = m.solve_many(objectives)
         for (expr, sense), got in zip(objectives, fast):
             m.set_objective(expr, sense=sense)
             assert_agrees(got, solve_model(m), tol=1e-7)  # dense, exact

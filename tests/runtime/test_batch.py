@@ -81,8 +81,55 @@ class TestQueryValidation:
         )
 
     def test_unknown_backend_rejected_at_construction(self, layers, centers):
-        with pytest.raises(ValueError, match="unknown backend 'python'"):
-            local_queries(layers, centers, 0.1, backend="python")
+        # There is no solver switch left to pass a name to.
+        with pytest.raises(TypeError, match="backend"):
+            local_queries(layers, centers, 0.1, backend="scipy")
+
+    @pytest.mark.parametrize(
+        "knobs,name",
+        [
+            ({"max_domains": 0}, "max_domains"),
+            ({"split_depth": -1}, "split_depth"),
+        ],
+    )
+    def test_split_knobs_rejected_at_construction(self, layers, centers, knobs, name):
+        # Before, the query accepted these and the split run copied them
+        # past SplitConfig's checks: max_domains=0 returned a verdict.
+        with pytest.raises(ValueError, match=name):
+            local_queries(layers, centers, 0.1, epsilon=0.5, split=True, **knobs)
+        with pytest.raises(ValueError, match=name):
+            global_query(
+                layers, Box.uniform(3, 0, 1), 0.1, exact=True, epsilon=0.5,
+                split=True, **knobs,
+            )
+
+    @pytest.mark.parametrize(
+        "knob,value,name",
+        [("max_domains", 0, "max_domains"), ("split_depth", -1, "max_depth")],
+    )
+    def test_split_run_builds_a_checked_config(
+        self, layers, centers, knob, value, name
+    ):
+        # The split run hands the knobs to SplitConfig's constructor, so
+        # its checks hold even for a query changed after it was built.
+        from repro.runtime.batch import _run_split
+
+        query = local_queries(layers, centers[:1], 0.05, epsilon=1e-6, split=True)[0]
+        setattr(query, knob, value)
+        with pytest.raises(ValueError, match=name):
+            _run_split(query)
+
+    @pytest.mark.parametrize(
+        "knobs,name",
+        [
+            ({"window": 0}, "window"),
+            ({"window": -3}, "window"),
+            ({"refine_count": -2}, "refine_count"),
+        ],
+    )
+    def test_window_and_refine_rejected_at_construction(self, layers, knobs, name):
+        with pytest.raises(ValueError, match=name):
+            global_query(layers, Box.uniform(3, 0, 1), 0.1, **knobs)
 
     def test_split_needs_epsilon(self, layers, centers):
         with pytest.raises(ValueError, match="epsilon"):
@@ -378,9 +425,9 @@ class TestParallelSolveMany:
         for handle in enc.output:
             expr = handle.to_expr() if not hasattr(handle, "coeffs") else handle
             objectives.extend([(expr, "min"), (expr, "max")])
-        serial = enc.model.solve_many(objectives, backend="scipy")
+        serial = enc.model.solve_many(objectives)
         fanned = parallel_solve_many(
-            enc.model, objectives, backend="scipy", max_workers=2
+            enc.model, objectives, max_workers=2
         )
         assert len(fanned) == len(serial)
         for a, b in zip(fanned, serial):
@@ -396,7 +443,7 @@ class TestParallelSolveMany:
         for handle in enc.output:
             expr = handle.to_expr() if not hasattr(handle, "coeffs") else handle
             objectives.extend([(expr, "min"), (expr, "max")])
-        serial = enc.model.solve_many(objectives, backend="scipy")
+        serial = enc.model.solve_many(objectives)
         exports = []
         real_export = Model.to_standard_form
 
@@ -406,7 +453,7 @@ class TestParallelSolveMany:
 
         monkeypatch.setattr(Model, "to_standard_form", export)
         inline = parallel_solve_many(
-            enc.model, objectives, backend="scipy", max_workers=1
+            enc.model, objectives, max_workers=1
         )
         assert len(exports) == 1  # the inline solve_many's own session
         for a, b in zip(inline, serial):
@@ -424,7 +471,7 @@ class TestParallelSolveMany:
         for handle in enc.output:
             expr = handle.to_expr() if not hasattr(handle, "coeffs") else handle
             objectives.extend([(expr, "min"), (expr, "max")])
-        serial = enc.model.solve_many(objectives, backend="scipy")
+        serial = enc.model.solve_many(objectives)
         log = tmp_path / "exports.log"
         real_export = Model.to_standard_form
 
@@ -435,7 +482,7 @@ class TestParallelSolveMany:
 
         monkeypatch.setattr(Model, "to_standard_form", export)
         fanned = parallel_solve_many(
-            enc.model, objectives, backend="scipy", max_workers=2
+            enc.model, objectives, max_workers=2
         )
         pids = log.read_text().split()
         assert str(os.getpid()) not in pids
@@ -495,7 +542,7 @@ class TestParallelSolveMany:
         real_fan_out = batch_module.parallel_solve_many
 
         def fan_out(model, objectives, **kwargs):
-            stack = objectives_per_stack(model, kwargs["backend"])
+            stack = objectives_per_stack(model)
             fanned_layers.append([len(objectives), stack])
             fanned_models.append(model.name)
             return real_fan_out(model, objectives, **kwargs)

@@ -370,9 +370,7 @@ class TestSolverFaultPoints:
         objectives = [(x, "max"), (y, "max"), (x + y, "min"), (x - y, "max")]
         plan = faults.FaultPlan.parse("scipy.solve:raise@2; session.solve:raise@2")
         # The sanitizer's per-stack re-solve would be a second hit.
-        with sanitizing(False), faults.injected(plan), open_session(
-            model, backend="scipy"
-        ) as session:
+        with sanitizing(False), faults.injected(plan), open_session(model) as session:
             results = session.solve_objectives(objectives)
             assert plan.hits("scipy.solve") == plan.hits("session.solve") == 1
             with pytest.raises(faults.InjectedFault):
@@ -400,7 +398,7 @@ class TestFanoutSalvage:
         self, layers, action, monkeypatch
     ):
         enc, objectives = self._encoded(layers)
-        serial = enc.model.solve_many(objectives, backend="scipy")
+        serial = enc.model.solve_many(objectives)
         chunk_sizes = []
         real_solve_many = type(enc.model).solve_many
 
@@ -411,7 +409,7 @@ class TestFanoutSalvage:
         monkeypatch.setattr(type(enc.model), "solve_many", counting)
         with faults.injected(faults.FaultPlan.parse(f"solve.chunk:{action}")):
             fanned = parallel_solve_many(
-                enc.model, objectives, backend="scipy", max_workers=2
+                enc.model, objectives, max_workers=2
             )
         assert len(fanned) == len(serial)
         for got, want in zip(fanned, serial):

@@ -182,11 +182,43 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["certify", "batch"])
     def test_unknown_backend_is_a_usage_error(self, model_path, capsys, command):
-        # Rejected by argparse before any network is encoded or query run.
+        # HiGHS is the only solver and --backend is gone: an old script
+        # passing it fails loudly instead of running.
         with pytest.raises(SystemExit) as exit_info:
-            main([command, model_path, "--delta", "0.01", "--backend", "gurobi"])
+            main([command, model_path, "--delta", "0.01", "--backend", "scipy"])
         assert exit_info.value.code == 2
-        assert "invalid choice: 'gurobi'" in capsys.readouterr().err
+        assert "unrecognized arguments: --backend scipy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["certify", "--window", "0"], "--window"),
+            (["certify", "--refine", "-1"], "--refine"),
+            (["batch", "--window", "0"], "--window"),
+        ],
+    )
+    def test_window_and_refine_range_is_a_usage_error(
+        self, model_path, capsys, argv, flag
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([argv[0], model_path, "--delta", "0.01", *argv[1:]])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be >= " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["certify", "batch"])
+    @pytest.mark.parametrize(
+        "knob,flag", [(["--max-domains", "0"], "--max-domains"),
+                      (["--split-depth", "-1"], "--split-depth")],
+    )
+    def test_split_knob_range_is_a_usage_error(
+        self, model_path, capsys, command, knob, flag
+    ):
+        # Before, `certify --split --max-domains 0` exited 0 with a verdict.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, model_path, "--delta", "0.01", "--split",
+                  "--epsilon", "0.001", *knob])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be >= " in capsys.readouterr().err
 
     def test_time_limit_negative_rejected(self, model_path, capsys):
         with pytest.raises(SystemExit):

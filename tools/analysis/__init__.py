@@ -57,7 +57,7 @@ KNOWN_CODES = NODE_CODES | FLOW_CODES | {ENGINE_CODE}
 
 #: Per-node rules test code is exempt from: tests assert exact floats
 #: on purpose (RPR001), alias arrays to prove aliasing bugs (RPR002),
-#: and bypass get_backend to poke backend internals directly (RPR003).
+#: and import scipy_backend to poke solver internals directly (RPR003).
 #: Dtype hygiene (RPR006), deadline/except hygiene (RPR004, RPR005)
 #: and all flow rules stay on.
 TEST_EXEMPT_CODES = frozenset({"RPR001", "RPR002", "RPR003"})

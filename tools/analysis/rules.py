@@ -7,7 +7,7 @@ message)`` pairs.  Rules see one file at a time through a
 
 The rules encode invariants this repo has historically broken at
 runtime (see ISSUE 7 / CHANGES.md): caller-array aliasing (RPR002),
-exact-float flakiness (RPR001), get_backend bypasses (RPR003), wall-clock
+exact-float flakiness (RPR001), solver-entry bypasses (RPR003), wall-clock
 vs monotonic deadline drift (RPR004), silently swallowed failures
 (RPR005) and precision-losing dtype downcasts in soundness-critical
 arithmetic (RPR006).
@@ -205,13 +205,13 @@ class DefensiveArrayIngestion:
                 )
 
 
-class RegistryMediatedBackends:
-    """RPR003: backend access goes through get_backend outside repro/milp/."""
+class MilpEntryPoints:
+    """RPR003: outside repro/milp/, solves go through the milp entry points."""
 
     CODE = "RPR003"
     SUMMARY = (
-        "outside repro/milp/, solver backends are reached via get_backend, "
-        "never by importing scipy_backend"
+        "outside repro/milp/, solves go through Model.solve/solve_many or "
+        "repro.milp.open_session, never by importing scipy_backend"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -235,8 +235,8 @@ class RegistryMediatedBackends:
     def _finding(line: int) -> Finding:
         return (
             line,
-            "direct scipy_backend import bypasses backend resolution: "
-            "use repro.milp.backend.get_backend instead",
+            "direct scipy_backend import bypasses the milp entry points: "
+            "use Model.solve/solve_many or repro.milp.open_session instead",
         )
 
 
@@ -345,7 +345,7 @@ class NoImplicitDowncast:
 ALL_RULES = (
     NoBareFloatEquality(),
     DefensiveArrayIngestion(),
-    RegistryMediatedBackends(),
+    MilpEntryPoints(),
     MonotonicDeadlines(),
     NoSilentBroadExcept(),
     NoImplicitDowncast(),
