@@ -151,6 +151,8 @@ def single_copy_nd(
     Returns:
         ``(output box, number of solves)``.
     """
+    if window < 1:  # decompose would clamp it while the caller records it
+        raise ValueError("window must be >= 1")
     x_ranges: list[Box] = [input_box]  # index 0 = input
     y_ranges = list(get_propagator(bounds).propagate(layers, input_box).y)
     solves = 0

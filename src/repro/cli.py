@@ -22,6 +22,7 @@ Models are ``.npz`` snapshots written by
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Any, Callable
 
@@ -92,6 +93,20 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
     return parse
 
 
+def _radius(text: str) -> float:
+    """Argparse type for ``--delta``: a finite float >= 0 (0 is a valid,
+    trivial perturbation)."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid radius: {text!r}") from exc
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}"
+        )
+    return value
+
+
 def _positive_epsilon(text: str) -> float:
     """Argparse type for ``--epsilon``: a strictly positive float."""
     try:
@@ -124,14 +139,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("model", help="path to a .npz network snapshot")
     _add_domain_args(p_bounds)
     p_bounds.add_argument(
-        "--delta", type=float, default=None,
+        "--delta", type=_radius, default=None,
         help="optional L-inf perturbation; adds the twin distance-bound "
         "columns used for ITNE/BTNE seeding",
     )
 
     p_cert = sub.add_parser("certify", help="certify global robustness")
     p_cert.add_argument("model", help="path to a .npz network snapshot")
-    p_cert.add_argument("--delta", type=float, required=True,
+    p_cert.add_argument("--delta", type=_radius, required=True,
                         help="L-inf input perturbation bound")
     _add_domain_args(p_cert)
     p_cert.add_argument(
@@ -161,9 +176,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_att = sub.add_parser("attack", help="PGD under-approximation of ε")
     p_att.add_argument("model", help="path to a .npz network snapshot")
-    p_att.add_argument("--delta", type=float, required=True)
+    p_att.add_argument("--delta", type=_radius, required=True)
     _add_domain_args(p_att)
-    p_att.add_argument("--samples", type=int, default=20,
+    p_att.add_argument("--samples", type=_int_at_least(1), default=20,
                        help="random dataset samples to attack from")
     p_att.add_argument("--steps", type=int, default=40, help="PGD steps")
     p_att.add_argument("--seed", type=int, default=0)
@@ -173,20 +188,20 @@ def _build_parser() -> argparse.ArgumentParser:
         help="certify many samples in parallel (batch engine)",
     )
     p_batch.add_argument("model", help="path to a .npz network snapshot")
-    p_batch.add_argument("--delta", type=float, required=True,
+    p_batch.add_argument("--delta", type=_radius, required=True,
                          help="L-inf input perturbation bound")
     _add_domain_args(p_batch)
     p_batch.add_argument(
         "--method", choices=["exact", "nd", "lpr"], default="exact",
         help="local certification method per sample (default: exact)",
     )
-    p_batch.add_argument("--samples", type=int, default=8,
+    p_batch.add_argument("--samples", type=_int_at_least(1), default=8,
                          help="random samples drawn from the domain")
     p_batch.add_argument("--inputs", default=None,
                          help="optional .npy file of samples (rows)")
     p_batch.add_argument("--window", type=_int_at_least(1), default=1,
                          help="ND window (method=nd)")
-    p_batch.add_argument("--workers", type=int, default=None,
+    p_batch.add_argument("--workers", type=_int_at_least(1), default=None,
                          help="worker processes (default: all cores)")
     p_batch.add_argument("--bounds", choices=_BOUNDS_CHOICES, default=None,
                          help="bound propagator for the solver tier "

@@ -4,14 +4,17 @@ Everything submitted to a worker must be picklable; queries therefore
 carry the *normal-form* network (a list of
 :class:`~repro.nn.affine.AffineLayer`, plain arrays) and primitive
 parameters instead of live solver objects.  Certification functions are
-imported lazily inside the worker so forked processes pay the import
-cost once and the package has no circular imports.
+imported lazily inside the worker, so the package has no circular
+imports and each worker process pays the import cost once: pool workers
+are forked once per process and pool key and then serve every later
+:func:`fan_out` call (see :func:`_pool_key`).
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import signal
@@ -30,7 +33,7 @@ _POOL_FAILURES = (OSError, BrokenProcessPool)
 
 import numpy as np
 
-from repro import _faults
+from repro import _faults, _sanitize
 from repro.bounds.interval import Box
 from repro.nn.affine import AffineLayer
 from repro.runtime.retry import RetryPolicy
@@ -480,6 +483,10 @@ class BatchCertifier:
             (capped by the batch size).  ``1`` executes inline — same
             semantics, no processes — which is also the automatic
             fallback when the platform cannot fork worker processes.
+            Worker processes outlive :meth:`run`: they are forked once
+            per process and pool key and serve every later batch (see
+            :func:`fan_out`), so they see the submitting process's state
+            as of that fork.
         bulk_presolve: Screen the whole submission with one batched
             presolve pass per query group *before* any worker dispatch
             (default on).  Queries the pass decides never reach the
@@ -725,17 +732,105 @@ _START_SECONDS = 1.0
 _START_SINK = None
 _START_GATE = None
 
+#: The process-wide pool :func:`fan_out` calls reuse: ``(key, pool,
+#: start-marker sink)`` of the last healthy pool, or ``None``.  Closed by
+#: :func:`_shutdown_pool`.
+_POOL: tuple | None = None
+_POOL_LOCK = threading.Lock()  # callers may fan out from several threads
+
+
+def _pool_key(workers: int) -> tuple | None:
+    """What a cached pool of ``workers`` must match to serve a call.
+
+    Workers are forked once and see the parent's state as of that fork;
+    the key holds what they depend on that can change: the creating
+    process, the worker count and the sanitizer switch.  ``None`` means
+    "never cache": under an active fault plan every call gets fresh
+    workers that replay the plan from hit 1, and inside a pool worker a
+    cached pool would outlive the task that made it.
+    """
+    if _faults.active_plan() is not None or _faults.in_worker_process():
+        return None
+    return (os.getpid(), workers, _sanitize.ENABLED)
+
+
+def _close_pool(pool, sink) -> None:
+    pool.shutdown(wait=True, cancel_futures=True)
+    sink.close()
+
+
+def _healthy(pool) -> bool:
+    """Whether an idle pool can take work: not marked broken, and no
+    worker died since its last call (killed from outside, OOM)."""
+    return not pool._broken and all(
+        process.is_alive() for process in pool._processes.values()
+    )
+
+
+def _take_pool(key: tuple | None) -> tuple | None:
+    """The cached ``(pool, sink)`` if it matches ``key`` and is healthy,
+    taken out of the cache; any other one is shut down (or, when
+    inherited across a fork, just forgotten: its workers belong to the
+    parent), so the caller forks a fresh pool without charging a rebuild.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        cached, _POOL = _POOL, None
+    if cached is None:
+        return None
+    cached_key, pool, sink = cached
+    if cached_key[0] != os.getpid():
+        return None
+    if cached_key == key and _healthy(pool):
+        # The last call's start markers: every one was written before
+        # its task's result, so all are in the pipe by now.
+        while not sink.empty():
+            sink.get()
+        return pool, sink
+    _close_pool(pool, sink)
+    return None
+
+
+def _keep_pool(key: tuple | None, pool, sink) -> bool:
+    """Cache a healthy idle pool for the next call; False if it cannot be."""
+    global _POOL
+    with _POOL_LOCK:
+        if key is None or _POOL is not None:
+            return False
+        _POOL = (key, pool, sink)
+    return True
+
+
+def _shutdown_pool() -> None:
+    """Shut the cached pool down and join its workers.
+
+    Interpreter exit needs no call: ``concurrent.futures`` joins every
+    live pool's workers then.  Tests call it to start without a pool.
+    """
+    _take_pool(None)
+
 
 def _pool_init(sink, plan, gate) -> None:
-    """Worker initializer: start-marker sink, first-task gate, and a
-    *fresh* copy of the parent's fault plan, so every worker replays its
-    own fault schedule from hit 1 whatever the start method (fork would
-    otherwise inherit the parent's hit counters).
+    """Worker initializer: start-marker sink, first-task gate, a watch on
+    the parent, and a *fresh* copy of the parent's fault plan, so every
+    worker replays its own fault schedule from hit 1 whatever the start
+    method (fork would otherwise inherit the parent's hit counters).
     """
     global _START_SINK, _START_GATE
     _START_SINK, _START_GATE = sink, gate
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
     if plan is not None:
         _faults.install(plan.fresh())
+
+
+def _exit_with_parent() -> None:
+    """End this worker once its parent is gone.
+
+    Idle workers block on the task queue forever; a parent killed before
+    it could shut its cached pool down would otherwise leave them behind.
+    """
+    multiprocessing.connection.wait([multiprocessing.parent_process().sentinel])
+    os._exit(1)
 
 
 def _start_together() -> None:
@@ -823,6 +918,16 @@ def fan_out(
     ``(task, pid)`` start markers and a watchdog SIGKILLs the worker of
     an overdue task, which is lost (retried with ``retry_timeouts``).
 
+    Pool workers are forked once per process and key (the creating
+    process, the worker count and the sanitizer switch) and are reused
+    by every later call with that key, so they see this process's state
+    as of their fork, not as of the call.  A broken pool is shut down
+    and rebuilt; an idle healthy one is kept until a call with another
+    key replaces it or the interpreter exits, and one that lost a worker
+    while idle is replaced uncharged.  Workers exit on their own if this
+    process dies without shutting them down.  Under an active fault
+    plan, or inside a pool worker, each call forks its own pool.
+
     Other keyword options: ``stats``, a counter dict to add ``retries``,
     ``timeouts``, ``workers_killed`` and ``pool_rebuilds`` to;
     ``on_done(index, outcome)``, fired in the submitting process once
@@ -852,6 +957,7 @@ class _PoolSupervisor:
 
     def __post_init__(self) -> None:
         self.budget = self.policy.batch_budget(len(self.payloads))
+        self.key: tuple | None = None
         self.pool = None
         self.sink = None
         self.broken = False
@@ -910,6 +1016,11 @@ class _PoolSupervisor:
             return True
         if self.rebuilds > self.policy.max_pool_rebuilds:
             return False
+        self.key = _pool_key(self.workers)
+        cached = _take_pool(self.key)
+        if cached is not None:
+            self.pool, self.sink = cached
+            return True
         try:
             self.sink = multiprocessing.SimpleQueue()
             self.pool = ProcessPoolExecutor(
@@ -1070,11 +1181,14 @@ class _PoolSupervisor:
             self.on_done(index, outcome)
 
     def _teardown_pool(self) -> None:
+        """Release the pool: a healthy idle one stays cached for the next
+        call (when its key allows), anything else is shut down."""
         pool, self.pool = self.pool, None
         sink, self.sink = self.sink, None
         if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        if sink is not None:
+            if self.broken or self.futures or not _keep_pool(self.key, pool, sink):
+                _close_pool(pool, sink)
+        elif sink is not None:
             sink.close()
         self.running.clear()
         if self.broken:

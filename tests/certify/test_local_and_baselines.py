@@ -67,6 +67,14 @@ class TestLocalCertification:
         assert w3.output_hi[0] <= w1.output_hi[0] + 1e-9
         assert w3.output_lo[0] >= w1.output_lo[0] - 1e-9
 
+    @pytest.mark.parametrize("window", [0, -2])
+    def test_nd_window_below_one_rejected(self, window):
+        # Before, decompose clamped it to 1 while the method name kept it.
+        rng = np.random.default_rng(3)
+        layers = random_chain(rng, depth=3, width=4)
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            certify_local_nd(layers, np.zeros(2), 0.2, window=window)
+
     def test_lpr_no_binaries_faster_but_looser(self):
         rng = np.random.default_rng(4)
         layers = random_chain(rng, depth=3, width=4)
@@ -113,6 +121,13 @@ class TestBtneBaselines:
         exact = certify_exact_global(layers, box, 0.05)
         nd = certify_global_btne_nd(layers, box, 0.05)
         assert nd.epsilon >= exact.epsilon - 1e-9
+
+    @pytest.mark.parametrize("window", [0, -2])
+    def test_btne_nd_window_below_one_rejected(self, window):
+        rng = np.random.default_rng(8)
+        layers = random_chain(rng, depth=2)
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            certify_global_btne_nd(layers, Box.uniform(2, -1, 1), 0.05, window=window)
 
     def test_btne_lpr_looser_than_exact(self):
         rng = np.random.default_rng(9)

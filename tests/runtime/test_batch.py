@@ -1,5 +1,15 @@
 """Batch certification engine: ordering, parity, failures, fan-out."""
 
+import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,10 +25,92 @@ from repro.nn.affine import AffineLayer
 from repro.runtime import (
     BatchCertifier,
     CertificationQuery,
+    RetryPolicy,
     global_query,
     local_queries,
     parallel_solve_many,
 )
+from repro.runtime import batch as batch_mod
+from repro.runtime import faults
+
+_REAL_EXECUTE = batch_mod._execute_query
+
+
+def _execute_in_worker(query):
+    """``_execute_query`` that records the serving process in the
+    certificate and hangs on a query tagged ``"hang"``."""
+    if query.tag == "hang":
+        time.sleep(60)
+    cert = _REAL_EXECUTE(query)
+    cert.detail["pid"] = os.getpid()
+    return cert
+
+
+def _gone(pid: int) -> bool:
+    """Whether process ``pid`` has exited (a zombie awaiting its reaper
+    counts: it holds no memory and runs nothing)."""
+    try:
+        os.kill(pid, 0)
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except (ProcessLookupError, FileNotFoundError):
+        return True
+
+
+def _wait_gone(pids, seconds: float = 5.0) -> set:
+    """The pids still running after up to ``seconds``."""
+    stop = time.perf_counter() + seconds
+    alive = set(pids)
+    while alive and time.perf_counter() < stop:
+        time.sleep(0.05)
+        alive = {pid for pid in alive if not _gone(pid)}
+    return alive
+
+
+#: A subprocess that runs one pooled batch, prints its workers' pids and
+#: then either exits or (with a command-line argument) waits to be killed.
+_POOLED_SCRIPT = textwrap.dedent(
+    """
+    import json, os, sys, time
+    import numpy as np
+    from repro.nn.affine import AffineLayer
+    from repro.runtime import BatchCertifier, batch, local_queries
+
+    real = batch._execute_query
+
+    def execute(query):
+        cert = real(query)
+        cert.detail["pid"] = os.getpid()
+        return cert
+
+    batch._execute_query = execute
+    rng = np.random.default_rng(0)
+    layers = [
+        AffineLayer(rng.standard_normal((4, 3)), np.zeros(4), relu=True),
+        AffineLayer(rng.standard_normal((2, 4)), np.zeros(2), relu=False),
+    ]
+    queries = local_queries(layers, rng.random((4, 3)), 0.05, method="lpr")
+    results = BatchCertifier(max_workers=2).run(queries)
+    pids = sorted({r.certificate.detail["pid"] for r in results})
+    print(json.dumps(pids), flush=True)
+    if len(sys.argv) > 1:
+        time.sleep(120)
+    """
+)
+
+
+def _pooled_subprocess(*args):
+    """Start :data:`_POOLED_SCRIPT`, fault-free (under a fault plan no
+    pool is cached)."""
+    src = Path(batch_mod.__file__).resolve().parents[2]
+    return subprocess.Popen(
+        [sys.executable, "-c", _POOLED_SCRIPT, *args],
+        env={
+            **{k: v for k, v in os.environ.items() if k != "REPRO_FAULTS"},
+            "PYTHONPATH": str(src),
+        },
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -577,3 +669,109 @@ class TestParallelSolveMany:
             layers, CertifierConfig(window=2, refine_count=2, workers=2)
         ).certify(box, 0.02)
         np.testing.assert_allclose(fanned.epsilons, serial.epsilons, atol=1e-9)
+
+
+class TestPoolLifecycle:
+    """Pool workers are forked once per process and key, then reused."""
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        """Run a batch in pool workers; return the pids that served it.
+
+        Fault-free: under a fault plan (the chaos job's) no pool is reused.
+        """
+        monkeypatch.setattr(batch_mod, "_execute_query", _execute_in_worker)
+
+        def run(engine, queries):
+            results = engine.run(queries)
+            assert all(r.ok and not r.degraded for r in results)
+            pids = {r.certificate.detail["pid"] for r in results}
+            assert os.getpid() not in pids  # pool workers, not inline
+            return pids
+
+        saved = faults.active_plan()
+        faults.clear()
+        yield run
+        faults.install(saved)
+
+    def test_batches_reuse_the_worker_processes(self, layers, centers, served):
+        first = served(
+            BatchCertifier(max_workers=2),
+            local_queries(layers, centers, 0.05, method="lpr"),
+        )
+        second = served(
+            BatchCertifier(max_workers=2),
+            local_queries(layers, centers, 0.05, method="lpr"),
+        )
+        assert second <= first
+
+    def test_watchdog_killed_pool_is_replaced(self, layers, centers, served):
+        queries = local_queries(layers, centers, 0.05, method="lpr")
+        before = served(BatchCertifier(max_workers=2), queries)
+        hung = local_queries(layers, centers[:2], 0.05, method="lpr")
+        hung[0] = replace(hung[0], tag="hang")
+        engine = BatchCertifier(
+            max_workers=2, query_timeout=0.5, retry=RetryPolicy(base_delay=0.001)
+        )
+        results = engine.run(hung)
+        assert results[0].degraded and results[1].ok
+        assert engine.fault_stats["workers_killed"] == 1
+        assert engine.fault_stats["pool_rebuilds"] == 1
+        after = served(BatchCertifier(max_workers=2), queries)
+        assert not after & before
+
+    def test_reused_pool_holds_no_earlier_start_marker(
+        self, layers, centers, served
+    ):
+        # A stale (index, pid) marker would point this call's watchdog
+        # at whichever worker ran that index last time.
+        served(
+            BatchCertifier(max_workers=2),
+            local_queries(layers, centers, 0.05, method="lpr"),
+        )
+        key, _, sink = batch_mod._POOL
+        sink.put((0, 1))
+        pool, taken = batch_mod._take_pool(key)
+        drained = sink.empty()
+        batch_mod._close_pool(pool, sink)
+        assert taken is sink and drained
+
+    def test_dead_idle_worker_costs_the_next_call_no_rebuild(
+        self, layers, centers, served
+    ):
+        queries = local_queries(layers, centers, 0.05, method="lpr")
+        before = served(BatchCertifier(max_workers=2), queries)
+        victim = min(before)
+        os.kill(victim, signal.SIGKILL)  # e.g. the OOM killer, between calls
+        assert not _wait_gone([victim])
+        engine = BatchCertifier(max_workers=2)
+        after = served(engine, queries)
+        assert engine.fault_stats["pool_rebuilds"] == 0
+        assert victim not in after
+
+    def test_interpreter_exit_joins_the_workers(self):
+        with _pooled_subprocess() as proc:
+            line = proc.stdout.readline()  # the batch is done
+            t0 = time.perf_counter()
+            code = proc.wait(timeout=120)
+            exit_s = time.perf_counter() - t0
+            assert code == 0, proc.stderr.read()
+        assert exit_s < 5.0
+        pids = json.loads(line)
+        assert pids
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_killed_parent_leaves_no_idle_workers(self):
+        with _pooled_subprocess("wait") as proc:
+            line = proc.stdout.readline()  # the batch is done, pool idle
+            proc.kill()  # SIGKILL: no pool shutdown, no exit hooks
+            proc.wait(timeout=10)
+            assert line, proc.stderr.read()
+        pids = json.loads(line)
+        assert pids
+        orphans = _wait_gone(pids)
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)  # leave nothing behind on failure
+        assert not orphans

@@ -7,6 +7,7 @@ and restores whatever plan the environment installed.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -510,6 +511,11 @@ def _square_or_fail(x: int) -> int:
     return x * x
 
 
+def _worker_pid(_payload) -> int:
+    """A fan-out task: the pid of the process that ran it."""
+    return os.getpid()
+
+
 def _comparable(outcome):
     """An outcome's fields, minus wall time and exception identity."""
     exc = outcome.exc
@@ -536,6 +542,19 @@ class TestFanOut:
             else:
                 assert isinstance(outcome.exc, ValueError)
                 assert outcome.error["error_type"] == "builtins.ValueError"
+
+    def test_fault_plan_forks_fresh_workers_per_call(self):
+        """Under a fault plan no pool is reused: each call's workers
+        replay the plan from hit 1."""
+        policy = RetryPolicy(base_delay=0.0)
+        faults.install(faults.FaultPlan.parse("batch.worker:raise@1"))
+        calls = [
+            {o.value for o in batch_mod.fan_out(_worker_pid, range(4), 2, policy)}
+            for _ in range(2)
+        ]
+        assert all(calls)
+        assert not calls[0] & calls[1]
+        assert batch_mod._POOL is None
 
 
 # -- the acceptance chaos property --------------------------------------------

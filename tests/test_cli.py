@@ -195,6 +195,11 @@ class TestCli:
             (["certify", "--window", "0"], "--window"),
             (["certify", "--refine", "-1"], "--refine"),
             (["batch", "--window", "0"], "--window"),
+            # Before, --workers 0 died in BatchCertifier with a traceback
+            # and --samples 0 printed an empty table.
+            (["batch", "--workers", "0"], "--workers"),
+            (["batch", "--samples", "0"], "--samples"),
+            (["attack", "--samples", "0"], "--samples"),
         ],
     )
     def test_window_and_refine_range_is_a_usage_error(
@@ -219,6 +224,17 @@ class TestCli:
                   "--epsilon", "0.001", *knob])
         assert exit_info.value.code == 2
         assert f"argument {flag}: must be >= " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bounds", "certify", "attack", "batch"])
+    @pytest.mark.parametrize("delta", ["-0.01", "nan", "inf"])
+    def test_delta_range_is_a_usage_error(self, model_path, capsys, command, delta):
+        # Before, a negative --delta ended in a `Box` traceback.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, model_path, "--delta", delta])
+        assert exit_info.value.code == 2
+        assert "argument --delta: must be a finite number >= 0" in (
+            capsys.readouterr().err
+        )
 
     def test_time_limit_negative_rejected(self, model_path, capsys):
         with pytest.raises(SystemExit):
