@@ -223,6 +223,7 @@ def splitting_provable_target(layers, domain, delta, partitions=24) -> dict:
     bound), the splitting tier's quality claim that the benchmark gate
     tracks alongside the speedup.
     """
+    from repro.certify.presolve import _output_gradient
     from repro.certify.splitting import _bisect, _split_dimension
 
     sym = get_propagator("symbolic")
@@ -235,7 +236,8 @@ def splitting_provable_target(layers, domain, delta, partitions=24) -> dict:
     while len(boxes) < partitions:
         worst = max(range(len(boxes)), key=lambda i: float(boxes[i][1].max()))
         box, eps = boxes.pop(worst)
-        dim = _split_dimension(layers, box, int(np.argmax(eps)))
+        grad = _output_gradient(layers, box.center, int(np.argmax(eps)))
+        dim = _split_dimension(box.width(), grad)
         for child in _bisect(box, dim):
             boxes.append((child, bound(child)))
     partition_max = max(float(eps.max()) for _, eps in boxes)

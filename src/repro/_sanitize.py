@@ -19,7 +19,9 @@ Contracts wired in today:
   (:mod:`repro.certify.splitting`);
 * **batched row agreement** — a batched ``propagate_many`` result
   agrees with the row-sliced scalar propagation on a sampled query row
-  (:mod:`repro.bounds.propagator`);
+  (:mod:`repro.bounds.propagator`), and a split-tier wave attack agrees
+  with the one-start witness and scalar gradient on a sampled
+  ``(box, start)`` (:mod:`repro.certify.splitting`);
 * **stacked LP solves** — every block of a block-diagonal multi-objective
   LP satisfies the unstacked system, and one seeded objective re-solved
   alone agrees with its stacked value

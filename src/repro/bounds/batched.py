@@ -65,8 +65,8 @@ class BatchedBox:
         # Copy unconditionally (RPR002): batched bounds are shared
         # across a whole query batch, so aliasing the caller's arrays
         # would corrupt every query at once.
-        self.lo = np.atleast_2d(np.array(self.lo, dtype=float))
-        self.hi = np.atleast_2d(np.array(self.hi, dtype=float))
+        self.lo = np.array(self.lo, dtype=float, ndmin=2)
+        self.hi = np.array(self.hi, dtype=float, ndmin=2)
         if self.lo.shape != self.hi.shape:
             raise ValueError(
                 f"bound shapes differ: {self.lo.shape} vs {self.hi.shape}"
@@ -78,7 +78,7 @@ class BatchedBox:
         if self.lo.shape[0] == 0:
             raise ValueError("empty batch: need at least one query row")
         bad = self.lo > self.hi + 1e-9
-        if np.any(bad):
+        if bad.any():
             rows = np.unique(np.nonzero(bad)[0])[:5]
             raise ValueError(
                 f"lower bound exceeds upper in query rows {rows.tolist()}"

@@ -20,16 +20,16 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self) -> None:
-        # Copy unconditionally: ``np.asarray``/``np.atleast_1d`` return
-        # float64 input unchanged, so rectifying in place (below) — or
-        # any later in-place update through ``self.lo``/``self.hi`` —
-        # would silently mutate the caller's arrays.
-        self.lo = np.atleast_1d(np.array(self.lo, dtype=float))
-        self.hi = np.atleast_1d(np.array(self.hi, dtype=float))
+        # Copy unconditionally (``np.array`` copies; ``ndmin`` lifts
+        # scalars): rectifying in place (below) — or any later in-place
+        # update through ``self.lo``/``self.hi`` — would otherwise
+        # silently mutate the caller's arrays.
+        self.lo = np.array(self.lo, dtype=float, ndmin=1)
+        self.hi = np.array(self.hi, dtype=float, ndmin=1)
         if self.lo.shape != self.hi.shape:
             raise ValueError(f"bound shapes differ: {self.lo.shape} vs {self.hi.shape}")
         bad = self.lo > self.hi + 1e-9
-        if np.any(bad):
+        if bad.any():
             raise ValueError(
                 f"lower bound exceeds upper at indices {np.flatnonzero(bad)[:5]}"
             )

@@ -37,6 +37,7 @@ random attack starts shareable across the batch.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 
 import numpy as np
 
@@ -107,10 +108,13 @@ def _forward_many(layers: list[AffineLayer], x: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _output_jacobian_many(layers: list[AffineLayer], x: np.ndarray) -> np.ndarray:
-    """All output gradients at a stack of inputs, ``(..., n) → (..., m, n)``.
+def _output_jacobian_many(
+    layers: list[AffineLayer], x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs and output gradients at a stack of inputs: ``(F(x), J)``.
 
-    Row ``[..., j, :]`` is bit-identical to
+    ``F(x)`` ``(..., m)`` is bit-identical to :func:`_forward_many`, and
+    row ``J[..., j, :]`` of ``(..., m, n)`` is bit-identical to
     ``_output_gradient(layers, row, j)`` — the backward substitution
     runs per stacked row (``W.T @ grad[..., None]``) rather than as one
     fused gemm, for the same reason as :func:`_forward_many`.
@@ -129,7 +133,7 @@ def _output_jacobian_many(layers: list[AffineLayer], x: np.ndarray) -> np.ndarra
         if layer.relu:
             grad = grad * (y > 0.0)[..., None, :]
         grad = (layer.weight.T @ grad[..., None])[..., 0]
-    return grad
+    return cur, grad
 
 
 def _corner_witness(
@@ -159,53 +163,51 @@ def _corner_witness(
     return np.maximum(np.abs(val_up - base), np.abs(val_dn - base))
 
 
+def perturbation_balls(
+    starts: np.ndarray, delta: "float | np.ndarray", domain: Box
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked :func:`perturbation_ball` ``clip(x ± δ, domain)``: ``(lo, hi)``."""
+    lo = np.maximum(starts - delta, domain.lo)
+    hi = np.minimum(starts + delta, domain.hi)
+    return np.minimum(lo, hi, out=lo), hi
+
+
 def _variation_witness_many(
     layers: list[AffineLayer],
     x: np.ndarray,
     ball_lo: np.ndarray,
     ball_hi: np.ndarray,
-    base: np.ndarray,
-) -> np.ndarray:
-    """Gradient-corner witnesses for a stack of starts, ``(..., m)``.
+    base: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient-corner attack from a stack of starts ``x``: ``(J, witness)``.
 
-    The vectorized core of :func:`_variation_witness`: one Jacobian
-    stack, one corner stack, two forward stacks — over *all* starts of
-    *all* queries at once instead of two forwards per (start, output).
+    The one attack kernel of the presolve and split tiers: one Jacobian
+    stack, one corner stack and two forward stacks over *all* starts at
+    once.  For each output the gradient at a start picks the ball corner
+    that maximizes / minimizes it; every corner is a feasible input, so
+    the witnesses ``(..., m)`` are certified *lower* bounds on
+    ``|F(·) − base|``.  ``base`` defaults to each start's own ``F(x)``
+    (global pairs); local queries pass ``F(x0)``.  The Jacobians
+    ``(..., m, n)`` come back too: the split tier bisects along them.
     """
-    jac = _output_jacobian_many(layers, x)
-    return _corner_witness(layers, jac, ball_lo, ball_hi, base)
+    out, jac = _output_jacobian_many(layers, x)
+    return jac, _corner_witness(
+        layers, jac, ball_lo, ball_hi, out if base is None else base
+    )
 
 
-def _variation_witness(
-    layers: list[AffineLayer],
-    x: np.ndarray,
-    ball: Box,
-    targets: list[int],
-    reference: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-output variation achieved by gradient-corner attacks from ``x``.
+def _replay_attack(witness: np.ndarray, epsilon: float) -> np.ndarray | None:
+    """Replay one query's sequential attack over its ``(starts, m)`` witnesses.
 
-    For each target output the gradient at ``x`` picks the ball corner
-    that maximizes / minimizes the output (exact for a locally-linear
-    region, a strong heuristic otherwise).  Every candidate is a
-    feasible input, so the returned variations are certified *lower*
-    bounds on ``|F(·) − reference|`` (``reference`` defaults to
-    ``F(x)`` — the right baseline for global pairs; local queries pass
-    ``F(x0)`` so every witness is measured against the center).
-
-    Implemented as the batch-of-one case of
-    :func:`_variation_witness_many`; non-target outputs stay zero.
+    The attack's verdict rule: a running per-output max over the starts
+    in order, stopping at the *first* start whose max exceeds ε — so a
+    refuted certificate carries the (possibly partial) ``epsilons``
+    array of that prefix, however many starts were computed at once.
+    ``None`` when no prefix exceeds ε (undecided).
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    base = affine_chain_forward(layers, x) if reference is None else reference
-    witness = _variation_witness_many(
-        layers, x[None, :], ball.lo[None, :], ball.hi[None, :],
-        np.asarray(base, dtype=float)[None, :],
-    )[0]
-    best = np.zeros(layers[-1].out_dim)
-    idx = list(targets)
-    best[idx] = witness[idx]
-    return best
+    running = np.maximum.accumulate(witness, axis=0)
+    hits = np.flatnonzero(running.max(axis=-1) > epsilon)
+    return running[hits[0]] if hits.size else None
 
 
 def presolve_local(
@@ -265,17 +267,11 @@ def presolve_local(
     if eps_ub.max() <= epsilon:
         return certificate(eps_ub, "certified")
 
-    targets = list(range(layers[-1].out_dim))
-    rng = np.random.default_rng(seed)
-    starts = [center] + list(ball.sample(rng, attack_samples))
-    eps_lb = np.zeros(layers[-1].out_dim)
-    for x in starts:
-        eps_lb = np.maximum(
-            eps_lb, _variation_witness(layers, x, ball, targets, reference=base)
-        )
-        if eps_lb.max() > epsilon:
-            return certificate(eps_lb, "refuted")
-    return None
+    samples = ball.sample(np.random.default_rng(seed), attack_samples)
+    starts = np.concatenate([center[None, :], samples])
+    _, witness = _variation_witness_many(layers, starts, ball.lo, ball.hi, base)
+    eps_lb = _replay_attack(witness, float(epsilon))
+    return None if eps_lb is None else certificate(eps_lb, "refuted")
 
 
 def presolve_global(
@@ -320,15 +316,12 @@ def presolve_global(
     if eps_ub.max() <= epsilon:
         return certificate(eps_ub, "certified")
 
-    targets = list(range(layers[-1].out_dim))
-    rng = np.random.default_rng(seed)
-    eps_lb = np.zeros(layers[-1].out_dim)
-    for x in domain.sample(rng, attack_samples):
-        ball = perturbation_ball(x, delta, domain)
-        eps_lb = np.maximum(eps_lb, _variation_witness(layers, x, ball, targets))
-        if eps_lb.max() > epsilon:
-            return certificate(eps_lb, "refuted")
-    return None
+    starts = domain.sample(np.random.default_rng(seed), attack_samples)
+    _, witness = _variation_witness_many(
+        layers, starts, *perturbation_balls(starts, delta, domain)
+    )
+    eps_lb = _replay_attack(witness, float(epsilon))
+    return None if eps_lb is None else certificate(eps_lb, "refuted")
 
 
 # -- batched presolve ---------------------------------------------------------
@@ -346,28 +339,32 @@ def _as_query_array(values, queries: int, what: str) -> np.ndarray:
     return arr.copy()
 
 
-def _attack_chunk(rows: int, per_row: int) -> int:
-    """Query rows per attack chunk under the scratch-memory soft cap."""
-    return max(1, int(_ATTACK_CHUNK_ELEMS // max(per_row, 1)))
+def _decide_rows(
+    eps_ub: np.ndarray,
+    epsilons: np.ndarray,
+    per_row: int,
+    attack: Callable[[np.ndarray], np.ndarray],
+) -> "list[tuple[str, np.ndarray] | None]":
+    """Prove each query row from its bound, else refute it by attack.
 
-
-def _replay_attack(
-    witness: np.ndarray, epsilon: float
-) -> np.ndarray | None:
-    """Replay one query's sequential attack over its witness rows.
-
-    Reproduces the scalar loop exactly: a running per-output max over
-    the starts in order, stopping at the *first* start whose max
-    exceeds ε — so a refuted certificate carries the same (possibly
-    partial) ``epsilons`` array the scalar early-exit would have
-    returned.  ``None`` when no prefix exceeds ε (undecided).
+    ``attack(sel)`` returns the selected rows' ``(len(sel), starts, m)``
+    witnesses; it runs over chunks of ``_ATTACK_CHUNK_ELEMS // per_row``
+    rows (a scratch-memory cap).  ``None`` marks an undecided row.
     """
-    eps_lb = np.zeros(witness.shape[-1])
-    for row in witness:
-        eps_lb = np.maximum(eps_lb, row)
-        if eps_lb.max() > epsilon:
-            return eps_lb
-    return None
+    verdicts: list[tuple[str, np.ndarray] | None] = [
+        ("certified", eps_ub[q].copy())
+        if float(eps_ub[q].max()) <= epsilons[q] else None
+        for q in range(len(epsilons))
+    ]
+    rows = [q for q, verdict in enumerate(verdicts) if verdict is None]
+    chunk = max(1, int(_ATTACK_CHUNK_ELEMS // max(per_row, 1)))
+    for k in range(0, len(rows), chunk):
+        sel = np.asarray(rows[k : k + chunk])
+        for q, witness in zip(sel, attack(sel)):
+            eps_lb = _replay_attack(witness, float(epsilons[q]))
+            if eps_lb is not None:
+                verdicts[q] = ("refuted", eps_lb)
+    return verdicts
 
 
 def presolve_local_many(
@@ -421,38 +418,19 @@ def presolve_local_many(
     base = _forward_many(layers, centers)
     eps_ub = variation_from_reference(out.lo, out.hi, base)
 
-    verdicts: list[tuple[str, np.ndarray] | None] = [None] * queries
-    attack_rows = []
-    for q in range(queries):
-        if float(eps_ub[q].max()) <= epsilons[q]:
-            verdicts[q] = ("certified", eps_ub[q].copy())
-        else:
-            attack_rows.append(q)
+    u = np.random.default_rng(seed).random((attack_samples, dim))
 
-    if attack_rows:
-        rng = np.random.default_rng(seed)
-        u = rng.random((attack_samples, dim))
-        chunk = _attack_chunk(
-            len(attack_rows), (attack_samples + 1) * out_dim * dim
-        )
-        for k in range(0, len(attack_rows), chunk):
-            sel = np.asarray(attack_rows[k : k + chunk])
-            lo, hi = balls.lo[sel], balls.hi[sel]
-            starts = np.concatenate(
-                [
-                    centers[sel][:, None, :],
-                    lo[:, None, :] + u[None, :, :] * (hi - lo)[:, None, :],
-                ],
-                axis=1,
-            )
-            witness = _variation_witness_many(
-                layers, starts, lo[:, None, :], hi[:, None, :],
-                base[sel][:, None, :],
-            )
-            for row, q in enumerate(sel):
-                eps_lb = _replay_attack(witness[row], float(epsilons[q]))
-                if eps_lb is not None:
-                    verdicts[q] = ("refuted", eps_lb)
+    def attack(sel: np.ndarray) -> np.ndarray:
+        lo, hi = balls.lo[sel], balls.hi[sel]
+        samples = lo[:, None, :] + u[None, :, :] * (hi - lo)[:, None, :]
+        starts = np.concatenate([centers[sel][:, None, :], samples], axis=1)
+        return _variation_witness_many(
+            layers, starts, lo[:, None, :], hi[:, None, :], base[sel][:, None, :]
+        )[1]
+
+    verdicts = _decide_rows(
+        eps_ub, epsilons, (attack_samples + 1) * out_dim * dim, attack
+    )
 
     share = (time.perf_counter() - t0) / queries
     results: list[LocalCertificate | None] = [None] * queries
@@ -511,32 +489,18 @@ def presolve_global_many(
     layer_bounds = propagate_many(bounds, layers, stack, deltas)
     eps_ub = layer_bounds.output_variation_bounds()
 
-    verdicts: list[tuple[str, np.ndarray] | None] = [None] * queries
-    attack_rows = []
-    for q in range(queries):
-        if float(eps_ub[q].max()) <= epsilons[q]:
-            verdicts[q] = ("certified", eps_ub[q].copy())
-        else:
-            attack_rows.append(q)
+    starts = domain.sample(np.random.default_rng(seed), attack_samples)
+    base, jac = _output_jacobian_many(layers, starts)
 
-    if attack_rows and attack_samples > 0:
-        rng = np.random.default_rng(seed)
-        starts = domain.sample(rng, attack_samples)
-        jac = _output_jacobian_many(layers, starts)
-        base = _forward_many(layers, starts)
-        chunk = _attack_chunk(
-            len(attack_rows), attack_samples * out_dim * dim
+    def attack(sel: np.ndarray) -> np.ndarray:
+        lo, hi = perturbation_balls(
+            starts[None, :, :], deltas[sel][:, None, None], domain
         )
-        for k in range(0, len(attack_rows), chunk):
-            sel = np.asarray(attack_rows[k : k + chunk])
-            radius = deltas[sel][:, None, None]
-            lo = np.maximum(starts[None, :, :] - radius, domain.lo)
-            hi = np.minimum(starts[None, :, :] + radius, domain.hi)
-            witness = _corner_witness(layers, jac, lo, hi, base)
-            for row, q in enumerate(sel):
-                eps_lb = _replay_attack(witness[row], float(epsilons[q]))
-                if eps_lb is not None:
-                    verdicts[q] = ("refuted", eps_lb)
+        return _corner_witness(layers, jac, lo, hi, base)
+
+    verdicts = _decide_rows(
+        eps_ub, epsilons, attack_samples * out_dim * dim, attack
+    )
 
     share = (time.perf_counter() - t0) / queries
     results: list[GlobalCertificate | None] = [None] * queries

@@ -19,6 +19,12 @@ family of input splitting):
   (more stable neurons → fewer binaries, via the existing ``bounds=``
   knobs on the encoders).
 
+A wave of up to ``frontier_batch`` subdomains is one batched attack
+(whose center Jacobians also pick the split dimensions) plus one batched
+bound of the bisected children, bit-identical to one box at a time.
+Rows of the batched bounds are built only for MILP leaves (whole
+``LayerBounds``) and proved subdomains (their output box).
+
 The query is *certified* when every terminal subdomain's bound is ≤ ε
 and the terminal subdomains exactly tile the root box (bisection keeps
 this invariant by construction); it is *refuted* the moment any
@@ -39,11 +45,18 @@ import numpy as np
 
 from repro import _faults, _sanitize
 from repro.bounds.interval import Box
-from repro.bounds.propagator import LayerBounds, get_propagator, propagate_many
+from repro.bounds.propagator import (
+    BatchedLayerBounds,
+    LayerBounds,
+    get_propagator,
+    propagate_many,
+)
 from repro.certify.presolve import (
     _output_gradient,
-    _variation_witness,
+    _replay_attack,
+    _variation_witness_many,
     perturbation_ball,
+    perturbation_balls,
     variation_from_reference,
 )
 from repro.certify.minmax import limited_ranges, min_max_objectives
@@ -73,8 +86,9 @@ class SplitConfig:
         attack_samples: Extra random gradient-corner attack starts per
             subdomain (the subdomain center is always attacked).
         frontier_batch: Subdomains popped from the work-queue per
-            branch-and-bound round.  All children bisected in a round
-            are bounded in **one** batched
+            branch-and-bound round.  The popped boxes are attacked in
+            one batched call, and all children bisected in a round are
+            bounded in **one** batched
             :func:`~repro.bounds.propagator.propagate_many` call instead
             of one propagation per child.  Batched rows are
             bit-identical to scalar propagation, so ``1`` reproduces the
@@ -127,14 +141,26 @@ class _QueueItem:
 
     ``priority = ε − ε̄(box)`` is negative while the subdomain's bound
     exceeds the target, so the min-heap pops the most-violating box.
+    The bounds stay row ``row`` of its wave's batched record; only a
+    leaf (its whole row) or a proved subdomain (its output box) ever
+    slices them out.
     """
 
     priority: float
     seq: int
     depth: int = field(compare=False)
     box: Box = field(compare=False)
-    bounds: LayerBounds = field(compare=False)
+    bounds: BatchedLayerBounds = field(compare=False)
+    row: int = field(compare=False)
     eps_ub: np.ndarray = field(compare=False)
+
+    def output(self) -> Box:
+        """The subdomain's output box (all a proved subdomain keeps)."""
+        return self.bounds.output.row(self.row)
+
+    def leaf(self) -> _Leaf:
+        """The subdomain as a MILP leaf, with its whole bounds row."""
+        return _Leaf(self.box, self.bounds.row(self.row), self.eps_ub, self.depth)
 
 
 @dataclass
@@ -181,15 +207,13 @@ def _bisect(box: Box, dim: int) -> tuple[Box, Box]:
     return Box(box.lo.copy(), lo_half_hi), Box(hi_half_lo, box.hi.copy())
 
 
-def _split_dimension(layers: list[AffineLayer], box: Box, worst_output: int) -> int:
+def _split_dimension(width: np.ndarray, grad: np.ndarray) -> int:
     """Gradient-weighted widest dimension: argmax ``|∂F_j/∂x_d| · w_d``.
 
-    The gradient is taken at the box center for the output whose bound
+    ``grad`` is taken at the box center for the output whose bound
     currently violates ε the most; dimensions the network is flat in
     are never split on while an influential one is available.
     """
-    width = box.width()
-    grad = _output_gradient(layers, box.center, worst_output)
     score = width * np.abs(grad)
     if float(score.max()) <= 0.0:
         return int(np.argmax(width))
@@ -422,7 +446,6 @@ class _SplitRun:
         self.domain = domain
         self.propagator = get_propagator(config.bounds)
         self.rng = np.random.default_rng(config.seed)
-        self.targets = list(range(layers[-1].out_dim))
         self.t0 = time.perf_counter()
         self.deadline = (
             None if config.time_limit is None else self.t0 + config.time_limit
@@ -430,42 +453,21 @@ class _SplitRun:
         self.seq = itertools.count()
         self.domains = 0
         self.bisections = 0
-        self.proved: list[tuple[Box, np.ndarray, LayerBounds]] = []
+        self.proved: list[tuple[Box, np.ndarray, Box]] = []
         self.undecided: list[tuple[Box, np.ndarray]] = []
         self.milp_leaves: list[_Leaf] = []
         self.milp_limit_hits = 0
         self.proved_by_bounds = 0
-        self.root_bounds: LayerBounds | None = None
+        self.root_output: Box | None = None
 
-    # -- per-box primitives --------------------------------------------------
-
-    def evaluate(self, box: Box, depth: int) -> _QueueItem:
-        """Propagate per-subdomain bounds and build the queue entry."""
-        self.domains += 1
-        if self.kind == "local":
-            bounds = self.propagator.propagate(self.layers, box)
-            out = bounds.output
-            eps_ub = variation_from_reference(out.lo, out.hi, self.base)
-        else:
-            bounds = self.propagator.propagate(self.layers, box, self.delta)
-            eps_ub = bounds.output_variation_bounds()
-        return _QueueItem(
-            priority=self.epsilon - float(eps_ub.max()),
-            seq=next(self.seq),
-            depth=depth,
-            box=box,
-            bounds=bounds,
-            eps_ub=eps_ub,
-        )
+    # -- per-wave primitives -------------------------------------------------
 
     def evaluate_many(self, boxes: list[Box], depths: list[int]) -> list[_QueueItem]:
         """Bound a whole frontier wave in one batched propagation.
 
-        One :func:`~repro.bounds.propagator.propagate_many` call
-        replaces one ``propagate`` per child.  Every returned queue
-        entry is bit-identical to :meth:`evaluate` on its box (batched
-        rows match scalar propagation exactly), so the wave size only
-        changes *when* boxes are bounded, never what their bounds are.
+        Batched rows are bit-identical to scalar propagation, so the
+        wave size only changes *when* boxes are bounded, never what
+        their bounds are.  Each entry points at its row, uncopied.
         """
         self.domains += len(boxes)
         deltas = None if self.kind == "local" else self.delta
@@ -481,32 +483,70 @@ class _SplitRun:
                 seq=next(self.seq),
                 depth=depths[q],
                 box=boxes[q],
-                bounds=batched.row(q),
+                bounds=batched,
+                row=q,
                 eps_ub=eps_ub[q].copy(),
             )
             for q in range(len(boxes))
         ]
 
-    def attack(self, box: Box) -> np.ndarray:
-        """Best concrete per-output variation found inside ``box``."""
-        starts = [box.center]
-        if self.config.attack_samples > 0:
-            starts += list(box.sample(self.rng, self.config.attack_samples))
-        eps_lb = np.zeros(len(self.targets))
-        for x in starts:
-            if self.kind == "local":
-                # Corners of the subdomain are feasible perturbations of
-                # the original ball (the subdomain is a subset of it).
-                witness = _variation_witness(
-                    self.layers, x, box, self.targets, reference=self.base
-                )
-            else:
-                ball = perturbation_ball(x, self.delta, self.domain)
-                witness = _variation_witness(self.layers, x, ball, self.targets)
-            eps_lb = np.maximum(eps_lb, witness)
-            if float(eps_lb.max()) > self.epsilon:
-                break
-        return eps_lb
+    def attack(self, boxes: list[Box]) -> tuple[list[np.ndarray | None], np.ndarray]:
+        """One batched gradient-corner attack over a wave of boxes.
+
+        Each box is attacked from its center and ``attack_samples``
+        random starts drawn in pop order.  Returns each box's refuting
+        witness (``None`` if no start exceeds ε) and the ``(W, m, n)``
+        output Jacobians at the box centers.
+        """
+        lo = np.stack([box.lo for box in boxes])
+        hi = np.stack([box.hi for box in boxes])
+        u = self.rng.random((len(boxes), self.config.attack_samples, lo.shape[1]))
+        center = 0.5 * (lo + hi)
+        samples = lo[:, None, :] + u * (hi - lo)[:, None, :]
+        starts = np.concatenate([center[:, None, :], samples], axis=1)
+        if self.kind == "local":
+            # Corners of the subdomain are feasible perturbations of the
+            # original ball (the subdomain is a subset of it).
+            ball_lo, ball_hi = lo[:, None, :], hi[:, None, :]
+        else:
+            ball_lo, ball_hi = perturbation_balls(starts, self.delta, self.domain)
+        jac, witness = _variation_witness_many(
+            self.layers, starts, ball_lo, ball_hi, self.base
+        )
+        if _sanitize.ENABLED:
+            self._check_attack(boxes, starts, jac, witness)
+        return [_replay_attack(row, self.epsilon) for row in witness], jac[:, 0]
+
+    def _check_attack(
+        self, boxes: list[Box], starts: np.ndarray, jac: np.ndarray, witness: np.ndarray
+    ) -> None:
+        """Sanitizer: one seeded ``(box, start)`` of a wave attack, re-run alone.
+
+        The start must lie in its box, and its witness and Jacobian must
+        match a batch-of-one attack over the scalar ball and baseline and
+        the scalar gradients: a wrong ball, baseline or row would refute
+        (or split) on numbers never checked.
+        """
+        wave, per_box = starts.shape[:2]
+        rng = np.random.default_rng(wave * 1000003 + per_box)
+        w, s = divmod(int(rng.integers(wave * per_box)), per_box)
+        box, x = boxes[w], starts[w, s]
+        what = f"split wave attack box {w}/{wave} start {s}"
+        _sanitize.check_containment(x, x, box.lo, box.hi, f"{what} start")
+        if self.kind == "local":
+            ball, base = box, self.base
+        else:
+            ball = perturbation_ball(x, self.delta, self.domain)
+            base = affine_chain_forward(self.layers, x)
+        _, alone = _variation_witness_many(
+            self.layers, x[None], ball.lo[None], ball.hi[None], base[None]
+        )
+        _sanitize.check_batch_row(witness[w, s], alone[0], f"{what} witness")
+        for j in range(self.layers[-1].out_dim):
+            _sanitize.check_batch_row(
+                jac[w, s, j], _output_gradient(self.layers, x, j),
+                f"{what} gradient of output {j}",
+            )
 
     def out_of_time(self) -> bool:
         return self.deadline is not None and time.perf_counter() > self.deadline
@@ -516,11 +556,11 @@ class _SplitRun:
     def run(self) -> dict:
         """Drive the queue to a verdict; returns the result summary."""
         refuted_eps: np.ndarray | None = None
-        root_item = self.evaluate(self.root, depth=0)
-        self.root_bounds = root_item.bounds
+        root_item = self.evaluate_many([self.root], [0])[0]
+        self.root_output = root_item.output()
         heap: list[_QueueItem] = []
         if float(root_item.eps_ub.max()) <= self.epsilon:
-            self.proved.append((root_item.box, root_item.eps_ub, root_item.bounds))
+            self.proved.append((root_item.box, root_item.eps_ub, self.root_output))
             self.proved_by_bounds += 1
         else:
             heap.append(root_item)
@@ -530,17 +570,17 @@ class _SplitRun:
                 self.undecided.extend((i.box, i.eps_ub) for i in heap)
                 heap.clear()
                 break
-            # One round: pop a wave of the worst subdomains, attack and
-            # classify them in pop order, then bound every bisected
-            # child in a single batched propagation.
+            # One round: pop a wave of the worst subdomains, attack them
+            # all in one batched call, classify them in pop order, then
+            # bound every bisected child in one batched propagation.
             wave: list[_QueueItem] = []
             while heap and len(wave) < self.config.frontier_batch:
                 wave.append(heapq.heappop(heap))
+            refutations, center_jac = self.attack([item.box for item in wave])
             splits: list[tuple[_QueueItem, int]] = []
             for w, item in enumerate(wave):
-                eps_lb = self.attack(item.box)
-                if float(eps_lb.max()) > self.epsilon:
-                    refuted_eps = eps_lb
+                if refutations[w] is not None:
+                    refuted_eps = refutations[w]
                     # Wave members not yet resolved (and scheduled
                     # splits whose children never got bounded) rejoin
                     # the heap so the post-loop bookkeeping records
@@ -548,24 +588,21 @@ class _SplitRun:
                     for leftover in wave[w + 1 :] + [i for i, _ in splits]:
                         heapq.heappush(heap, leftover)
                     break
+                width = item.box.width()
                 at_leaf = (
                     item.depth >= self.config.max_depth
-                    or float(item.box.width().max()) <= self.config.min_width
+                    or float(width.max()) <= self.config.min_width
                     # Children already scheduled this round count toward
                     # the budget, exactly as sequential processing
                     # would have evaluated them before this pop.
                     or self.domains + 2 * len(splits) >= self.config.max_domains
                 )
                 if at_leaf:
-                    self.milp_leaves.append(
-                        _Leaf(item.box, item.bounds, item.eps_ub, item.depth)
-                    )
+                    self.milp_leaves.append(item.leaf())
                     continue
-                dim = _split_dimension(
-                    self.layers, item.box, int(np.argmax(item.eps_ub))
-                )
+                worst = int(np.argmax(item.eps_ub))
                 self.bisections += 1
-                splits.append((item, dim))
+                splits.append((item, _split_dimension(width, center_jac[w, worst])))
             if refuted_eps is not None or not splits:
                 continue
             children: list[Box] = []
@@ -576,14 +613,13 @@ class _SplitRun:
             for child_item in self.evaluate_many(children, depths):
                 if float(child_item.eps_ub.max()) <= self.epsilon:
                     self.proved.append(
-                        (child_item.box, child_item.eps_ub, child_item.bounds)
+                        (child_item.box, child_item.eps_ub, child_item.output())
                     )
                     self.proved_by_bounds += 1
                 else:
                     heapq.heappush(heap, child_item)
 
         witness = None
-        witness_eps = refuted_eps
         if refuted_eps is not None:
             # Whatever is still queued never got decided; that is fine —
             # one concrete witness refutes the whole query.
@@ -607,12 +643,11 @@ class _SplitRun:
                     outcome.witness_eps is not None
                     and float(outcome.witness_eps.max()) > self.epsilon
                 ):
-                    witness_eps = outcome.witness_eps
                     witness = outcome.witness
                     refuted_eps = outcome.witness_eps
                     break
                 if float(eps.max()) <= self.epsilon:
-                    self.proved.append((leaf.box, eps, leaf.bounds))
+                    self.proved.append((leaf.box, eps, leaf.bounds.output))
                 else:
                     # A sound bound above ε that no witness confirms:
                     # only possible for a resource-limited leaf solve
@@ -620,24 +655,18 @@ class _SplitRun:
                     self.undecided.append((leaf.box, eps))
 
         if refuted_eps is not None:
-            verdict = "refuted"
-            epsilons = witness_eps
-        elif self.undecided:
-            verdict = "undecided"
-            epsilons = self._sound_upper_bound()
+            verdict, epsilons = "refuted", refuted_eps
         else:
-            verdict = "certified"
+            verdict = "undecided" if self.undecided else "certified"
             epsilons = self._sound_upper_bound()
         if _sanitize.ENABLED and refuted_eps is None:
             # A refuting witness short-circuits leaf processing, so only
             # non-refuted verdicts promise a complete tiling — and for
             # those it is the soundness argument: a gap would be an
             # unexplored part of the domain under a "certified" stamp.
-            terminal = [box for box, _, _ in self.proved]
-            terminal += [box for box, _ in self.undecided]
             _sanitize.check_tiling(
                 self.root.lo, self.root.hi,
-                ((box.lo, box.hi) for box in terminal),
+                ((box.lo, box.hi) for box in self._terminal_boxes()),
                 f"split-tier terminal subdomains ({verdict})",
             )
         return {
@@ -646,6 +675,9 @@ class _SplitRun:
             "witness": witness,
             "solve_time": time.perf_counter() - self.t0,
         }
+
+    def _terminal_boxes(self) -> list[Box]:
+        return [box for box, _, _ in self.proved] + [box for box, _ in self.undecided]
 
     def _sound_upper_bound(self) -> np.ndarray:
         """Per-output max over all terminal subdomains' sound bounds."""
@@ -667,10 +699,8 @@ class _SplitRun:
             "undecided": len(self.undecided),
         }
         if self.config.record_boxes:
-            terminal = [box for box, _, _ in self.proved]
-            terminal += [box for box, _ in self.undecided]
             info["leaf_boxes"] = [
-                (box.lo.copy(), box.hi.copy()) for box in terminal
+                (box.lo.copy(), box.hi.copy()) for box in self._terminal_boxes()
             ]
         return info
 
@@ -713,17 +743,14 @@ def certify_local_split(
     if result["verdict"] == "certified":
         # Every terminal subdomain was proved and the subdomains tile
         # the ball, so the hull of their output boxes encloses F(ball).
-        out_boxes = [bounds.output for _, _, bounds in run.proved]
-        hull = out_boxes[0]
-        for box in out_boxes[1:]:
-            hull = hull.union_hull(box)
-        out_lo, out_hi = hull.lo, hull.hi
+        out_lo = np.min([out.lo for _, _, out in run.proved], axis=0)
+        out_hi = np.max([out.hi for _, _, out in run.proved], axis=0)
     else:
         # Refuted / undecided runs have terminal subdomains whose output
         # was never enclosed (or only lower-bounded); the only sound
         # range is the root propagation's output box.
-        out_lo = run.root_bounds.output.lo.copy()
-        out_hi = run.root_bounds.output.hi.copy()
+        out_lo = run.root_output.lo.copy()
+        out_hi = run.root_output.hi.copy()
     return LocalCertificate(
         center=center,
         delta=float(delta),

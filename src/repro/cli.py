@@ -180,8 +180,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_domain_args(p_att)
     p_att.add_argument("--samples", type=_int_at_least(1), default=20,
                        help="random dataset samples to attack from")
-    p_att.add_argument("--steps", type=int, default=40, help="PGD steps")
-    p_att.add_argument("--seed", type=int, default=0)
+    p_att.add_argument("--steps", type=_int_at_least(0), default=40,
+                       help="PGD steps")
+    p_att.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p_batch = sub.add_parser(
         "batch",
@@ -234,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="attempts per query for transient failures "
                          "(worker deaths, broken pools) before a sound "
                          "degraded answer (default: 3)")
-    p_batch.add_argument("--seed", type=int, default=0)
+    p_batch.add_argument("--seed", type=_int_at_least(0), default=0)
     return parser
 
 
@@ -486,7 +487,10 @@ def _cmd_batch(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "lo", 0.0) > getattr(args, "hi", 0.0):
+        parser.error(f"--lo {args.lo:g} exceeds --hi {args.hi:g}")
     handlers = {
         "info": _cmd_info,
         "bounds": _cmd_bounds,

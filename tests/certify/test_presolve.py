@@ -15,7 +15,7 @@ from repro.certify import (
     presolve_local_many,
     presolve_many,
 )
-from repro.certify.presolve import perturbation_ball
+from repro.certify.presolve import _replay_attack, perturbation_ball
 from repro.nn.affine import AffineLayer, affine_chain_forward
 
 
@@ -338,3 +338,28 @@ class TestPresolveManyParity:
         for a, b in zip(broadcast, explicit):
             assert a is not None and b is not None
             np.testing.assert_array_equal(a.epsilons, b.epsilons)
+
+
+def replay_loop(witness, epsilon):
+    """The sequential attack loop: running max, stop at the first hit."""
+    eps_lb = np.zeros(witness.shape[-1])
+    for row in witness:
+        eps_lb = np.maximum(eps_lb, row)
+        if eps_lb.max() > epsilon:
+            return eps_lb
+    return None
+
+
+@given(seed=st.integers(0, 2**20), starts=st.integers(0, 6))
+@settings(max_examples=50, deadline=None)
+def test_replay_attack_matches_sequential_loop(seed, starts):
+    rng = np.random.default_rng(seed)
+    # Coarse values so ties and ε == a witness value both occur.
+    witness = rng.integers(0, 5, size=(starts, 3)) / 4.0
+    for epsilon in (0.0, 0.5, 0.75, 1.0):
+        expected = replay_loop(witness, epsilon)
+        got = _replay_attack(witness, epsilon)
+        if expected is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, expected)

@@ -236,6 +236,29 @@ class TestCli:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # Before, --steps -1 exited 0 from an attack that ran no steps
+            # and a negative --seed died in numpy's default_rng.
+            (["attack", "--steps", "-1"], "argument --steps: must be >= 0"),
+            (["attack", "--seed", "-1"], "argument --seed: must be >= 0"),
+            (["batch", "--seed", "-1"], "argument --seed: must be >= 0"),
+            # Before, an inverted domain died in the Box constructor.
+            (["bounds", "--lo", "1", "--hi", "0"], "--lo 1 exceeds --hi 0"),
+            (["certify", "--lo", "1", "--hi", "0"], "--lo 1 exceeds --hi 0"),
+            (["attack", "--lo", "1", "--hi", "0"], "--lo 1 exceeds --hi 0"),
+            (["batch", "--lo", "1", "--hi", "0"], "--lo 1 exceeds --hi 0"),
+        ],
+    )
+    def test_attack_seed_and_domain_range_is_a_usage_error(
+        self, model_path, capsys, argv, message
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([argv[0], model_path, "--delta", "0.01", *argv[1:]])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_time_limit_negative_rejected(self, model_path, capsys):
         with pytest.raises(SystemExit):
             main(["certify", model_path, "--delta", "0.01",
