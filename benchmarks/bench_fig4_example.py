@@ -122,7 +122,9 @@ def test_fig4_global(example, report, json_report, benchmark):
         )
     )
     assert exact.epsilon == pytest.approx(0.2, abs=1e-6)
-    assert itne_nd.epsilon == pytest.approx(0.3, abs=1e-6)
+    # The paper seeds with twin IBP (0.3); the symbolic seed gives 0.25.
+    assert itne_nd.epsilon == pytest.approx(0.25, abs=1e-6)
+    assert exact.epsilon - 1e-9 <= itne_lpr.epsilon <= 0.275 + 1e-6
     # ITNE must beat BTNE by a wide margin (the paper's core message).
     assert btne_nd.epsilon / itne_nd.epsilon > 3.0
     assert btne_lpr.epsilon / itne_lpr.epsilon > 3.0

@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import write_bench_json
-from repro.bounds import Box, get_propagator
+from repro.bounds import Box, SymbolicPropagator
 from repro.certify import SplitConfig, certify_exact_global, certify_global_split
 from repro.certify.presolve import (
     perturbation_ball,
@@ -71,7 +71,7 @@ def undecided_local_epsilon(layers, center, delta, domain, side="high"):
     compares verdicts of both kinds.
     """
     ball = perturbation_ball(center, delta, domain)
-    bounds = get_propagator("symbolic").propagate(layers, ball)
+    bounds = SymbolicPropagator().propagate(layers, ball)
     out = bounds.output
     base = affine_chain_forward(layers, center)
     ub = float(variation_from_reference(out.lo, out.hi, base).max())
@@ -226,7 +226,7 @@ def splitting_provable_target(layers, domain, delta, partitions=24) -> dict:
     from repro.certify.presolve import _output_gradient
     from repro.certify.splitting import _bisect, _split_dimension
 
-    sym = get_propagator("symbolic")
+    sym = SymbolicPropagator()
 
     def bound(box):
         return sym.propagate(layers, box, delta).output_variation_bounds()

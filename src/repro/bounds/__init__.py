@@ -7,19 +7,18 @@ Bound propagation serves two roles in the pipeline:
 2. It provides the fallback/starting ranges that Algorithm 1's LP-based
    refinement tightens layer by layer.
 
-All engines sit behind one :class:`~repro.bounds.propagator.BoundPropagator`
-protocol (``propagate(layers, input_box, delta=None) -> LayerBounds``):
+There is one bound method, :class:`SymbolicPropagator`: CROWN/DeepPoly-
+style backward substitution of linear relaxations
+(:mod:`repro.bounds.symbolic`), which also propagates distance bounds
+symbolically.  It starts from :class:`IBPPropagator` — plain interval
+bound propagation; with a ``delta`` the twin variant tracks value and
+*distance* intervals (``Δy``, ``Δx``) side by side, using the exact
+ReLU-distance facts ``0 ∧ Δy ≤ Δx ≤ 0 ∨ Δy`` from Fig. 3 of the paper —
+and intersects every layer with it, so it is never looser than IBP.
+Both engines expose ``propagate(layers, input_box, delta=None) ->
+LayerBounds``.
 
-* ``"ibp"`` — plain interval bound propagation; with a ``delta`` the twin
-  variant tracks value and *distance* intervals (``Δy``, ``Δx``) side by
-  side, using the exact ReLU-distance facts ``0 ∧ Δy ≤ Δx ≤ 0 ∨ Δy``
-  from Fig. 3 of the paper;
-* ``"twin-ibp"`` — the same twin engine with the perturbation mandatory;
-* ``"symbolic"`` — CROWN/DeepPoly-style backward substitution of linear
-  relaxations (:mod:`repro.bounds.symbolic`), never looser than IBP and
-  usually much tighter; it also propagates distance bounds symbolically.
-
-Every engine also answers a whole ``(Q, n)`` stack of queries in one
+Both engines also answer a whole ``(Q, n)`` stack of queries in one
 vectorized pass (:func:`propagate_many`, returning
 :class:`BatchedLayerBounds`), row-for-row bit-identical to the per-query
 ``propagate``.  Each method writes its layer loop once: the low-level
@@ -40,14 +39,10 @@ from repro.bounds.twin_ibp import (
 )
 from repro.bounds.propagator import (
     BatchedLayerBounds,
-    BoundPropagator,
     IBPPropagator,
     LayerBounds,
     TwinIBPPropagator,
-    available_propagators,
-    get_propagator,
     propagate_many,
-    register_propagator,
 )
 from repro.bounds.symbolic import SymbolicPropagator
 from repro.bounds.ranges import LayerRanges, RangeTable
@@ -64,13 +59,9 @@ __all__ = [
     "TwinBounds",
     "LayerRanges",
     "RangeTable",
-    "BoundPropagator",
     "LayerBounds",
     "IBPPropagator",
     "TwinIBPPropagator",
     "SymbolicPropagator",
-    "available_propagators",
-    "get_propagator",
     "propagate_many",
-    "register_propagator",
 ]

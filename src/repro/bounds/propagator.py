@@ -1,4 +1,4 @@
-"""The unified bound-propagation API: one protocol, many engines.
+"""Bound-propagation records and the interval (IBP) engine.
 
 Every MILP in the pipeline is only as tight as the interval bounds that
 seed it — big-M constants, Algorithm 1's initial range tables and the
@@ -11,17 +11,16 @@ produced:
   a perturbation was supplied;
 * :class:`BatchedLayerBounds` — the same record over a ``(Q, n)``
   query stack, row-sliceable back into ``LayerBounds``;
-* :class:`BoundPropagator` — the protocol ``propagate(layers, input_box,
-  delta=None) -> LayerBounds`` every engine implements;
-* a registry (:func:`register_propagator` / :func:`get_propagator`) with
-  the built-in engines ``"ibp"``, ``"twin-ibp"`` and ``"symbolic"``
-  (the latter registered by :mod:`repro.bounds.symbolic`).
+* :class:`IBPPropagator` — plain (twin) interval bound propagation,
+  the first step of the symbolic engine and the last-resort fallback of
+  the batch engine's degraded answers;
+* :func:`propagate_many` — one batched propagation of a query stack.
 
-Implementations must return *sound* enclosures: every reachable
-pre/post-activation (and, for twin runs, every reachable distance) lies
-inside the reported boxes.  Engines other than plain IBP additionally
-guarantee containment in the IBP boxes (tightest-wins), so swapping the
-propagator can only shrink downstream relaxations.
+Every certifier seeds its encodings with one engine,
+:class:`~repro.bounds.symbolic.SymbolicPropagator`, whose boxes are
+intersected with IBP's and so are never looser.  Both engines return
+*sound* enclosures: every reachable pre/post-activation (and, for twin
+runs, every reachable distance) lies inside the reported boxes.
 """
 
 from __future__ import annotations
@@ -31,15 +30,14 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Generic,
-    Protocol,
     Sequence,
     TypeAlias,
     TypeVar,
-    runtime_checkable,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bounds.ranges import RangeTable
+    from repro.bounds.symbolic import SymbolicPropagator
 
 import numpy as np
 
@@ -250,10 +248,6 @@ class BatchedLayerBounds(_BoundsRecord[BatchedBox]):
             method=self.method,
         )
 
-    def rows(self) -> list[LayerBounds]:
-        """All queries, row-sliced (one ``LayerBounds`` per query)."""
-        return [self.row(q) for q in range(self.num_queries)]
-
     @classmethod
     def stack(cls, bounds: Sequence[LayerBounds]) -> "BatchedLayerBounds":
         """Stack per-query propagations into one batched record.
@@ -308,44 +302,6 @@ class BatchedLayerBounds(_BoundsRecord[BatchedBox]):
 #: The record type a layer loop fills: :class:`LayerBounds` for one box,
 #: :class:`BatchedLayerBounds` for a stack.
 Record = TypeVar("Record", bound="_BoundsRecord[Any]")
-
-
-@runtime_checkable
-class BoundPropagator(Protocol):
-    """Protocol of a bound-propagation engine.
-
-    Engines may additionally expose a native ``propagate_many(layers,
-    boxes, deltas=None) -> BatchedLayerBounds`` answering a whole query
-    stack in one vectorized pass (all built-ins do).  The method is
-    deliberately *not* part of the required protocol: the module-level
-    :func:`propagate_many` dispatcher falls back to a loop over
-    ``propagate`` plus :meth:`BatchedLayerBounds.stack`, so third-party
-    propagators keep working unchanged.
-
-    Attributes:
-        name: Registry key (also recorded on produced bounds).
-    """
-
-    name: str
-
-    def propagate(
-        self,
-        layers: list[AffineLayer],
-        input_box: Box,
-        delta: float | Box | None = None,
-    ) -> LayerBounds:
-        """Bound every layer of ``layers`` over ``input_box``.
-
-        Args:
-            layers: Normal-form network.
-            input_box: Box over the flattened input.
-            delta: When given (L∞ radius or explicit box), also propagate
-                twin *distance* bounds for ITNE/BTNE seeding.
-
-        Returns:
-            Sound :class:`LayerBounds`.
-        """
-        ...  # pragma: no cover - protocol
 
 
 class IBPPropagator:
@@ -408,7 +364,12 @@ class IBPPropagator:
 
 
 class TwinIBPPropagator(IBPPropagator):
-    """Twin-network IBP: like ``"ibp"`` but a perturbation is mandatory."""
+    """Twin-network IBP: like ``"ibp"`` but a perturbation is mandatory.
+
+    Nothing in the package calls it; it is kept only because the
+    benchmark's tracer (``perfbench/trace.py``) patches its methods by
+    name.
+    """
 
     name = "twin-ibp"
 
@@ -437,35 +398,19 @@ class TwinIBPPropagator(IBPPropagator):
         return bounds
 
 
-_REGISTRY: dict[str, BoundPropagator] = {}
+def _engine(name: str) -> "IBPPropagator | SymbolicPropagator":
+    """The engine :func:`propagate_many` runs: ``"symbolic"`` or ``"ibp"``."""
+    if name == "symbolic":
+        from repro.bounds.symbolic import SymbolicPropagator
 
-
-def register_propagator(propagator: BoundPropagator) -> BoundPropagator:
-    """Register an engine under ``propagator.name`` (last write wins)."""
-    _REGISTRY[propagator.name] = propagator
-    return propagator
-
-
-def get_propagator(spec: "str | BoundPropagator") -> BoundPropagator:
-    """Resolve a propagator: a registry name or an instance (passed through)."""
-    if not isinstance(spec, str):
-        return spec
-    try:
-        return _REGISTRY[spec]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(
-            f"unknown bound propagator {spec!r}; registered: {known}"
-        ) from None
-
-
-def available_propagators() -> tuple[str, ...]:
-    """Sorted names of all registered engines."""
-    return tuple(sorted(_REGISTRY))
+        return SymbolicPropagator()
+    if name == "ibp":
+        return IBPPropagator()
+    raise ValueError(f"unknown bound engine {name!r} (expected 'symbolic' or 'ibp')")
 
 
 def _check_batch_agreement(
-    engine: BoundPropagator,
+    engine: "IBPPropagator | SymbolicPropagator",
     layers: list[AffineLayer],
     stack: BatchedBox,
     deltas: DeltaSpec,
@@ -517,21 +462,15 @@ def _check_batch_agreement(
 
 
 def propagate_many(
-    propagator: "str | BoundPropagator",
+    name: str,
     layers: list[AffineLayer],
     boxes: BoxStack,
     deltas: DeltaSpec = None,
 ) -> BatchedLayerBounds:
-    """Bound a whole stack of queries through one engine.
-
-    The batched entry point of the bounds package: engines exposing a
-    native ``propagate_many`` (all built-ins) answer the stack in one
-    vectorized pass; third-party propagators implementing only the
-    :class:`BoundPropagator` protocol are looped per query and stacked,
-    so every registered engine works here unchanged.
+    """Bound a whole stack of queries in one vectorized pass.
 
     Args:
-        propagator: Registry name or engine instance.
+        name: ``"symbolic"`` (what every certifier uses) or ``"ibp"``.
         layers: Normal-form network shared by all queries.
         boxes: The ``Q`` input boxes — a :class:`BatchedBox`, a single
             :class:`Box`, or a list of boxes.
@@ -539,25 +478,13 @@ def propagate_many(
             radii, shared box, list of boxes, or a ``(Q, n)`` stack).
 
     Returns:
-        Sound :class:`BatchedLayerBounds`; row ``q`` equals the scalar
-        ``propagate`` result of query ``q`` (bit-identical for the
-        built-in engines, sanitizer-checked for native third-party
-        batched implementations).
+        Sound :class:`BatchedLayerBounds`; row ``q`` is bit-identical to
+        the engine's scalar ``propagate`` of query ``q`` (checked on a
+        sampled row under ``REPRO_SANITIZE=1``).
     """
-    engine = get_propagator(propagator)
+    engine = _engine(name)
     stack = as_batched_box(boxes)
-    native = getattr(engine, "propagate_many", None)
-    if native is None or not callable(native):
-        rows = [
-            engine.propagate(layers, stack.row(q), delta_row(deltas, q, stack.dim))
-            for q in range(stack.num_queries)
-        ]
-        return BatchedLayerBounds.stack(rows)
-    result: BatchedLayerBounds = native(layers, stack, deltas)
+    result = engine.propagate_many(layers, stack, deltas)
     if _sanitize.ENABLED:
         _check_batch_agreement(engine, layers, stack, deltas, result)
     return result
-
-
-register_propagator(IBPPropagator())
-register_propagator(TwinIBPPropagator())

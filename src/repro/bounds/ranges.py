@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bounds.interval import Box
-from repro.bounds.propagator import BoundPropagator, get_propagator
+from repro.bounds.symbolic import SymbolicPropagator
 from repro.nn.affine import AffineLayer
 
 
@@ -75,21 +75,20 @@ class RangeTable:
         layers: list[AffineLayer],
         input_box: Box,
         delta: float | Box,
-        propagator: str | BoundPropagator = "ibp",
     ) -> "RangeTable":
-        """Initialize every layer from a bound propagation (sound baseline).
+        """Initialize every layer from the symbolic bounds (sound baseline).
+
+        The symbolic engine intersects every layer with twin IBP, so the
+        table is never looser than the paper's interval seed.  A caller
+        wanting the twin-IBP table itself builds it with
+        ``IBPPropagator().propagate(layers, input_box, delta).to_range_table()``.
 
         Args:
             layers: Normal-form network.
             input_box: Input domain.
             delta: L∞ perturbation radius or explicit distance box.
-            propagator: Bound engine — a registry name (``"ibp"``,
-                ``"symbolic"``, ...) or a
-                :class:`~repro.bounds.propagator.BoundPropagator`
-                instance.  Registered non-IBP engines guarantee
-                tightest-wins containment in the IBP boxes.
         """
-        bounds = get_propagator(propagator).propagate(layers, input_box, delta)
+        bounds = SymbolicPropagator().propagate(layers, input_box, delta)
         return bounds.to_range_table()
 
     def layer(self, i: int) -> LayerRanges:

@@ -28,7 +28,8 @@ replaced by the chords of its envelope ``min(0, Δy) ≤ Δx ≤ max(0, Δy)``
 (Fig. 3 of the paper), tightened to exact substitution wherever the
 value bounds prove both copies stably active or stably inactive.  These
 distance bounds seed the ITNE/BTNE encoders and Algorithm 1's range
-table through :meth:`repro.bounds.ranges.RangeTable.from_interval_propagation`.
+table through :meth:`repro.bounds.ranges.RangeTable.from_interval_propagation`:
+this is the one bound method every certifier starts from.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from repro.bounds.propagator import (
     BoxStack,
     IBPPropagator,
     LayerBounds,
-    register_propagator,
 )
 from repro.bounds.twin_ibp import relu_distance_interval
 from repro.nn.affine import AffineLayer
@@ -368,6 +368,3 @@ class SymbolicPropagator:
         """
         ibp = self._ibp.propagate_many(layers, input_boxes, deltas)
         return _symbolic_bounds(layers, ibp, _backsubstitute_batch, self.name)
-
-
-register_propagator(SymbolicPropagator())

@@ -9,7 +9,7 @@ the blow-up the paper's Algorithm 1 avoids.
 Soundness under resource limits (Algorithm 1's premise) holds here too:
 a time/node-limited MILP contributes its *dual bound* via
 :meth:`~repro.milp.solution.SolveResult.sound_bound`, intersected with
-the twin-IBP interval bound — never the incumbent objective of an
+the symbolic interval bound — never the incumbent objective of an
 interrupted solve, which is unsound on the extremal side.  The returned
 epsilons are therefore always finite and certified; ``exact`` is True
 only when every solve proved optimality.
@@ -38,7 +38,6 @@ def certify_exact_global(
     encoding: str = "itne",
     time_limit: float | None = None,
     outputs: list[int] | None = None,
-    bounds: str = "ibp",
 ) -> GlobalCertificate:
     """Solve Problem 1 via MILP; sound even when ``time_limit`` bites.
 
@@ -50,14 +49,11 @@ def certify_exact_global(
             independent copies, the encoding of [2]).
         time_limit: Per-MILP time limit in seconds.  A limited solve
             never raises: its sound dual bound (or, failing that, the
-            twin-IBP interval bound) certifies the output, and the
+            symbolic interval bound) certifies the output, and the
             certificate reports ``exact=False``.  Non-limit failures
             (infeasible, solver error) still raise — they indicate a
             broken encoding, not a resource trade-off.
         outputs: Restrict to these output indices (default: all).
-        bounds: Bound propagator seeding big-M ranges and the interval
-            fallback (``"ibp"`` or ``"symbolic"``; tighter bounds mean
-            fewer unstable neurons, hence a smaller search tree).
 
     Returns:
         A :class:`GlobalCertificate`; ``exact=True`` iff every MILP was
@@ -75,16 +71,14 @@ def certify_exact_global(
 
     # Sound a-priori interval bounds on the output distance: the
     # fallback (and intersection partner) for limited solves.  The same
-    # table feeds the ITNE encoder, so twin IBP runs once.
-    table = RangeTable.from_interval_propagation(
-        layers, input_box, delta, propagator=bounds
-    )
+    # table feeds the ITNE encoder, so the bounds are propagated once.
+    table = RangeTable.from_interval_propagation(layers, input_box, delta)
     interval = table.layer(len(layers)).dx
 
     if encoding == "itne":
         enc = encode_itne(layers, input_box, delta, ranges=table)
     else:
-        # The table's y boxes already are this propagator's single-copy
+        # The table's y boxes already are the symbolic single-copy
         # pre-activation bounds; reuse them instead of re-propagating.
         pre_acts = [table.layer(i).y for i in range(1, len(layers) + 1)]
         enc = encode_btne(layers, input_box, delta, pre_act_bounds=pre_acts)

@@ -57,10 +57,6 @@ class CertifierConfig:
             layer index).
         refine_count: Neurons refined (exactly encoded) per sub-network,
             at least 0; 0 gives a pure LP pipeline.
-        bounds: Bound propagator seeding the initial range table
-            (``"ibp"`` — the paper's twin IBP — or ``"symbolic"`` for
-            the backsubstitution bounds, which start the refinement from
-            strictly tighter ranges).
         couple_second_copy: Apply the triangle relaxation to the implicit
             second copy as well (tightening; on by default).
         lp_time_limit: Optional per-LP time limit (seconds).
@@ -87,7 +83,6 @@ class CertifierConfig:
 
     window: int = 2
     refine_count: int = 0
-    bounds: str = "ibp"
     couple_second_copy: bool = True
     lp_time_limit: float | None = None
     milp_time_limit: float | None = 30.0
@@ -133,9 +128,7 @@ class GlobalRobustnessCertifier:
         """
         cfg = self.config
         t0 = time.perf_counter()
-        table = RangeTable.from_interval_propagation(
-            self.layers, input_box, delta, propagator=cfg.bounds
-        )
+        table = RangeTable.from_interval_propagation(self.layers, input_box, delta)
         lp_count = 0
         milp_count = 0
 
@@ -175,8 +168,6 @@ class GlobalRobustnessCertifier:
         tag = "itne-nd-lpr"
         if self.config.refine_count > 0:
             tag += f"-r{self.config.refine_count}"
-        if self.config.bounds != "ibp":
-            tag += f"-{self.config.bounds}"
         return tag
 
     def _tighten_layer(self, table: RangeTable, i: int) -> tuple[int, int]:

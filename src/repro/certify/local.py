@@ -6,9 +6,9 @@ reproduce the local half of the paper's Fig. 4 and serve as reference
 points for the global techniques (a valid global ε must dominate the
 local ε at every sample).
 
-Every certifier takes a ``bounds=`` knob selecting the propagator that
-seeds its big-M ranges (``"ibp"`` default, ``"symbolic"`` for the
-backsubstitution bounds).  :func:`presolve_local` (the bounds-only
+Every certifier seeds its big-M ranges with the symbolic bounds
+(:class:`~repro.bounds.symbolic.SymbolicPropagator`, never looser than
+IBP).  :func:`presolve_local` (the bounds-only
 presolve tier, re-exported from :mod:`repro.certify.presolve`) can
 answer an ε-targeted query without building a MILP at all.
 """
@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from repro.bounds.interval import Box
-from repro.bounds.propagator import get_propagator
+from repro.bounds.symbolic import SymbolicPropagator
 from repro.certify.decomposition import decompose
 from repro.certify.minmax import min_max_objectives, optimal_ranges
 from repro.certify.presolve import (
@@ -63,7 +63,6 @@ def certify_local_exact(
     center: np.ndarray,
     delta: float,
     domain: Box | None = None,
-    bounds: str = "ibp",
     time_limit: float | None = None,
 ) -> LocalCertificate:
     """Exact local robustness: full big-M MILP over the δ-ball.
@@ -73,7 +72,7 @@ def certify_local_exact(
     :meth:`~repro.milp.solution.SolveResult.require_optimal`.
     """
     return _certify_whole_network(
-        network, center, delta, domain, bounds, time_limit, relax=False
+        network, center, delta, domain, time_limit, relax=False
     )
 
 
@@ -83,7 +82,6 @@ def certify_local_nd(
     delta: float,
     window: int = 1,
     domain: Box | None = None,
-    bounds: str = "ibp",
     time_limit: float | None = None,
 ) -> LocalCertificate:
     """Local robustness via network decomposition (exact sub-MILPs).
@@ -96,7 +94,7 @@ def certify_local_nd(
     t0 = time.perf_counter()
     layers = as_affine_chain(network)
     ball = perturbation_ball(center, delta, domain)
-    out, _ = single_copy_nd(layers, ball, window, bounds, time_limit)
+    out, _ = single_copy_nd(layers, ball, window, time_limit)
     return _certificate(
         layers, center, delta, out.lo, out.hi, f"local-nd-w{window}", False, t0
     )
@@ -107,24 +105,23 @@ def certify_local_lpr(
     center: np.ndarray,
     delta: float,
     domain: Box | None = None,
-    bounds: str = "ibp",
     time_limit: float | None = None,
 ) -> LocalCertificate:
     """Local robustness via the triangle LP relaxation of every ReLU."""
     return _certify_whole_network(
-        network, center, delta, domain, bounds, time_limit, relax=True
+        network, center, delta, domain, time_limit, relax=True
     )
 
 
 def _certify_whole_network(
-    network, center, delta, domain, bounds, time_limit, relax
+    network, center, delta, domain, time_limit, relax
 ) -> LocalCertificate:
     """Output ranges over one encoding of the whole δ-ball (LPR if ``relax``)."""
     t0 = time.perf_counter()
     layers = as_affine_chain(network)
     ball = perturbation_ball(center, delta, domain)
     relax_mask = [np.ones(layer.out_dim, dtype=bool) for layer in layers] if relax else None
-    enc = encode_single_network(layers, ball, relax_mask=relax_mask, bounds=bounds)
+    enc = encode_single_network(layers, ball, relax_mask=relax_mask)
     results = enc.model.solve_many(
         min_max_objectives(enc.output), time_limit=time_limit
     )
@@ -137,12 +134,11 @@ def single_copy_nd(
     layers: list[AffineLayer],
     input_box: Box,
     window: int,
-    bounds: str,
     time_limit: float | None = None,
 ) -> tuple[Box, int]:
     """Output range of one network copy by network decomposition.
 
-    Seeds every pre-activation range with the ``bounds`` propagator,
+    Seeds every pre-activation range with the symbolic bounds,
     then, layer by layer, replaces it by the exact min/max of each
     neuron over the depth-``window`` sub-network ending there (input
     ranges from the previous step), intersected with the seed in case
@@ -154,7 +150,7 @@ def single_copy_nd(
     if window < 1:  # decompose would clamp it while the caller records it
         raise ValueError("window must be >= 1")
     x_ranges: list[Box] = [input_box]  # index 0 = input
-    y_ranges = list(get_propagator(bounds).propagate(layers, input_box).y)
+    y_ranges = list(SymbolicPropagator().propagate(layers, input_box).y)
     solves = 0
     for i in range(1, len(layers) + 1):
         sub = decompose(layers, i, window, output_relu=False)

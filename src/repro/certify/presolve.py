@@ -43,7 +43,8 @@ import numpy as np
 
 from repro.bounds.batched import BatchedBox, as_batched_box
 from repro.bounds.interval import Box
-from repro.bounds.propagator import get_propagator, propagate_many
+from repro.bounds.propagator import propagate_many
+from repro.bounds.symbolic import SymbolicPropagator
 from repro.certify.results import GlobalCertificate, LocalCertificate
 from repro.nn.affine import AffineLayer, affine_chain_forward
 from repro.nn.network import Network, as_affine_chain
@@ -216,7 +217,6 @@ def presolve_local(
     delta: float,
     epsilon: float,
     domain: Box | None = None,
-    bounds: str = "symbolic",
     attack_samples: int = 4,
     seed: int = 0,
 ) -> LocalCertificate | None:
@@ -228,7 +228,6 @@ def presolve_local(
         delta: L∞ perturbation radius.
         epsilon: Target variation bound to prove or refute.
         domain: Optional domain box intersected with the δ-ball.
-        bounds: Propagator used for the proving side (default symbolic).
         attack_samples: Extra random starts for the refuting attack.
         seed: RNG seed for the random starts.
 
@@ -242,7 +241,7 @@ def presolve_local(
     layers = as_affine_chain(network)
     center = np.asarray(center, dtype=float).reshape(-1)
     ball = perturbation_ball(center, delta, domain)
-    layer_bounds = get_propagator(bounds).propagate(layers, ball)
+    layer_bounds = SymbolicPropagator().propagate(layers, ball)
     out = layer_bounds.output
     base = affine_chain_forward(layers, center)
     eps_ub = variation_from_reference(out.lo, out.hi, base)
@@ -259,7 +258,6 @@ def presolve_local(
             solve_time=time.perf_counter() - t0,
             detail={
                 "verdict": verdict,
-                "bounds": layer_bounds.method,
                 "epsilon": float(epsilon),
             },
         )
@@ -279,7 +277,6 @@ def presolve_global(
     domain: Box,
     delta: float,
     epsilon: float,
-    bounds: str = "symbolic",
     attack_samples: int = 8,
     seed: int = 0,
 ) -> GlobalCertificate | None:
@@ -296,7 +293,7 @@ def presolve_global(
     """
     t0 = time.perf_counter()
     layers = as_affine_chain(network)
-    layer_bounds = get_propagator(bounds).propagate(layers, domain, delta)
+    layer_bounds = SymbolicPropagator().propagate(layers, domain, delta)
     eps_ub = layer_bounds.output_variation_bounds()
 
     def certificate(epsilons, verdict):
@@ -308,7 +305,6 @@ def presolve_global(
             solve_time=time.perf_counter() - t0,
             detail={
                 "verdict": verdict,
-                "bounds": layer_bounds.method,
                 "epsilon": float(epsilon),
             },
         )
@@ -373,7 +369,6 @@ def presolve_local_many(
     deltas: "float | np.ndarray",
     epsilons: "float | np.ndarray",
     domain: Box | None = None,
-    bounds: str = "symbolic",
     attack_samples: int = 4,
     seed: int = 0,
 ) -> "list[LocalCertificate | None]":
@@ -395,7 +390,6 @@ def presolve_local_many(
         deltas: Scalar or per-query L∞ radii.
         epsilons: Scalar or per-query variation targets.
         domain: Optional domain box intersected with every δ-ball.
-        bounds: Propagator for the proving side (default symbolic).
         attack_samples: Extra random starts per query (scalar default).
         seed: RNG seed for the shared random starts.
     """
@@ -413,7 +407,7 @@ def presolve_local_many(
         ball_lo = np.maximum(ball_lo, domain.lo)
         ball_hi = np.minimum(ball_hi, domain.hi)
     balls = BatchedBox(ball_lo, ball_hi)
-    layer_bounds = propagate_many(bounds, layers, balls)
+    layer_bounds = propagate_many("symbolic", layers, balls)
     out = layer_bounds.output
     base = _forward_many(layers, centers)
     eps_ub = variation_from_reference(out.lo, out.hi, base)
@@ -449,7 +443,6 @@ def presolve_local_many(
             solve_time=share,
             detail={
                 "verdict": name,
-                "bounds": layer_bounds.method,
                 "epsilon": float(epsilons[q]),
             },
         )
@@ -461,7 +454,6 @@ def presolve_global_many(
     domain: Box,
     deltas: "float | np.ndarray",
     epsilons: "float | np.ndarray",
-    bounds: str = "symbolic",
     attack_samples: int = 8,
     seed: int = 0,
 ) -> "list[GlobalCertificate | None]":
@@ -486,7 +478,7 @@ def presolve_global_many(
     out_dim = layers[-1].out_dim
 
     stack = as_batched_box([domain] * queries)
-    layer_bounds = propagate_many(bounds, layers, stack, deltas)
+    layer_bounds = propagate_many("symbolic", layers, stack, deltas)
     eps_ub = layer_bounds.output_variation_bounds()
 
     starts = domain.sample(np.random.default_rng(seed), attack_samples)
@@ -516,7 +508,6 @@ def presolve_global_many(
             solve_time=share,
             detail={
                 "verdict": name,
-                "bounds": layer_bounds.method,
                 "epsilon": float(epsilons[q]),
             },
         )
@@ -531,7 +522,6 @@ def presolve_many(
     domain: Box | None = None,
     deltas: "float | np.ndarray",
     epsilons: "float | np.ndarray",
-    bounds: str = "symbolic",
     attack_samples: int | None = None,
     seed: int = 0,
 ):
@@ -547,7 +537,6 @@ def presolve_many(
             raise ValueError("kind='local' needs stacked centers")
         return presolve_local_many(
             network, centers, deltas, epsilons, domain=domain,
-            bounds=bounds,
             attack_samples=4 if attack_samples is None else attack_samples,
             seed=seed,
         )
@@ -556,7 +545,6 @@ def presolve_many(
             raise ValueError("kind='global' needs an input domain")
         return presolve_global_many(
             network, domain, deltas, epsilons,
-            bounds=bounds,
             attack_samples=8 if attack_samples is None else attack_samples,
             seed=seed,
         )

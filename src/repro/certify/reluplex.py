@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from repro.bounds.interval import Box
-from repro.bounds.propagator import get_propagator
+from repro.bounds.symbolic import SymbolicPropagator
 from repro.certify.results import GlobalCertificate
 from repro.encoding.btne import encode_btne
 from repro.milp.expr import LinExpr, Var
@@ -50,20 +50,18 @@ class ReluplexStyleSolver:
         max_nodes: Safety cap on explored nodes (raises when exceeded so
             timing comparisons stay honest).
         tol: ReLU satisfaction tolerance.
-        bounds: Bound propagator seeding the relaxations and the
-            stable/unstable split (``"ibp"`` or ``"symbolic"``; tighter
-            bounds prune the case-splitting tree).
+
+    The symbolic bounds seed the relaxations and the stable/unstable
+    split.
     """
 
     def __init__(
         self,
         max_nodes: int = 2_000_000,
         tol: float = 1e-6,
-        bounds: str = "ibp",
     ) -> None:
         self.max_nodes = max_nodes
         self.tol = tol
-        self.bounds = bounds
         self.nodes_explored = 0
 
     # -- public API --------------------------------------------------------
@@ -89,7 +87,7 @@ class ReluplexStyleSolver:
 
         # One propagation serves every (output, sense) sub-search: it
         # seeds both copies' encodings and the stable/unstable split.
-        pre_acts = get_propagator(self.bounds).propagate(layers, input_box).y
+        pre_acts = SymbolicPropagator().propagate(layers, input_box).y
 
         for j in targets:
             hi = self._optimize(layers, input_box, delta, j, "max", pre_acts)

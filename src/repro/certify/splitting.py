@@ -16,8 +16,8 @@ family of input splitting):
 * below a configurable depth / width / domain-budget threshold a
   subdomain drops to a **MILP leaf** whose encoding inherits the much
   tighter per-subdomain :class:`~repro.bounds.propagator.LayerBounds`
-  (more stable neurons → fewer binaries, via the existing ``bounds=``
-  knobs on the encoders).
+  (more stable neurons → fewer binaries, handed to the encoders through
+  their ``pre_act_bounds=`` / ``ranges=`` arguments).
 
 A wave of up to ``frontier_batch`` subdomains is one batched attack
 (whose center Jacobians also pick the split dimensions) plus one batched
@@ -48,7 +48,6 @@ from repro.bounds.interval import Box
 from repro.bounds.propagator import (
     BatchedLayerBounds,
     LayerBounds,
-    get_propagator,
     propagate_many,
 )
 from repro.certify.presolve import (
@@ -95,8 +94,6 @@ class SplitConfig:
             sequential tier's exploration exactly; larger waves keep the
             same soundness but may explore the tree in a different
             order near the domain budget.
-        bounds: Bound propagator re-run per subdomain (default
-            ``"symbolic"`` — the whole point is tight per-box bounds).
         time_limit: Shared wall-clock deadline in seconds for the whole
             query (bounding, attacks and leaf MILPs together).  ``None``
             = unlimited.  When the deadline interrupts the run, the
@@ -116,7 +113,6 @@ class SplitConfig:
     min_width: float = 1e-6
     attack_samples: int = 1
     frontier_batch: int = 8
-    bounds: str = "symbolic"
     time_limit: float | None = None
     leaf_workers: int | None = None
     record_boxes: bool = False
@@ -444,7 +440,6 @@ class _SplitRun:
         self.base = base
         self.delta = delta
         self.domain = domain
-        self.propagator = get_propagator(config.bounds)
         self.rng = np.random.default_rng(config.seed)
         self.t0 = time.perf_counter()
         self.deadline = (
@@ -471,7 +466,7 @@ class _SplitRun:
         """
         self.domains += len(boxes)
         deltas = None if self.kind == "local" else self.delta
-        batched = propagate_many(self.propagator, self.layers, boxes, deltas)
+        batched = propagate_many("symbolic", self.layers, boxes, deltas)
         if self.kind == "local":
             out = batched.output
             eps_ub = variation_from_reference(out.lo, out.hi, self.base)
@@ -689,7 +684,6 @@ class _SplitRun:
         info = {
             "verdict": verdict,
             "epsilon": self.epsilon,
-            "bounds": self.config.bounds,
             "domains": self.domains,
             "bisections": self.bisections,
             "frontier_batch": self.config.frontier_batch,

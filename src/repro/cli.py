@@ -5,7 +5,7 @@ Usage::
     python -m repro info model.npz
     python -m repro bounds model.npz --delta 0.001
     python -m repro certify model.npz --delta 0.001 --lo 0 --hi 1 \
-        --window 2 --refine 8 --bounds symbolic
+        --window 2 --refine 8
     python -m repro certify model.npz --delta 0.001 --method exact
     python -m repro attack model.npz --delta 0.01 --samples 20
     python -m repro batch model.npz --delta 0.01 --samples 16 \
@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.bounds import Box, get_propagator
+from repro.bounds import Box, IBPPropagator, SymbolicPropagator
 from repro.certify import (
     CertifierConfig,
     GlobalRobustnessCertifier,
@@ -38,9 +38,6 @@ from repro.certify import (
 )
 from repro.nn import load_network
 from repro.nn.lipschitz import linf_gain_upper_bound
-
-#: Propagator choices exposed on every ``--bounds`` flag.
-_BOUNDS_CHOICES = ("ibp", "symbolic")
 
 
 def _add_domain_args(parser: argparse.ArgumentParser) -> None:
@@ -160,10 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="ND window W")
     p_cert.add_argument("--refine", type=_int_at_least(0), default=0,
                         help="neurons refined per sub-network")
-    p_cert.add_argument("--bounds", choices=_BOUNDS_CHOICES, default=None,
-                        help="bound propagator seeding big-M ranges / the "
-                        "initial range table (default: ibp; the --split "
-                        "tier defaults to symbolic per-subdomain bounds)")
     p_cert.add_argument("--time-limit", type=_positive_seconds, default=None,
                         help="per-MILP time limit in seconds, > 0 "
                         "(default: 30 for algorithm1, unlimited for exact; "
@@ -204,10 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="ND window (method=nd)")
     p_batch.add_argument("--workers", type=_int_at_least(1), default=None,
                          help="worker processes (default: all cores)")
-    p_batch.add_argument("--bounds", choices=_BOUNDS_CHOICES, default=None,
-                         help="bound propagator for the solver tier "
-                         "(default: ibp for the MILP tier, symbolic for "
-                         "--split)")
     p_batch.add_argument("--epsilon", type=_positive_epsilon, default=None,
                          help="target variation bound; enables the "
                          "bounds-only presolve tier (queries decided by "
@@ -261,8 +250,8 @@ def _cmd_bounds(args) -> int:
     net = load_network(args.model)
     layers = net.to_affine_layers()
     domain = Box.uniform(net.input_dim, args.lo, args.hi)
-    ibp = get_propagator("ibp").propagate(layers, domain, args.delta)
-    sym = get_propagator("symbolic").propagate(layers, domain, args.delta)
+    ibp = IBPPropagator().propagate(layers, domain, args.delta)
+    sym = SymbolicPropagator().propagate(layers, domain, args.delta)
 
     def stable_pct(bounds, i):
         if not layers[i].relu:
@@ -324,7 +313,6 @@ def _cmd_certify(args) -> int:
         if args.split_depth is not None:
             knobs["max_depth"] = args.split_depth
         config = SplitConfig(
-            bounds=args.bounds or "symbolic",
             time_limit=(
                 None if args.time_limit in (None, float("inf"))
                 else args.time_limit
@@ -348,20 +336,17 @@ def _cmd_certify(args) -> int:
         config = CertifierConfig(
             window=args.window,
             refine_count=args.refine,
-            bounds=args.bounds or "ibp",
             milp_time_limit=None if limit == float("inf") else limit,
         )
         cert = GlobalRobustnessCertifier(net, config).certify(domain, args.delta)
     elif args.method == "exact":
         limit = args.time_limit
         cert = certify_exact_global(
-            net, domain, args.delta, bounds=args.bounds or "ibp",
+            net, domain, args.delta,
             time_limit=None if limit in (None, float("inf")) else limit,
         )
     else:
-        cert = ReluplexStyleSolver(bounds=args.bounds or "ibp").certify(
-            net, domain, args.delta
-        )
+        cert = ReluplexStyleSolver().certify(net, domain, args.delta)
     print(cert.summary())
     for j, eps in enumerate(cert.epsilons):
         print(f"  output {j}: eps = {eps:.6g}")
@@ -406,7 +391,7 @@ def _cmd_batch(args) -> int:
     queries = local_queries(
         net, samples, args.delta,
         method=args.method, domain=domain,
-        window=args.window, epsilon=args.epsilon, bounds=args.bounds,
+        window=args.window, epsilon=args.epsilon,
         presolve=not args.no_presolve, split=args.split,
         max_domains=args.max_domains, split_depth=args.split_depth,
         time_limit=args.time_limit,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bounds.interval import Box
-from repro.bounds.propagator import get_propagator
+from repro.bounds.symbolic import SymbolicPropagator
 from repro.encoding.single import SingleEncoding, encode_single_network
 from repro.milp import Model, Sense
 from repro.milp.expr import LinExpr, Var, as_expr
@@ -43,7 +43,6 @@ def encode_btne(
     delta: float | Box,
     relax_mask: list[np.ndarray] | None = None,
     vectorized: bool = True,
-    bounds: str = "ibp",
     pre_act_bounds: list[Box] | None = None,
 ) -> BtneEncoding:
     """Encode the twin pair under BTNE.
@@ -56,11 +55,9 @@ def encode_btne(
             copies (True = triangle relaxation).
         vectorized: Emit per-layer constraint blocks (default); False
             uses the per-neuron dict-based reference assembly.
-        bounds: Bound propagator seeding both copies' big-M ranges
-            (``"ibp"`` or ``"symbolic"``); ignored when explicit
-            ``pre_act_bounds`` are given.
         pre_act_bounds: Sound per-layer pre-activation boxes over
-            ``input_box``, for callers that already propagated them.
+            ``input_box`` seeding both copies' big-M ranges; the
+            symbolic bounds when omitted.
 
     Returns:
         A :class:`BtneEncoding`.
@@ -69,7 +66,7 @@ def encode_btne(
     # Both copies range over the same input box, so one propagation
     # seeds both encodings.
     if pre_act_bounds is None:
-        pre_act_bounds = get_propagator(bounds).propagate(layers, input_box).y
+        pre_act_bounds = SymbolicPropagator().propagate(layers, input_box).y
     pre_acts = pre_act_bounds
     first = encode_single_network(
         layers, input_box, relax_mask=relax_mask, pre_act_bounds=pre_acts,

@@ -100,7 +100,6 @@ def encode_itne(
     model: Model | None = None,
     prefix: str = "t",
     vectorized: bool = True,
-    bounds: str = "ibp",
 ) -> ItneEncoding:
     """Encode the twin pair under ITNE.
 
@@ -112,7 +111,9 @@ def encode_itne(
         delta: Perturbation: the L∞ bound δ (float) for the full
             network, or the propagated ``Δx(i−w)`` box for a sub-network.
         ranges: Per-layer ``y``/``Δy`` bounds used for big-M constants
-            and relaxations; computed by twin IBP when omitted.
+            and relaxations; the symbolic bounds
+            (:meth:`~repro.bounds.ranges.RangeTable.from_interval_propagation`)
+            when omitted.
         refine_mask: Per-layer boolean arrays; ``True`` = encode this
             neuron exactly (binaries), ``False`` = relax (Eq. 4 + Eq. 6).
             ``None`` refines every neuron (exact encoding).
@@ -127,8 +128,6 @@ def encode_itne(
         vectorized: Emit per-layer constraint blocks (default); False
             assembles the same formulation per neuron via expression
             dicts (reference path).
-        bounds: Bound propagator seeding the range table when ``ranges``
-            is omitted (``"ibp"`` or ``"symbolic"``).
 
     Returns:
         An :class:`ItneEncoding`.
@@ -141,9 +140,7 @@ def encode_itne(
     else:
         delta_box = Box.uniform(input_box.dim, -float(delta), float(delta))
     if ranges is None:
-        ranges = RangeTable.from_interval_propagation(
-            layers, input_box, delta_box, propagator=bounds
-        )
+        ranges = RangeTable.from_interval_propagation(layers, input_box, delta_box)
 
     input_vars = model.add_vars_array(
         input_box.dim, lb=input_box.lo, ub=input_box.hi, prefix=f"{prefix}.x0"

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bounds.interval import Box
-from repro.bounds.propagator import BoundPropagator, get_propagator
+from repro.bounds.symbolic import SymbolicPropagator
 from repro.encoding.assembly import RowBlockBuilder, affine_link_rows, row_dot
 from repro.encoding.bigm import encode_relu_exact, relu_exact_rows
 from repro.encoding.relaxation import encode_relu_triangle, relu_triangle_rows
@@ -59,7 +59,6 @@ def encode_single_network(
     model: Model | None = None,
     prefix: str = "n",
     vectorized: bool = True,
-    bounds: str | BoundPropagator = "ibp",
 ) -> SingleEncoding:
     """Encode ``F(x)`` over ``input_box`` into a MILP.
 
@@ -69,23 +68,20 @@ def encode_single_network(
         relax_mask: Optional per-layer boolean arrays; ``True`` relaxes
             that neuron's ReLU with the triangle (Eq. 4) instead of the
             exact big-M encoding.  ``None`` encodes everything exactly.
-        pre_act_bounds: Sound per-layer pre-activation boxes; computed by
-            the ``bounds`` propagator when omitted.
+        pre_act_bounds: Sound per-layer pre-activation boxes seeding the
+            big-M / relaxation ranges; the symbolic bounds when omitted.
         model: Existing model to extend (used by the twin encoders).
         prefix: Variable-name prefix.
         vectorized: Emit per-layer constraint blocks (default).  False
             assembles the same formulation per neuron via expression
             dicts (reference path, much slower on wide layers).
-        bounds: Bound propagator seeding the big-M / relaxation ranges
-            (``"ibp"`` or ``"symbolic"``); ignored when explicit
-            ``pre_act_bounds`` are given.
 
     Returns:
         A :class:`SingleEncoding` with variable handles.
     """
     model = model or Model("single")
     if pre_act_bounds is None:
-        pre_act_bounds = get_propagator(bounds).propagate(layers, input_box).y
+        pre_act_bounds = SymbolicPropagator().propagate(layers, input_box).y
 
     input_vars = model.add_vars_array(
         input_box.dim, lb=input_box.lo, ub=input_box.hi, prefix=f"{prefix}.x0"

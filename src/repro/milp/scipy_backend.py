@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import os
+import sys
 import time
 
 import numpy as np
@@ -11,7 +15,7 @@ import scipy.sparse as sparse
 from repro import _faults
 from repro.milp.solution import SolveResult, SolveStatus, finalize_user_sense
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.milp.model import Model
@@ -40,6 +44,50 @@ _LINPROG_STATUS = {
 #: ``linprog`` (input cleaning, sparse stacking and format conversions)
 #: is amortized; much larger stacks were slower on Table-1 DNN-5.
 STACK_NNZ = 30_000
+
+
+try:
+    #: The C library, for ``fflush(NULL)`` around the muted MILP call.
+    _LIBC: "ctypes.CDLL | None" = ctypes.CDLL(None)
+except (OSError, TypeError):  # no dlopen(NULL) on this platform
+    _LIBC = None
+
+
+def _flush_all() -> None:
+    """Flush Python's and C's buffered stdout into file descriptor 1."""
+    if sys.stdout is not None:
+        sys.stdout.flush()
+    if _LIBC is not None:
+        _LIBC.fflush(None)
+
+
+@contextlib.contextmanager
+def _muted_stdout() -> Iterator[None]:
+    """Send file descriptor 1 to ``/dev/null`` for the block.
+
+    scipy's HiGHS MILP prints a stray debug line
+    (``HighsMipSolverData::transformNewIntegerFeasibleSolution ...``)
+    with C ``printf``, out of reach of ``sys.stdout``.  Both buffers are
+    flushed before the switch, so earlier output still reaches the real
+    stdout, and again before fd 1 is restored, so the solver's buffered
+    bytes land in ``/dev/null``.  Writes from other threads during the
+    block are muted too.
+    """
+    _flush_all()
+    try:
+        saved = os.dup(1)
+    except OSError:  # no fd 1 to mute
+        yield
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, 1)
+        yield
+    finally:
+        _flush_all()
+        os.dup2(saved, 1)
+        os.close(saved)
+        os.close(devnull)
 
 
 def _as_csr(a: object) -> "sparse.csr_matrix":
@@ -216,13 +264,14 @@ class ScipyBackend:
             options["time_limit"] = float(time_limit)
         if mip_gap is not None:
             options["mip_rel_gap"] = float(mip_gap)
-        res = sopt.milp(
-            c=c,
-            constraints=constraints,
-            integrality=integrality,
-            bounds=sopt.Bounds(lo, hi),
-            options=options,
-        )
+        with _muted_stdout():
+            res = sopt.milp(
+                c=c,
+                constraints=constraints,
+                integrality=integrality,
+                bounds=sopt.Bounds(lo, hi),
+                options=options,
+            )
         status = _MILP_STATUS.get(res.status, SolveStatus.ERROR)
         if status is SolveStatus.ITERATION_LIMIT and time_limit is not None:
             status = SolveStatus.TIME_LIMIT

@@ -35,6 +35,8 @@ import numpy as np
 
 from repro import _faults, _sanitize
 from repro.bounds.interval import Box
+from repro.bounds.propagator import IBPPropagator
+from repro.bounds.symbolic import SymbolicPropagator
 from repro.nn.affine import AffineLayer
 from repro.runtime.retry import RetryPolicy
 
@@ -96,11 +98,6 @@ class CertificationQuery:
             presolve.  :class:`BatchCertifier` screens groups of such
             queries with one batched presolve pass in the submitting
             process; the rest run the tier inside their worker.
-        bounds: Bound propagator seeding the MILP tier's big-M ranges.
-            ``None`` (default) resolves per tier — ``"ibp"`` for the
-            monolithic MILP (keeps historic results bit-identical),
-            ``"symbolic"`` for the split tier's per-subdomain bounds;
-            an explicit name is honored everywhere.
         presolve: Disable the presolve tier (``False``) even when an
             ``epsilon`` target is present.
         split: Replace the monolithic MILP tier with the input-splitting
@@ -132,7 +129,6 @@ class CertificationQuery:
     refine_count: int = 0
     time_limit: float | None = None
     epsilon: float | None = None
-    bounds: str | None = None
     presolve: bool = True
     split: bool = False
     max_domains: int | None = None
@@ -197,18 +193,6 @@ class CertificationQuery:
     def wants_presolve(self) -> bool:
         """Whether the presolve tier applies to this query."""
         return self.epsilon is not None and self.presolve
-
-    def effective_bounds(self) -> str:
-        """The bound propagator actually used by this query's solver tier.
-
-        An explicit choice always wins; the ``None`` default resolves
-        to ``"ibp"`` for the monolithic MILP tier and ``"symbolic"``
-        for the split tier (whose whole point is tight per-subdomain
-        bounds).
-        """
-        if self.bounds is not None:
-            return self.bounds
-        return "symbolic" if self.split else "ibp"
 
     def effective_time_limit(self) -> float | None:
         """The per-MILP limit actually applied to a global query.
@@ -303,7 +287,6 @@ def _run_split(query: CertificationQuery):
     if query.split_depth is not None:
         knobs["max_depth"] = query.split_depth
     config = SplitConfig(
-        bounds=query.effective_bounds(),
         time_limit=_exact_parity_limit(query),
         leaf_workers=query.split_workers,
         **knobs,
@@ -347,16 +330,14 @@ def _execute_query(query: CertificationQuery):
         }[query.kind]
         return certify(
             query.layers, query.center, query.delta, domain=query.domain,
-            bounds=query.effective_bounds(),
             time_limit=_exact_parity_limit(query), **extra,
         )
     if query.kind == "global":
-        # The CLI's algorithm-1 knobs (window, refine, bounds, limit)
+        # The CLI's algorithm-1 knobs (window, refine, limit)
         # plumb through 1:1; time_limit=None keeps the 30 s safeguard.
         config = CertifierConfig(
             window=query.window,
             refine_count=query.refine_count,
-            bounds=query.effective_bounds(),
             milp_time_limit=query.effective_time_limit(),
         )
         return GlobalRobustnessCertifier(query.layers, config).certify(
@@ -366,14 +347,15 @@ def _execute_query(query: CertificationQuery):
     return certify_exact_global(
         query.layers, query.domain, query.delta,
         time_limit=query.effective_time_limit(),
-        bounds=query.effective_bounds(),
     )
 
 
 # -- graceful degradation -----------------------------------------------------
 
 
-def _degraded_certificate(query: CertificationQuery, bounds: str):
+def _degraded_certificate(
+    query: CertificationQuery, engine: IBPPropagator | SymbolicPropagator
+):
     """A sound bounds-only certificate for a query whose solve was lost.
 
     One bound propagation over the query's own input box — exactly the
@@ -383,7 +365,6 @@ def _degraded_certificate(query: CertificationQuery, bounds: str):
     decide the ε target, degradation never claims a decision the
     (possibly tighter) solver tier was asked for.
     """
-    from repro.bounds.propagator import get_propagator
     from repro.certify.presolve import variation_from_reference
     from repro.certify.results import GlobalCertificate, LocalCertificate
     from repro.nn.affine import affine_chain_forward
@@ -392,7 +373,7 @@ def _degraded_certificate(query: CertificationQuery, bounds: str):
     local = query.kind.startswith("local")
     box = query.presolve_input_box()
     delta = None if local else query.delta
-    layer_bounds = get_propagator(bounds).propagate(query.layers, box, delta)
+    layer_bounds = engine.propagate(query.layers, box, delta)
     detail = {
         "verdict": "undecided",
         "degraded": True,
@@ -436,9 +417,9 @@ def _degraded_result(
     """
     t0 = time.perf_counter()
     error = None
-    for bounds in ("symbolic", "ibp"):
+    for engine in (SymbolicPropagator(), IBPPropagator()):
         try:
-            cert = _degraded_certificate(query, bounds)
+            cert = _degraded_certificate(query, engine)
         # repro-lint: ignore[RPR005] — degradation is the last resort: any bound-propagation failure falls through to the looser engine, and the final failure is surfaced verbatim as a normal error result below
         except Exception as exc:
             cls = type(exc)
@@ -1214,7 +1195,6 @@ def local_queries(
     domain: Box | None = None,
     window: int = 1,
     epsilon: float | None = None,
-    bounds: str | None = None,
     presolve: bool = True,
     split: bool = False,
     max_domains: int | None = None,
@@ -1233,8 +1213,6 @@ def local_queries(
         domain: Optional domain box intersected with each δ-ball.
         window: ND window (``method="nd"`` only).
         epsilon: Optional variation target enabling the presolve tier.
-        bounds: Bound propagator for the MILP tier (``"ibp"`` /
-            ``"symbolic"``).
         presolve: Allow the presolve tier when ``epsilon`` is set.
         split: Use the input-splitting tier instead of the monolithic
             MILP for presolve-undecided queries (``method="exact"``
@@ -1259,7 +1237,6 @@ def local_queries(
             domain=domain,
             window=window,
             epsilon=epsilon,
-            bounds=bounds,
             presolve=presolve,
             split=split,
             max_domains=max_domains,
@@ -1280,7 +1257,6 @@ def global_query(
     time_limit: float | None = None,
     exact: bool = False,
     epsilon: float | None = None,
-    bounds: str | None = None,
     presolve: bool = True,
     split: bool = False,
     max_domains: int | None = None,
@@ -1307,7 +1283,6 @@ def global_query(
         refine_count=refine_count,
         time_limit=time_limit,
         epsilon=epsilon,
-        bounds=bounds,
         presolve=presolve,
         split=split,
         max_domains=max_domains,

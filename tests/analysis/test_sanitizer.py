@@ -177,11 +177,11 @@ def small_chain(seed=0, depth=3):
 
 class TestHookSites:
     def test_symbolic_containment_hook_passes_on_sound_engine(self):
-        from repro.bounds import Box, get_propagator
+        from repro.bounds import Box, SymbolicPropagator
 
         layers = small_chain()
         with sanitizing():
-            bounds = get_propagator("symbolic").propagate(
+            bounds = SymbolicPropagator().propagate(
                 layers, Box.uniform(3, 0.0, 1.0), 0.05
             )
         assert bounds.method == "symbolic"

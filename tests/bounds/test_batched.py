@@ -3,9 +3,8 @@
 The load-bearing contract of :mod:`repro.bounds.batched` is not mere
 closeness — every row of a batched result must be **bitwise equal** to
 running the scalar propagator on that row's box.  These tests pin that
-contract for every registered engine, for the loop fallback third-party
-propagators get, and for the ``REPRO_SANITIZE=1`` batch-row agreement
-check that guards native batched implementations at runtime.
+contract for every engine, and for the ``REPRO_SANITIZE=1`` batch-row
+agreement check that guards the batched implementations at runtime.
 """
 
 import numpy as np
@@ -20,11 +19,21 @@ from repro.bounds import (
     Box,
     as_batched_box,
     as_batched_delta,
-    available_propagators,
-    get_propagator,
+    IBPPropagator,
+    SymbolicPropagator,
+    TwinIBPPropagator,
     propagate_many,
 )
 from repro.nn.affine import AffineLayer
+
+
+#: Every engine with a batched path, by name.  ``TwinIBPPropagator`` is
+#: the IBP engine with a mandatory perturbation.
+ENGINES = {
+    "ibp": IBPPropagator(),
+    "symbolic": SymbolicPropagator(),
+    "twin-ibp": TwinIBPPropagator(),
+}
 
 
 def random_chain(rng, depth=3, width=5, in_dim=4, out_dim=2):
@@ -125,7 +134,7 @@ class TestBatchedLayerBoundsContainer:
         layers = random_chain(rng)
         stack = random_stack(rng, 5, 4)
         scalar_rows = [
-            get_propagator("symbolic").propagate(layers, stack.row(q))
+            SymbolicPropagator().propagate(layers, stack.row(q))
             for q in range(5)
         ]
         restacked = BatchedLayerBounds.stack(scalar_rows)
@@ -133,7 +142,7 @@ class TestBatchedLayerBoundsContainer:
 
 
 class TestPropagateManyBitIdentity:
-    @pytest.mark.parametrize("name", available_propagators())
+    @pytest.mark.parametrize("name", sorted(ENGINES))
     @given(seed=st.integers(0, 2**20), queries=st.integers(1, 7))
     @settings(max_examples=15, deadline=None)
     def test_rows_match_scalar_loop(self, name, seed, queries):
@@ -146,9 +155,9 @@ class TestPropagateManyBitIdentity:
         if name != "twin-ibp":
             delta_specs.append(None)
         for deltas in delta_specs:
-            batched = propagate_many(name, layers, stack, deltas)
+            batched = ENGINES[name].propagate_many(layers, stack, deltas)
             scalar_rows = [
-                get_propagator(name).propagate(
+                ENGINES[name].propagate(
                     layers,
                     stack.row(q),
                     None if deltas is None else float(np.ravel(deltas)[0])
@@ -167,7 +176,7 @@ class TestPropagateManyBitIdentity:
         delta_box = Box.uniform(4, -0.05, 0.05)
         batched = propagate_many("symbolic", layers, boxes, delta_box)
         for q, box in enumerate(boxes):
-            scalar = get_propagator("symbolic").propagate(layers, box, delta_box)
+            scalar = SymbolicPropagator().propagate(layers, box, delta_box)
             assert_rows_bit_identical(
                 BatchedLayerBounds.stack([scalar]), [scalar]
             )
@@ -176,25 +185,6 @@ class TestPropagateManyBitIdentity:
                 np.testing.assert_array_equal(row.y[t].lo, scalar.y[t].lo)
                 np.testing.assert_array_equal(row.dy[t].hi, scalar.dy[t].hi)
 
-    def test_fallback_loop_for_unbatched_engine(self):
-        class LoopOnly:
-            """Third-party engine: scalar propagate only."""
-
-            name = "loop-only-test"
-
-            def propagate(self, layers, box, delta=None):
-                return get_propagator("ibp").propagate(layers, box, delta)
-
-        rng = np.random.default_rng(8)
-        layers = random_chain(rng)
-        stack = random_stack(rng, 4, 4)
-        batched = propagate_many(LoopOnly(), layers, stack)
-        scalar_rows = [
-            get_propagator("ibp").propagate(layers, stack.row(q))
-            for q in range(4)
-        ]
-        assert_rows_bit_identical(batched, scalar_rows)
-
 
 class TestBatchRowSanitizer:
     def test_native_batched_engines_pass_under_sanitizer(self):
@@ -202,36 +192,26 @@ class TestBatchRowSanitizer:
         layers = random_chain(rng)
         stack = random_stack(rng, 5, 4)
         with _sanitize.sanitizing():
-            for name in available_propagators():
-                deltas = None if name != "twin-ibp" else 0.1
-                propagate_many(name, layers, stack, deltas)
+            for name in ("ibp", "symbolic"):
+                propagate_many(name, layers, stack)
+                propagate_many(name, layers, stack, 0.1)
 
-    def test_divergent_native_batch_is_caught(self):
-        class Corrupt:
-            """Native batched path that silently diverges on one row."""
+    def test_divergent_native_batch_is_caught(self, monkeypatch):
+        native = SymbolicPropagator.propagate_many
 
-            name = "corrupt-batch-test"
+        def corrupt(self, layers, boxes, deltas=None):
+            """A batched path that silently diverges from the scalar one."""
+            result = native(self, layers, boxes, deltas)
+            result.y[-1].lo[:, 0] -= 0.5  # off-by-a-bit everywhere
+            return result
 
-            def propagate(self, layers, box, delta=None):
-                return get_propagator("ibp").propagate(layers, box, delta)
-
-            def propagate_many(self, layers, boxes, deltas=None):
-                rows = [
-                    self.propagate(layers, boxes.row(q))
-                    for q in range(boxes.num_queries)
-                ]
-                from repro.bounds import BatchedLayerBounds
-
-                result = BatchedLayerBounds.stack(rows)
-                result.y[-1].lo[:, 0] -= 0.5  # off-by-a-bit everywhere
-                return result
-
+        monkeypatch.setattr(SymbolicPropagator, "propagate_many", corrupt)
         rng = np.random.default_rng(10)
         layers = random_chain(rng)
         stack = random_stack(rng, 4, 4)
         with _sanitize.sanitizing():
             with pytest.raises(_sanitize.SanitizerError, match="batch-row"):
-                propagate_many(Corrupt(), layers, stack)
+                propagate_many("symbolic", layers, stack)
 
     def test_coercion_helpers_roundtrip(self):
         rng = np.random.default_rng(11)

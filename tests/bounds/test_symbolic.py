@@ -1,4 +1,4 @@
-"""BoundPropagator protocol + symbolic propagator soundness/tightness."""
+"""Bound records + symbolic propagator soundness/tightness."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ from repro.bounds import (
     LayerBounds,
     RangeTable,
     SymbolicPropagator,
-    available_propagators,
-    get_propagator,
+    TwinIBPPropagator,
+    propagate_many,
 )
 from repro.nn.affine import AffineLayer, affine_chain_forward
 
@@ -34,23 +34,17 @@ def assert_box_contains(outer: Box, inner: Box, tol=1e-9):
 
 
 class TestRegistry:
-    def test_builtin_names(self):
-        assert {"ibp", "twin-ibp", "symbolic"} <= set(available_propagators())
-
-    def test_get_by_name_and_instance(self):
-        assert get_propagator("symbolic").name == "symbolic"
-        custom = SymbolicPropagator()
-        assert get_propagator(custom) is custom
-
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown bound propagator"):
-            get_propagator("magic")
+        rng = np.random.default_rng(0)
+        layers = random_chain(rng)
+        with pytest.raises(ValueError, match="unknown bound engine"):
+            propagate_many("magic", layers, Box.uniform(4, -1, 1))
 
     def test_twin_ibp_requires_delta(self):
         rng = np.random.default_rng(0)
         layers = random_chain(rng)
         with pytest.raises(ValueError, match="delta"):
-            get_propagator("twin-ibp").propagate(layers, Box.uniform(4, -1, 1))
+            TwinIBPPropagator().propagate(layers, Box.uniform(4, -1, 1))
 
 
 class TestLayerBounds:
@@ -60,7 +54,7 @@ class TestLayerBounds:
         rng = np.random.default_rng(1)
         layers = random_chain(rng)
         box = Box.uniform(4, -1, 1)
-        bounds = get_propagator("ibp").propagate(layers, box, 0.05)
+        bounds = IBPPropagator().propagate(layers, box, 0.05)
         _, legacy_pre = propagate_box(layers, box, collect=True)
         twin = propagate_twin_box(layers, box, 0.05)
         for i in range(len(layers)):
@@ -72,7 +66,7 @@ class TestLayerBounds:
     def test_value_only_has_no_distance(self):
         rng = np.random.default_rng(2)
         layers = random_chain(rng)
-        bounds = get_propagator("ibp").propagate(layers, Box.uniform(4, -1, 1))
+        bounds = IBPPropagator().propagate(layers, Box.uniform(4, -1, 1))
         assert not bounds.has_distance
         with pytest.raises(ValueError, match="distance"):
             bounds.output_distance
@@ -83,8 +77,8 @@ class TestLayerBounds:
         rng = np.random.default_rng(3)
         layers = random_chain(rng)
         box = Box.uniform(4, -1, 1)
-        ibp = get_propagator("ibp").propagate(layers, box, 0.05)
-        sym = get_propagator("symbolic").propagate(layers, box, 0.05)
+        ibp = IBPPropagator().propagate(layers, box, 0.05)
+        sym = SymbolicPropagator().propagate(layers, box, 0.05)
         both = ibp.intersect(sym)
         for i in range(len(layers)):
             assert np.allclose(both.y[i].lo, sym.y[i].lo)
@@ -94,8 +88,8 @@ class TestLayerBounds:
         rng = np.random.default_rng(30)
         layers = random_chain(rng)
         box = Box.uniform(4, -1, 1)
-        value_only = get_propagator("ibp").propagate(layers, box)
-        twin = get_propagator("symbolic").propagate(layers, box, 0.05)
+        value_only = IBPPropagator().propagate(layers, box)
+        twin = SymbolicPropagator().propagate(layers, box, 0.05)
         for mixed in (value_only.intersect(twin), twin.intersect(value_only)):
             assert mixed.has_distance
             assert np.allclose(mixed.dy[0].lo, twin.dy[0].lo)
@@ -104,7 +98,7 @@ class TestLayerBounds:
     def test_stable_split_counts_relu_neurons_only(self):
         rng = np.random.default_rng(4)
         layers = random_chain(rng, depth=3, width=6)
-        bounds = get_propagator("ibp").propagate(layers, Box.uniform(4, -1, 1))
+        bounds = IBPPropagator().propagate(layers, Box.uniform(4, -1, 1))
         stable, total = bounds.stable_split(layers)
         assert total == 12  # two hidden ReLU layers of width 6
         assert 0 <= stable <= total
@@ -119,8 +113,8 @@ class TestSymbolicContainment:
         for trial in range(20):
             layers = random_chain(rng, depth=rng.integers(1, 5), scale=2.0)
             box = Box.uniform(4, -1, 1)
-            ibp = get_propagator("ibp").propagate(layers, box, 0.1)
-            sym = get_propagator("symbolic").propagate(layers, box, 0.1)
+            ibp = IBPPropagator().propagate(layers, box, 0.1)
+            sym = SymbolicPropagator().propagate(layers, box, 0.1)
             for i in range(len(layers)):
                 assert_box_contains(ibp.y[i], sym.y[i])
                 assert_box_contains(ibp.x[i], sym.x[i])
@@ -131,8 +125,8 @@ class TestSymbolicContainment:
         rng = np.random.default_rng(6)
         layers = random_chain(rng, depth=4, width=16, scale=2.0)
         box = Box.uniform(4, -1, 1)
-        ibp = get_propagator("ibp").propagate(layers, box, 0.1)
-        sym = get_propagator("symbolic").propagate(layers, box, 0.1)
+        ibp = IBPPropagator().propagate(layers, box, 0.1)
+        sym = SymbolicPropagator().propagate(layers, box, 0.1)
         assert sym.mean_pre_activation_width() < ibp.mean_pre_activation_width()
         dist_ibp = ibp.output_distance.width().max()
         dist_sym = sym.output_distance.width().max()
@@ -144,8 +138,8 @@ class TestSymbolicContainment:
         rng = np.random.default_rng(7)
         layers = random_chain(rng, depth=3)
         box = Box.uniform(4, -1, 1)
-        ibp = get_propagator("ibp").propagate(layers, box, 0.05)
-        sym = get_propagator("symbolic").propagate(layers, box, 0.05)
+        ibp = IBPPropagator().propagate(layers, box, 0.05)
+        sym = SymbolicPropagator().propagate(layers, box, 0.05)
         assert np.allclose(sym.y[0].lo, ibp.y[0].lo)
         assert np.allclose(sym.y[0].hi, ibp.y[0].hi)
 
@@ -158,7 +152,7 @@ class TestSymbolicSoundness:
         for trial in range(10):
             layers = random_chain(rng, depth=3, scale=2.0)
             box = Box.uniform(4, -1, 1)
-            sym = get_propagator("symbolic").propagate(layers, box)
+            sym = SymbolicPropagator().propagate(layers, box)
             for _ in range(40):
                 x = box.sample(rng)[0]
                 cur = x
@@ -174,7 +168,7 @@ class TestSymbolicSoundness:
             layers = random_chain(rng, depth=3, scale=2.0)
             box = Box.uniform(4, -1, 1)
             delta = 0.1
-            sym = get_propagator("symbolic").propagate(layers, box, delta)
+            sym = SymbolicPropagator().propagate(layers, box, delta)
             for _ in range(30):
                 x = box.sample(rng)[0]
                 xh = np.clip(x + rng.uniform(-delta, delta, 4), box.lo, box.hi)
@@ -189,7 +183,7 @@ class TestSymbolicSoundness:
         rng = np.random.default_rng(10)
         layers = random_chain(rng)
         x = rng.standard_normal(4)
-        sym = get_propagator("symbolic").propagate(layers, Box.point(x))
+        sym = SymbolicPropagator().propagate(layers, Box.point(x))
         out = affine_chain_forward(layers, x)
         assert np.allclose(sym.output.lo, out, atol=1e-9)
         assert np.allclose(sym.output.hi, out, atol=1e-9)
@@ -197,7 +191,7 @@ class TestSymbolicSoundness:
     def test_zero_delta_gives_zero_distance(self):
         rng = np.random.default_rng(11)
         layers = random_chain(rng)
-        sym = get_propagator("symbolic").propagate(layers, Box.uniform(4, -1, 1), 0.0)
+        sym = SymbolicPropagator().propagate(layers, Box.uniform(4, -1, 1), 0.0)
         assert np.allclose(sym.output_distance.lo, 0.0)
         assert np.allclose(sym.output_distance.hi, 0.0)
 
@@ -212,8 +206,8 @@ class TestSymbolicSoundness:
             AffineLayer(rng.standard_normal((1, 2)), np.zeros(1), relu=False),
         ]
         box = Box.uniform(3, -1, 1)
-        sym = get_propagator("symbolic").propagate(layers, box, 0.05)
-        ibp = get_propagator("ibp").propagate(layers, box, 0.05)
+        sym = SymbolicPropagator().propagate(layers, box, 0.05)
+        ibp = IBPPropagator().propagate(layers, box, 0.05)
         for i in range(len(layers)):
             assert_box_contains(ibp.y[i], sym.y[i])
             assert_box_contains(ibp.dx[i], sym.dx[i])
@@ -227,10 +221,8 @@ class TestRangeTablePropagatorKnob:
         rng = np.random.default_rng(13)
         layers = random_chain(rng, depth=4, width=10, scale=2.0)
         box = Box.uniform(4, 0, 1)
-        t_ibp = RangeTable.from_interval_propagation(layers, box, 0.05)
-        t_sym = RangeTable.from_interval_propagation(
-            layers, box, 0.05, propagator="symbolic"
-        )
+        t_ibp = IBPPropagator().propagate(layers, box, 0.05).to_range_table()
+        t_sym = RangeTable.from_interval_propagation(layers, box, 0.05)
         for i in range(1, len(layers) + 1):
             for attr in ("y", "dy", "x", "dx"):
                 assert_box_contains(
@@ -238,18 +230,10 @@ class TestRangeTablePropagatorKnob:
                 )
         assert t_sym.output_variation_bound() <= t_ibp.output_variation_bound() + 1e-12
 
-    def test_propagator_instance_accepted(self):
-        rng = np.random.default_rng(14)
-        layers = random_chain(rng)
-        table = RangeTable.from_interval_propagation(
-            layers, Box.uniform(4, 0, 1), 0.05, propagator=IBPPropagator()
-        )
-        assert table.num_layers == len(layers)
-
     def test_to_range_table_roundtrip(self):
         rng = np.random.default_rng(15)
         layers = random_chain(rng)
-        bounds = get_propagator("symbolic").propagate(
+        bounds = SymbolicPropagator().propagate(
             layers, Box.uniform(4, 0, 1), 0.05
         )
         table = bounds.to_range_table()

@@ -112,9 +112,7 @@ def layer_pairs(layers, box, delta, cfg):
     own table.
     """
     certifier = GlobalRobustnessCertifier(layers, cfg)
-    table = RangeTable.from_interval_propagation(
-        layers, box, delta, propagator=cfg.bounds
-    )
+    table = RangeTable.from_interval_propagation(layers, box, delta)
     for i in range(1, len(layers) + 1):
         widened = copy.deepcopy(table)
         rec = widened.layer(i)
@@ -138,12 +136,11 @@ class TestClosedFormDepthOne:
     @given(
         layers=networks(),
         window=st.integers(1, 3),
-        bounds=st.sampled_from(["ibp", "symbolic"]),
         delta=st.sampled_from([0.01, 0.3, 3.0]),
     )
-    def test_matches_the_itne_lps(self, layers, window, bounds, delta):
+    def test_matches_the_itne_lps(self, layers, window, delta):
         """δ = 3 exceeds the [-1, 1] domain, so the input clip binds."""
-        cfg = CertifierConfig(window=window, bounds=bounds)
+        cfg = CertifierConfig(window=window)
         box = Box.uniform(layers[0].in_dim, -1.0, 1.0)
         for i, rec, reference in layer_pairs(layers, box, delta, cfg):
             if min(i, window) != 1:
@@ -169,11 +166,10 @@ class TestFirstCopyY:
     @given(
         layers=networks(),
         window=st.integers(2, 3),
-        bounds=st.sampled_from(["ibp", "symbolic"]),
         delta=st.sampled_from([0.05, 0.5]),
     )
-    def test_lp_bounds_match_the_itne_lps(self, layers, window, bounds, delta):
-        cfg = CertifierConfig(window=window, bounds=bounds)
+    def test_lp_bounds_match_the_itne_lps(self, layers, window, delta):
+        cfg = CertifierConfig(window=window)
         box = Box.uniform(layers[0].in_dim, -1.0, 1.0)
         for i, rec, reference in layer_pairs(layers, box, delta, cfg):
             if min(i, window) == 1:
@@ -215,11 +211,10 @@ class TestWholeCertificate:
     @given(
         layers=networks(),
         window=st.integers(1, 3),
-        bounds=st.sampled_from(["ibp", "symbolic"]),
         delta=st.sampled_from([0.05, 3.0]),
     )
-    def test_epsilon_matches_the_reference(self, layers, window, bounds, delta):
-        cfg = CertifierConfig(window=window, bounds=bounds)
+    def test_epsilon_matches_the_reference(self, layers, window, delta):
+        cfg = CertifierConfig(window=window)
         box = Box.uniform(layers[0].in_dim, -1.0, 1.0)
         ours = GlobalRobustnessCertifier(layers, cfg).certify(box, delta)
         ref = ReferenceCertifier(layers, cfg).certify(box, delta)

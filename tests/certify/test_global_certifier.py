@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bounds import Box
+from repro.bounds import Box, SymbolicPropagator
 from repro.certify import (
     CertifierConfig,
     GlobalRobustnessCertifier,
@@ -78,7 +78,30 @@ class TestSoundness:
         assert under.method == "pgd-under"
 
 
+def seeded_chain(seed, dims=(3, 8, 8, 1)):
+    """A ReLU chain with weights N(0, 1)/√n and biases 0.1·N(0, 1)."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for i in range(len(dims) - 1):
+        weight = rng.standard_normal((dims[i + 1], dims[i])) / np.sqrt(dims[i])
+        bias = 0.1 * rng.standard_normal(dims[i + 1])
+        layers.append(AffineLayer(weight, bias, relu=i < len(dims) - 2))
+    return layers
+
+
 class TestMonotonicity:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_never_looser_than_its_seed(self, seed):
+        """Algorithm 1 only tightens the symbolic range table it starts from."""
+        layers = seeded_chain(seed)
+        box = Box.uniform(3, 0, 1)
+        delta = 0.05
+        cert = GlobalRobustnessCertifier(
+            layers, CertifierConfig(window=2, refine_count=0)
+        ).certify(box, delta)
+        seed_eps = SymbolicPropagator().propagate(layers, box, delta)
+        assert np.all(cert.epsilons <= seed_eps.output_variation_bounds() + 1e-9)
+
     def test_epsilon_monotone_in_delta(self, small_net):
         box = Box.uniform(3, -1, 1)
         cfg = CertifierConfig(window=2, refine_count=0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bounds import Box, get_propagator
+from repro.bounds import Box, SymbolicPropagator
 from repro.certify import (
     certify_exact_global,
     certify_local_exact,
@@ -68,7 +68,7 @@ class TestPresolveLocal:
         delta = 0.05
         exact = certify_local_exact(layers, center, delta, domain=domain)
         ball = perturbation_ball(center, delta, domain)
-        bounds = get_propagator("symbolic").propagate(layers, ball)
+        bounds = SymbolicPropagator().propagate(layers, ball)
         base = affine_chain_forward(layers, center)
         ub = float(
             np.max(
@@ -227,7 +227,7 @@ class TestPresolveManyParity:
         delta = 0.05
         exact = certify_local_exact(layers, center, delta, domain=domain)
         ball = perturbation_ball(center, delta, domain)
-        bounds = get_propagator("symbolic").propagate(layers, ball)
+        bounds = SymbolicPropagator().propagate(layers, ball)
         base = affine_chain_forward(layers, center)
         ub = float(
             np.max(

@@ -16,11 +16,11 @@ from repro.zoo import get_network
 
 def root_bound(layers, box):
     """Symbolic variation bound at the root (what the tier starts from)."""
-    from repro.bounds import get_propagator
+    from repro.bounds import SymbolicPropagator
     from repro.certify.presolve import variation_from_reference
     from repro.nn.affine import affine_chain_forward
 
-    bounds = get_propagator("symbolic").propagate(layers, box)
+    bounds = SymbolicPropagator().propagate(layers, box)
     base = affine_chain_forward(layers, box.center)
     out = bounds.output
     return float(variation_from_reference(out.lo, out.hi, base).max())

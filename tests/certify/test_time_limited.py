@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.bounds import Box, get_propagator
+from repro.bounds import Box, SymbolicPropagator
 from repro.certify import certify_exact_global
 from repro.certify.splitting import _Leaf, _solve_global_leaf, _solve_local_leaf
 from repro.milp.solution import SolveResult, SolveStatus
@@ -149,11 +149,11 @@ class TestSplitLeafLimits:
         return hard_chain(np.random.default_rng(2), width=4, depth=2)
 
     def local_leaf(self, layers, box):
-        bounds = get_propagator("symbolic").propagate(layers, box)
+        bounds = SymbolicPropagator().propagate(layers, box)
         return _Leaf(box, bounds, np.zeros(1), depth=0)
 
     def global_leaf(self, layers, box, delta):
-        bounds = get_propagator("symbolic").propagate(layers, box, delta)
+        bounds = SymbolicPropagator().propagate(layers, box, delta)
         return _Leaf(box, bounds, np.zeros(1), depth=0)
 
     def test_error_from_local_leaf_raises(self, small, domain, monkeypatch):

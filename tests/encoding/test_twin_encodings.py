@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bounds import Box
+from repro.bounds import Box, IBPPropagator
 from repro.encoding import encode_btne, encode_itne, encode_single_network
 from repro.milp.expr import Var
 from repro.nn.affine import AffineLayer, affine_chain_forward
@@ -138,13 +138,22 @@ class TestExactTwinEncodings:
 
 class TestRelaxedItne:
     def test_paper_lpr_number(self):
-        """Fully-relaxed ITNE on the Fig. 1 example gives 0.275 (Fig. 4)."""
+        """Fully-relaxed ITNE on the Fig. 1 example gives 0.275 (Fig. 4).
+
+        The figure's relaxation is built over twin-IBP ranges; over the
+        default symbolic ranges the same LP gives 0.25, still no lower
+        than the exact 0.2.
+        """
         layers = paper_example()
         box = Box.uniform(2, -1, 1)
         masks = [np.zeros(2, bool), np.zeros(1, bool)]
-        enc = encode_itne(layers, box, 0.1, refine_mask=masks)
+        ibp = IBPPropagator().propagate(layers, box, 0.1).to_range_table()
+        enc = encode_itne(layers, box, 0.1, ranges=ibp, refine_mask=masks)
         assert enc.num_binaries == 0
         assert optimize_distance(enc, "max") == pytest.approx(0.275, abs=1e-6)
+        ours = optimize_distance(encode_itne(layers, box, 0.1, refine_mask=masks), "max")
+        assert ours == pytest.approx(0.25, abs=1e-6)
+        assert 0.2 - 1e-9 <= ours <= 0.275 + 1e-6
 
     def test_relaxation_sound_and_ordered(self):
         rng = np.random.default_rng(6)

@@ -206,3 +206,18 @@ class TestBigMReluPattern:
         assert r.objective == pytest.approx(1.5)
         # Solution must satisfy the true ReLU relation.
         assert r[x] == pytest.approx(max(r[y], 0.0), abs=1e-6)
+
+
+class TestMutedStdout:
+    """HiGHS's MILP ``printf`` never reaches the caller's stdout."""
+
+    def test_only_writes_inside_the_block_are_muted(self, capfd):
+        import os
+
+        from repro.milp.scipy_backend import _muted_stdout
+
+        os.write(1, b"before\n")
+        with _muted_stdout():
+            os.write(1, b"inside\n")
+        os.write(1, b"after\n")
+        assert capfd.readouterr().out == "before\nafter\n"

@@ -388,21 +388,6 @@ class TestPresolveTier:
         assert granted == [2]  # the pool budget moved to leaves
         assert query.split_workers is None  # on a copy, not the caller's query
 
-    def test_effective_bounds_resolution(self, layers, centers):
-        """Explicit bounds win; the None default resolves per tier."""
-        base = dict(kind="local-exact", layers=layers, delta=0.1,
-                    center=centers[0], epsilon=0.5)
-        assert CertificationQuery(**base).effective_bounds() == "ibp"
-        assert (
-            CertificationQuery(**base, split=True).effective_bounds()
-            == "symbolic"
-        )
-        assert (
-            CertificationQuery(**base, split=True, bounds="ibp")
-            .effective_bounds()
-            == "ibp"
-        )
-
     def test_split_default_time_limit_unlimited(self, layers, centers):
         """A split query without a time limit must never be interrupted
         (parity with the unlimited monolithic certify_local_exact)."""

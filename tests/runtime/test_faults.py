@@ -428,7 +428,7 @@ class TestFanoutSalvage:
         exact value, so the fault-free verdict is "certified".  Returns
         ``(layers, domain, center, delta, epsilon, exact certificate)``.
         """
-        from repro.bounds import get_propagator
+        from repro.bounds import SymbolicPropagator
         from repro.certify import certify_local_exact
         from repro.certify.presolve import perturbation_ball, variation_from_reference
         from repro.nn.affine import affine_chain_forward
@@ -448,7 +448,7 @@ class TestFanoutSalvage:
         delta = 0.1
         exact = certify_local_exact(layers, center, delta, domain=domain)
         ball = perturbation_ball(center, delta, domain)
-        bounds = get_propagator("symbolic").propagate(layers, ball)
+        bounds = SymbolicPropagator().propagate(layers, ball)
         root_ub = float(variation_from_reference(
             bounds.output.lo, bounds.output.hi,
             affine_chain_forward(layers, center),

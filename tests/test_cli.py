@@ -66,14 +66,23 @@ class TestCli:
         assert "output variation bound" in out
 
     def test_certify_symbolic_bounds(self, model_path, capsys):
-        assert main(["certify", model_path, "--delta", "0.01",
-                     "--bounds", "symbolic"]) == 0
-        assert "itne-nd-lpr-symbolic" in capsys.readouterr().out
+        # Every certifier is seeded with the symbolic bounds: the method
+        # tag names no engine, and an old script passing --bounds fails
+        # loudly instead of running.
+        assert main(["certify", model_path, "--delta", "0.01"]) == 0
+        out = capsys.readouterr().out
+        assert "itne-nd-lpr" in out and "symbolic" not in out
+        for command in ("certify", "batch"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, model_path, "--delta", "0.01", "--bounds", "ibp"])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments: --bounds ibp" in err
 
     def test_certify_symbolic_dominates_exact(self, model_path, capsys):
         main(["certify", model_path, "--delta", "0.01", "--method", "exact"])
         exact_out = capsys.readouterr().out
-        main(["certify", model_path, "--delta", "0.01", "--bounds", "symbolic"])
+        main(["certify", model_path, "--delta", "0.01"])
         sym_out = capsys.readouterr().out
 
         def worst(text):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from perfbench.trace import Tracer, installed
-from repro.bounds import Box, get_propagator
+from repro.bounds import Box, SymbolicPropagator
 from repro.certify import (
     CertifierConfig,
     GlobalRobustnessCertifier,
@@ -65,7 +65,7 @@ class TestTracedBoundsSpans:
         box = Box.uniform(3, 0.0, 1.0)
         chains = traced_chains(
             lambda: GlobalRobustnessCertifier(
-                layers, CertifierConfig(window=2, bounds="symbolic")
+                layers, CertifierConfig(window=2)
             ).certify(box, 0.01)
         )
         # SymbolicPropagator.propagate runs IBPPropagator.propagate inside.
@@ -117,7 +117,7 @@ class TestTracedSolveSpans:
         delta = 0.1
         exact = certify_local_exact(net, center, delta, domain=domain)
         ball = perturbation_ball(center, delta, domain)
-        root = get_propagator("symbolic").propagate(net, ball).output
+        root = SymbolicPropagator().propagate(net, ball).output
         root_ub = float(variation_from_reference(
             root.lo, root.hi, affine_chain_forward(net, center)
         ).max())
