@@ -22,6 +22,9 @@ Contracts wired in today:
   (:mod:`repro.bounds.propagator`), and a split-tier wave attack agrees
   with the one-start witness and scalar gradient on a sampled
   ``(box, start)`` (:mod:`repro.certify.splitting`);
+* **split lockstep** — one seeded query of every group of split runs
+  driven in lockstep, re-run alone, reaches the same verdict, ε bytes,
+  domain and bisection counts (:mod:`repro.certify.splitting`);
 * **stacked LP solves** — every block of a block-diagonal multi-objective
   LP satisfies the unstacked system, and one seeded objective re-solved
   alone agrees with its stacked value
@@ -204,6 +207,29 @@ def check_batch_row(
             f"{what}: batched row diverges from scalar propagation at "
             f"flat indices {worst.tolist()}",
         )
+
+
+def check_same_run(
+    lockstep: dict[str, Any], alone: dict[str, Any], what: str
+) -> None:
+    """A split run driven in lockstep must match the same run alone.
+
+    Lockstep rounds answer many runs' requests from shared batched
+    calls; each run's summary fields (verdict, counts, and arrays byte
+    for byte) must equal its solo run's exactly, or some run was handed
+    rows that are not its own.
+    """
+    for name, value in lockstep.items():
+        other = alone[name]
+        if isinstance(value, np.ndarray):
+            same = value.shape == other.shape and value.tobytes() == other.tobytes()
+        else:
+            same = value == other
+        if not same:
+            _fail(
+                "split-lockstep",
+                f"{what}: {name} {value!r} in lockstep but {other!r} alone",
+            )
 
 
 def check_lp_feasible(

@@ -25,6 +25,15 @@ bound of the bisected children, bit-identical to one box at a time.
 Rows of the batched bounds are built only for MILP leaves (whole
 ``LayerBounds``) and proved subdomains (their output box).
 
+The queue discipline is one generator, ``_SplitRun.steps``, that asks
+for three things: bound a wave, attack a wave, solve the leaves.  One
+server, ``_run_lockstep``, answers them: for a run alone, and for many
+runs driven in lockstep (the batch engine's groups of local queries),
+where a whole round's requests of each kind are one batched call (one
+propagation, one attack, one leaf fan-out).  Batched rows do not depend
+on what else is in the batch, so either way every query gets the same
+certificate, bit for bit.
+
 The query is *certified* when every terminal subdomain's bound is ≤ ε
 and the terminal subdomains exactly tile the root box (bisection keeps
 this invariant by construction); it is *refuted* the moment any
@@ -362,37 +371,38 @@ def _leaf_worker(payload) -> _LeafOutcome | None:
     return _solve_global_leaf(layers, leaf, delta, domain, budget)
 
 
-def _solve_leaves(
+def _leaf_payloads(
     kind: str,
     layers: list[AffineLayer],
     leaves: list[_Leaf],
     extra,
-    config: SplitConfig,
     deadline: float | None,
-) -> list[_LeafOutcome | None]:
-    """Solve every leaf MILP, worst-excess first, optionally in parallel.
-
-    Returns one outcome per leaf (input order); ``None`` marks a leaf
-    left unsolved by the deadline or by two transient failures.  Pooled
-    leaves (``leaf_workers > 1``) run once each; every leaf the pool
-    loses (or reaps past the deadline) re-solves here, and a leaf's
-    permanent failure is re-raised.
-    """
-    if not leaves:
-        return []
+) -> tuple[list[int], list[tuple]]:
+    """The leaves' worst-excess-first order and their worker payloads."""
     order = sorted(
         range(len(leaves)), key=lambda i: -float(leaves[i].eps_ub.max())
     )
-    payloads = [
-        (kind, layers, leaves[i], extra, deadline) for i in order
-    ]
-    workers = min(config.leaf_workers or 1, len(leaves))
+    return order, [(kind, layers, leaves[i], extra, deadline) for i in order]
+
+
+def _fan_leaves(
+    payloads: list[tuple], workers: int, deadline: float | None
+) -> list[Outcome]:
+    """Solve leaf payloads, one :class:`Outcome` each (payload order).
+
+    Pooled leaves (``workers > 1``) run once each; every leaf the pool
+    loses (or reaps past the deadline) re-solves here, and a leaf's
+    permanent failure is re-raised.  The value of an outcome is
+    ``None`` for a leaf left unsolved by the deadline or by two
+    transient failures.
+    """
+    workers = min(workers, len(payloads))
     outcomes: list[Outcome | None] = [None] * len(payloads)
     if workers > 1:
         # A leaf that starts just before the deadline still gets the
         # per-solve floor for each of its min/max solves; the kill
         # comes no earlier than that.
-        slack = _MIN_SOLVE_SECONDS * 2 * layers[-1].out_dim
+        slack = _MIN_SOLVE_SECONDS * 2 * payloads[0][1][-1].out_dim
         outcomes = fan_out(
             _leaf_worker, payloads, workers, _POOLED_LEAF,
             deadline=None if deadline is None else deadline + slack,
@@ -401,15 +411,53 @@ def _solve_leaves(
     inline = fan_out(_leaf_worker, [payloads[k] for k in redo], 1, _INLINE_LEAF)
     for k, outcome in zip(redo, inline):
         outcomes[k] = outcome
-    solved: list[_LeafOutcome | None] = [None] * len(leaves)
-    for i, outcome in zip(order, outcomes):
+    for outcome in outcomes:
         if outcome.exc is not None:
             raise outcome.exc
-        solved[i] = outcome.value  # None when lost or out of time
-    return solved
+    return outcomes
 
 
 # -- the branch-and-bound driver ----------------------------------------------
+
+
+@dataclass
+class _BoundWave:
+    """Request: bound these boxes.  Answer: ``(batched, start)``, the
+    boxes being rows ``start, start + 1, …`` of ``batched``."""
+
+    boxes: list[Box]
+
+    @property
+    def rows(self) -> int:
+        return len(self.boxes)
+
+
+@dataclass
+class _AttackWave:
+    """Request: attack from the ``(W, S, n)`` starts over balls and a
+    baseline that broadcast against them (``base=None``: each start's
+    own output).  Answer: ``(jac, witness)`` for exactly these starts."""
+
+    starts: np.ndarray
+    ball_lo: np.ndarray
+    ball_hi: np.ndarray
+    base: np.ndarray | None
+
+    @property
+    def rows(self) -> int:
+        return len(self.starts)
+
+
+@dataclass
+class _SolveLeaves:
+    """Request: solve these MILP leaves.  Answer: one
+    ``_LeafOutcome | None`` per leaf, in order."""
+
+    leaves: list[_Leaf]
+
+    @property
+    def rows(self) -> int:
+        return len(self.leaves)
 
 
 class _SplitRun:
@@ -418,7 +466,9 @@ class _SplitRun:
     The local and global variants share the whole queue discipline and
     differ only in how a box is bounded, attacked and leaf-solved; the
     ``kind`` switch keeps that delta in one place instead of two nearly
-    identical drivers.
+    identical drivers.  The discipline itself lives in :meth:`steps`, a
+    generator of bound / attack / leaf requests; :func:`_run_lockstep`
+    answers them, for this run alone (:meth:`run`) or for many at once.
     """
 
     def __init__(
@@ -428,8 +478,8 @@ class _SplitRun:
         root: Box,
         epsilon: float,
         config: SplitConfig,
-        base: np.ndarray | None = None,
-        delta: float | None = None,
+        delta: float,
+        center: np.ndarray | None = None,
         domain: Box | None = None,
     ) -> None:
         self.kind = kind
@@ -437,8 +487,9 @@ class _SplitRun:
         self.root = root
         self.epsilon = float(epsilon)
         self.config = config
-        self.base = base
-        self.delta = delta
+        self.delta = float(delta)
+        self.center = center
+        self.base = None if center is None else affine_chain_forward(layers, center)
         self.domain = domain
         self.rng = np.random.default_rng(config.seed)
         self.t0 = time.perf_counter()
@@ -455,23 +506,36 @@ class _SplitRun:
         self.proved_by_bounds = 0
         self.root_output: Box | None = None
 
+    def fresh(self) -> _SplitRun:
+        """An unstarted run of the same query, config and seed."""
+        return _SplitRun(
+            self.kind, self.layers, self.root, self.epsilon, self.config,
+            self.delta, center=self.center, domain=self.domain,
+        )
+
+    def leaf_extra(self):
+        """What :func:`_leaf_worker` needs beyond the leaf itself."""
+        return self.base if self.kind == "local" else (self.delta, self.domain)
+
     # -- per-wave primitives -------------------------------------------------
 
-    def evaluate_many(self, boxes: list[Box], depths: list[int]) -> list[_QueueItem]:
-        """Bound a whole frontier wave in one batched propagation.
+    def bound(self, boxes: list[Box], depths: list[int]):
+        """Bound a whole frontier wave with one request (a generator).
 
-        Batched rows are bit-identical to scalar propagation, so the
-        wave size only changes *when* boxes are bounded, never what
-        their bounds are.  Each entry points at its row, uncopied.
+        Batched rows are bit-identical to scalar propagation, so neither
+        the wave size nor the rows around it change what a box's bounds
+        are.  Each entry points at its row, uncopied.
         """
         self.domains += len(boxes)
-        deltas = None if self.kind == "local" else self.delta
-        batched = propagate_many("symbolic", self.layers, boxes, deltas)
+        batched, start = yield _BoundWave(boxes)
+        rows = slice(start, start + len(boxes))
         if self.kind == "local":
             out = batched.output
-            eps_ub = variation_from_reference(out.lo, out.hi, self.base)
+            eps_ub = variation_from_reference(out.lo[rows], out.hi[rows], self.base)
         else:
-            eps_ub = batched.output_variation_bounds()
+            # ``output_variation_bounds`` of these rows only.
+            dist = batched.output_distance
+            eps_ub = np.maximum(np.abs(dist.lo[rows]), np.abs(dist.hi[rows]))
         return [
             _QueueItem(
                 priority=self.epsilon - float(eps_ub[q].max()),
@@ -479,14 +543,14 @@ class _SplitRun:
                 depth=depths[q],
                 box=boxes[q],
                 bounds=batched,
-                row=q,
+                row=start + q,
                 eps_ub=eps_ub[q].copy(),
             )
             for q in range(len(boxes))
         ]
 
-    def attack(self, boxes: list[Box]) -> tuple[list[np.ndarray | None], np.ndarray]:
-        """One batched gradient-corner attack over a wave of boxes.
+    def attack(self, boxes: list[Box]):
+        """One gradient-corner attack request over a wave (a generator).
 
         Each box is attacked from its center and ``attack_samples``
         random starts drawn in pop order.  Returns each box's refuting
@@ -505,9 +569,7 @@ class _SplitRun:
             ball_lo, ball_hi = lo[:, None, :], hi[:, None, :]
         else:
             ball_lo, ball_hi = perturbation_balls(starts, self.delta, self.domain)
-        jac, witness = _variation_witness_many(
-            self.layers, starts, ball_lo, ball_hi, self.base
-        )
+        jac, witness = yield _AttackWave(starts, ball_lo, ball_hi, self.base)
         if _sanitize.ENABLED:
             self._check_attack(boxes, starts, jac, witness)
         return [_replay_attack(row, self.epsilon) for row in witness], jac[:, 0]
@@ -548,10 +610,15 @@ class _SplitRun:
 
     # -- the main loop -------------------------------------------------------
 
-    def run(self) -> dict:
-        """Drive the queue to a verdict; returns the result summary."""
+    def steps(self):
+        """The queue discipline, as a generator of requests.
+
+        Yields :class:`_BoundWave`, :class:`_AttackWave` and
+        :class:`_SolveLeaves` requests and is sent each one's answer;
+        returns the result summary.
+        """
         refuted_eps: np.ndarray | None = None
-        root_item = self.evaluate_many([self.root], [0])[0]
+        root_item = (yield from self.bound([self.root], [0]))[0]
         self.root_output = root_item.output()
         heap: list[_QueueItem] = []
         if float(root_item.eps_ub.max()) <= self.epsilon:
@@ -571,7 +638,9 @@ class _SplitRun:
             wave: list[_QueueItem] = []
             while heap and len(wave) < self.config.frontier_batch:
                 wave.append(heapq.heappop(heap))
-            refutations, center_jac = self.attack([item.box for item in wave])
+            refutations, center_jac = yield from self.attack(
+                [item.box for item in wave]
+            )
             splits: list[tuple[_QueueItem, int]] = []
             for w, item in enumerate(wave):
                 if refutations[w] is not None:
@@ -605,7 +674,7 @@ class _SplitRun:
             for item, dim in splits:
                 children.extend(_bisect(item.box, dim))
                 depths.extend([item.depth + 1, item.depth + 1])
-            for child_item in self.evaluate_many(children, depths):
+            for child_item in (yield from self.bound(children, depths)):
                 if float(child_item.eps_ub.max()) <= self.epsilon:
                     self.proved.append(
                         (child_item.box, child_item.eps_ub, child_item.output())
@@ -620,12 +689,8 @@ class _SplitRun:
             # one concrete witness refutes the whole query.
             self.undecided.extend((i.box, i.eps_ub) for i in heap)
         else:
-            extra = (
-                self.base if self.kind == "local" else (self.delta, self.domain)
-            )
-            outcomes = _solve_leaves(
-                self.kind, self.layers, self.milp_leaves, extra,
-                self.config, self.deadline,
+            outcomes = (
+                (yield _SolveLeaves(self.milp_leaves)) if self.milp_leaves else []
             )
             for leaf, outcome in zip(self.milp_leaves, outcomes):
                 if outcome is None:
@@ -671,6 +736,10 @@ class _SplitRun:
             "solve_time": time.perf_counter() - self.t0,
         }
 
+    def run(self) -> dict:
+        """Drive the queue to a verdict alone; returns the result summary."""
+        return _run_lockstep([self], self.config.leaf_workers or 1)[0]
+
     def _terminal_boxes(self) -> list[Box]:
         return [box for box, _, _ in self.proved] + [box for box, _ in self.undecided]
 
@@ -698,6 +767,248 @@ class _SplitRun:
             ]
         return info
 
+    def certificate(self, result: dict) -> LocalCertificate | GlobalCertificate:
+        """The ``method="split"`` certificate of a finished run."""
+        detail = self.detail(result["verdict"])
+        if result["witness"] is not None:
+            detail["witness"] = result["witness"]
+        exact = result["verdict"] != "undecided"
+        if self.kind == "global":
+            return GlobalCertificate(
+                delta=self.delta,
+                epsilons=result["epsilons"],
+                method="split",
+                exact=exact,
+                solve_time=result["solve_time"],
+                milp_count=2 * len(self.milp_leaves) * self.layers[-1].out_dim,
+                detail=detail,
+            )
+        if result["verdict"] == "certified":
+            # Every terminal subdomain was proved and the subdomains tile
+            # the ball, so the hull of their output boxes encloses F(ball).
+            out_lo = np.min([out.lo for _, _, out in self.proved], axis=0)
+            out_hi = np.max([out.hi for _, _, out in self.proved], axis=0)
+        else:
+            # Refuted / undecided runs have terminal subdomains whose output
+            # was never enclosed (or only lower-bounded); the only sound
+            # range is the root propagation's output box.
+            out_lo = self.root_output.lo.copy()
+            out_hi = self.root_output.hi.copy()
+        return LocalCertificate(
+            center=self.center,
+            delta=self.delta,
+            epsilons=result["epsilons"],
+            output_lo=out_lo,
+            output_hi=out_hi,
+            method="split",
+            exact=exact,
+            solve_time=result["solve_time"],
+            detail=detail,
+        )
+
+
+# -- lockstep: many runs, one round at a time ---------------------------------
+
+
+def _answer_bounds(runs: list[_SplitRun], requests: list[_BoundWave]) -> list:
+    """Every bound request of a round in one batched propagation."""
+    boxes = [box for request in requests for box in request.boxes]
+    delta = None if runs[0].kind == "local" else runs[0].delta
+    batched = propagate_many("symbolic", runs[0].layers, boxes, delta)
+    starts = np.cumsum([0] + [request.rows for request in requests])
+    return [(batched, int(start)) for start in starts[:-1]]
+
+
+def _answer_attacks(runs: list[_SplitRun], requests: list[_AttackWave]) -> list:
+    """Every attack request of a round in one batched attack.
+
+    Each request's starts, balls and baseline are flattened to one row
+    per start; the per-row attack arithmetic does not see the stacking.
+    """
+    def rows(part: np.ndarray, request: _AttackWave) -> np.ndarray:
+        width = part.shape[-1]
+        lead = request.starts.shape[:-1]
+        return np.broadcast_to(part, lead + (width,)).reshape(-1, width)
+
+    def stack(field: str) -> np.ndarray:
+        return np.concatenate([rows(getattr(r, field), r) for r in requests])
+
+    base = stack("base") if runs[0].kind == "local" else None
+    jac, witness = _variation_witness_many(
+        runs[0].layers, stack("starts"), stack("ball_lo"), stack("ball_hi"), base
+    )
+    answers, start = [], 0
+    for request in requests:
+        lead = request.starts.shape[:-1]
+        stop = start + int(np.prod(lead))
+        answers.append((
+            jac[start:stop].reshape(lead + jac.shape[1:]),
+            witness[start:stop].reshape(lead + witness.shape[1:]),
+        ))
+        start = stop
+    return answers
+
+
+def _answer_leaves(
+    runs: list[_SplitRun], requests: list[_SolveLeaves], workers: int
+) -> list[tuple[list[_LeafOutcome | None], float]]:
+    """Every leaf request of a round in one fan-out.
+
+    Each answer carries the seconds its own leaves' solves took.  Only a
+    run alone can have a deadline (:func:`_run_lockstep`); its leaves
+    are solved on what that deadline leaves them.
+    """
+    payloads: list[tuple] = []
+    orders = []
+    for run, request in zip(runs, requests):
+        order, part = _leaf_payloads(
+            run.kind, run.layers, request.leaves, run.leaf_extra(), run.deadline
+        )
+        orders.append((order, len(payloads)))
+        payloads += part
+    outcomes = _fan_leaves(payloads, workers, runs[0].deadline)
+    answers = []
+    for order, start in orders:
+        solved: list[_LeafOutcome | None] = [None] * len(order)
+        seconds = 0.0
+        for i, outcome in zip(order, outcomes[start : start + len(order)]):
+            solved[i] = outcome.value
+            seconds += outcome.elapsed
+        answers.append((solved, seconds))
+    return answers
+
+
+def _run_lockstep(runs: list[_SplitRun], leaf_workers: int = 1) -> list[dict]:
+    """Drive runs to their verdicts together; one summary each.
+
+    Round after round, every unfinished run's pending request is
+    answered: all bound requests by one batched propagation, all attack
+    requests by one batched attack and all leaf requests by one
+    :func:`_fan_leaves` over ``leaf_workers`` processes.  Batched rows
+    are bit-identical whatever else is in the batch, so each summary
+    equals the run's own summary alone (``[run]``), except the
+    ``solve_time`` of a run among several: its share of each round's
+    wall time outside the leaf fan-out (in proportion to its request's
+    rows — boxes, starts or leaves — among the round's), plus its own
+    leaves' solve times.  A run alone keeps its own wall clock.
+
+    The runs must share their kind, their ``layers`` object and, global
+    runs, their δ.  Only a run alone may have a deadline: a shared round
+    has no per-run wall clock to stop.
+    """
+    if not runs:
+        return []
+    if len(runs) > 1:
+        if any(run.deadline is not None for run in runs):
+            raise ValueError("lockstep runs cannot have a time limit")
+        first = runs[0]
+        if any(
+            run.kind != first.kind
+            or run.layers is not first.layers
+            or (run.kind == "global" and run.delta != first.delta)
+            for run in runs
+        ):
+            raise ValueError(
+                "lockstep runs must share their kind, network and global δ"
+            )
+    steps = [run.steps() for run in runs]
+    pending = {k: next(step) for k, step in enumerate(steps)}
+    results: list[dict | None] = [None] * len(runs)
+    shares = [0.0] * len(runs)
+    while pending:
+        t0 = time.perf_counter()
+        rows = {k: request.rows for k, request in pending.items()}
+        by_kind: dict[type, list[int]] = {}
+        for k, request in pending.items():
+            by_kind.setdefault(type(request), []).append(k)
+        answers: dict[int, object] = {}
+        for ks, answer in (
+            (by_kind.get(_BoundWave, []), _answer_bounds),
+            (by_kind.get(_AttackWave, []), _answer_attacks),
+        ):
+            if ks:
+                replies = answer([runs[k] for k in ks], [pending[k] for k in ks])
+                answers.update(zip(ks, replies))
+        leaf_seconds = 0.0
+        ks = by_kind.get(_SolveLeaves, [])
+        if ks:
+            t_leaves = time.perf_counter()
+            solved = _answer_leaves(
+                [runs[k] for k in ks], [pending[k] for k in ks], leaf_workers
+            )
+            leaf_seconds = time.perf_counter() - t_leaves
+            for k, (outcomes, seconds) in zip(ks, solved):
+                answers[k] = outcomes
+                shares[k] += seconds
+        for k, reply in answers.items():
+            try:
+                pending[k] = steps[k].send(reply)
+            except StopIteration as stop:
+                results[k] = stop.value
+                del pending[k]
+        wall = time.perf_counter() - t0 - leaf_seconds
+        total = sum(rows.values())
+        for k, count in rows.items():
+            shares[k] += wall * count / total
+    if len(runs) > 1:
+        for result, share in zip(results, shares):
+            result["solve_time"] = share
+        if _sanitize.ENABLED:
+            _check_lockstep(runs, results)
+    return results
+
+
+def _check_lockstep(runs: list[_SplitRun], results: list[dict]) -> None:
+    """Sanitizer contract ``split-lockstep``: one seeded run, re-run alone.
+
+    Its verdict, ε bytes, ``domains`` and ``bisections`` must equal the
+    lockstep run's: a row of another run's bounds or attack, or a leaf
+    answer handed to the wrong run, would otherwise decide a query on
+    numbers that are not its own.
+    """
+    rng = np.random.default_rng(len(runs) * 1000003 + runs[0].root.dim)
+    k = int(rng.integers(len(runs)))
+    alone = runs[k].fresh()
+    result = alone.run()
+    _sanitize.check_same_run(
+        {
+            "verdict": results[k]["verdict"],
+            "epsilons": results[k]["epsilons"],
+            "domains": runs[k].domains,
+            "bisections": runs[k].bisections,
+        },
+        {
+            "verdict": result["verdict"],
+            "epsilons": result["epsilons"],
+            "domains": alone.domains,
+            "bisections": alone.bisections,
+        },
+        f"lockstep split run {k}/{len(runs)}",
+    )
+
+
+def _local_run(
+    layers: list[AffineLayer],
+    center: np.ndarray,
+    delta: float,
+    epsilon: float,
+    domain: Box | None,
+    config: SplitConfig,
+) -> _SplitRun:
+    center = np.asarray(center, dtype=float).reshape(-1)
+    ball = perturbation_ball(center, delta, domain)
+    return _SplitRun("local", layers, ball, epsilon, config, delta, center=center)
+
+
+def _global_run(
+    layers: list[AffineLayer],
+    domain: Box,
+    delta: float,
+    epsilon: float,
+    config: SplitConfig,
+) -> _SplitRun:
+    return _SplitRun("global", layers, domain, epsilon, config, delta, domain=domain)
+
 
 def certify_local_split(
     network: Network | list[AffineLayer],
@@ -722,40 +1033,11 @@ def certify_local_split(
         ``"refuted"`` the ``epsilons`` are concrete witness *lower*
         bounds, otherwise sound upper bounds over the whole ball.
     """
-    config = config or SplitConfig()
-    layers = as_affine_chain(network)
-    center = np.asarray(center, dtype=float).reshape(-1)
-    ball = perturbation_ball(center, delta, domain)
-    base = affine_chain_forward(layers, center)
-    run = _SplitRun(
-        "local", layers, ball, epsilon, config, base=base
+    run = _local_run(
+        as_affine_chain(network), center, delta, epsilon, domain,
+        config or SplitConfig(),
     )
-    result = run.run()
-    detail = run.detail(result["verdict"])
-    if result["witness"] is not None:
-        detail["witness"] = result["witness"]
-    if result["verdict"] == "certified":
-        # Every terminal subdomain was proved and the subdomains tile
-        # the ball, so the hull of their output boxes encloses F(ball).
-        out_lo = np.min([out.lo for _, _, out in run.proved], axis=0)
-        out_hi = np.max([out.hi for _, _, out in run.proved], axis=0)
-    else:
-        # Refuted / undecided runs have terminal subdomains whose output
-        # was never enclosed (or only lower-bounded); the only sound
-        # range is the root propagation's output box.
-        out_lo = run.root_output.lo.copy()
-        out_hi = run.root_output.hi.copy()
-    return LocalCertificate(
-        center=center,
-        delta=float(delta),
-        epsilons=result["epsilons"],
-        output_lo=out_lo,
-        output_hi=out_hi,
-        method="split",
-        exact=result["verdict"] != "undecided",
-        solve_time=result["solve_time"],
-        detail=detail,
-    )
+    return run.certificate(run.run())
 
 
 def certify_global_split(
@@ -777,22 +1059,7 @@ def certify_global_split(
         A ``method="split"`` :class:`GlobalCertificate` (see
         :func:`certify_local_split` for verdict / ``exact`` semantics).
     """
-    config = config or SplitConfig()
-    layers = as_affine_chain(network)
-    run = _SplitRun(
-        "global", layers, domain, epsilon, config, delta=float(delta),
-        domain=domain,
+    run = _global_run(
+        as_affine_chain(network), domain, delta, epsilon, config or SplitConfig()
     )
-    result = run.run()
-    detail = run.detail(result["verdict"])
-    if result["witness"] is not None:
-        detail["witness"] = result["witness"]
-    return GlobalCertificate(
-        delta=float(delta),
-        epsilons=result["epsilons"],
-        method="split",
-        exact=result["verdict"] != "undecided",
-        solve_time=result["solve_time"],
-        milp_count=2 * len(run.milp_leaves) * layers[-1].out_dim,
-        detail=detail,
-    )
+    return run.certificate(run.run())

@@ -23,7 +23,7 @@ import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 #: Exceptions meaning "the process pool itself is unusable" (cannot
@@ -60,6 +60,15 @@ _FAULT_STATS_ZERO = {
     "workers_killed": 0,
     "pool_rebuilds": 0,
 }
+
+#: Zero state of :attr:`BatchCertifier.split_stats`.
+_SPLIT_STATS_ZERO = {"groups": 0, "queries": 0, "fallback": 0}
+
+#: Most queries one lockstep split group runs at once.  A round bounds
+#: at most ``2 * frontier_batch`` boxes per query, so this caps a
+#: round's batched propagation (1,024 rows at the default knobs) and the
+#: runs held in memory, whatever the batch size.
+_LOCKSTEP_CHUNK = 64
 
 
 @dataclass
@@ -116,7 +125,9 @@ class CertificationQuery:
             concurrently.  Leave ``None``: the engine grants its own
             worker budget when the split query runs inline (a batch of
             one), and keeps leaves serial when many queries already fan
-            out across the pool.
+            out across the pool.  A lockstep group (see
+            :meth:`BatchCertifier._bulk_split`) always fans its leaves
+            over the engine's workers.
         tag: Caller label echoed on the result (e.g. a sample id).
     """
 
@@ -227,7 +238,15 @@ class BatchResult:
             made); a degraded answer adds ``degraded=True`` and the
             ``reason`` the compute was abandoned.  ``None`` for results
             answered without the retry engine (e.g. bulk presolve).
-        elapsed: Wall-clock seconds spent inside the worker.
+        elapsed: Wall-clock seconds charged to the query.  A dispatched
+            query's is the time its last attempt spent inside the
+            worker.  A query answered in the submitting process by a
+            batched pass carries its share of that pass: the bulk
+            presolve splits a group's pass time evenly over its queries,
+            and a lockstep split group charges each query its row share
+            of every round it took part in (round wall × its rows ÷ the
+            round's rows, the leaf fan-out excluded) plus its own leaf
+            MILPs' solve time.
     """
 
     index: int
@@ -277,20 +296,27 @@ def _exact_parity_limit(query: CertificationQuery) -> float | None:
     return None if limit is not None and math.isinf(limit) else limit
 
 
-def _run_split(query: CertificationQuery):
-    """Run the input-splitting tier for an undecided ε-query."""
-    from repro.certify import SplitConfig, certify_global_split, certify_local_split
+def _split_config(query: CertificationQuery):
+    """The :class:`~repro.certify.splitting.SplitConfig` of a split query."""
+    from repro.certify import SplitConfig
 
     knobs: dict[str, Any] = {}
     if query.max_domains is not None:
         knobs["max_domains"] = query.max_domains
     if query.split_depth is not None:
         knobs["max_depth"] = query.split_depth
-    config = SplitConfig(
+    return SplitConfig(
         time_limit=_exact_parity_limit(query),
         leaf_workers=query.split_workers,
         **knobs,
     )
+
+
+def _run_split(query: CertificationQuery):
+    """Run the input-splitting tier for an undecided ε-query."""
+    from repro.certify import certify_global_split, certify_local_split
+
+    config = _split_config(query)
     if query.kind == "local-exact":
         return certify_local_split(
             query.layers, query.center, query.delta, query.epsilon,
@@ -299,6 +325,17 @@ def _run_split(query: CertificationQuery):
     return certify_global_split(
         query.layers, query.domain, query.delta, query.epsilon, config=config
     )
+
+
+def _group_key(query: CertificationQuery) -> tuple:
+    """What queries batched together must share: the kind family (local
+    or global), the network object and the domain."""
+    family = "local" if query.kind.startswith("local") else "global"
+    domain = query.domain
+    domain_key = (
+        None if domain is None else (domain.lo.tobytes(), domain.hi.tobytes())
+    )
+    return (family, id(query.layers), domain_key)
 
 
 def _execute_query(query: CertificationQuery):
@@ -472,9 +509,11 @@ class BatchCertifier:
             presolve pass per query group *before* any worker dispatch
             (default on).  Queries the pass decides never reach the
             pool; undecided ones skip the (now redundant) scalar
-            presolve in their worker.  Per-query certificates are
-            bit-identical to the scalar presolve tier's, so turning
-            this off changes scheduling only, never results.
+            presolve in their worker.  Groups of undecided local split
+            queries then run in lockstep in the submitting process (see
+            :meth:`_bulk_split`).  Per-query certificates are
+            bit-identical to the scalar tiers', so turning this off
+            changes scheduling and timing only, never results.
         retry: :class:`~repro.runtime.retry.RetryPolicy` for transient
             per-query failures (worker deaths, broken pools, injected
             chaos faults).  ``None`` uses the default policy.  A query
@@ -499,6 +538,10 @@ class BatchCertifier:
             stats: ``{"groups": batched presolve calls made,
             "queries": queries screened by them, "answered": queries
             they decided (certified or refuted) without any dispatch}``.
+        split_stats: After :meth:`run`, the lockstep split stats
+            (:meth:`_bulk_split`): ``{"groups": lockstep chunks run,
+            "queries": queries in them, "fallback": queries of failed
+            chunks sent on to per-query dispatch}``.
         fault_stats: After :meth:`run`, that batch's fault-tolerance
             counters: ``retries`` (re-dispatched attempts),
             ``degraded`` (queries resolved by graceful degradation),
@@ -526,6 +569,7 @@ class BatchCertifier:
         self.presolve_stats: dict[str, int] = {
             "groups": 0, "queries": 0, "answered": 0,
         }
+        self.split_stats: dict[str, int] = dict(_SPLIT_STATS_ZERO)
         self.fault_stats: dict[str, int] = dict(_FAULT_STATS_ZERO)
 
     def _bulk_presolve(
@@ -558,16 +602,8 @@ class BatchCertifier:
             return answered, screened
         groups: dict[tuple, list[int]] = {}
         for i, query in enumerate(queries):
-            if not query.wants_presolve():
-                continue
-            family = "local" if query.kind.startswith("local") else "global"
-            domain = query.domain
-            domain_key = (
-                None if domain is None
-                else (domain.lo.tobytes(), domain.hi.tobytes())
-            )
-            key = (family, id(query.layers), domain_key)
-            groups.setdefault(key, []).append(i)
+            if query.wants_presolve():
+                groups.setdefault(_group_key(query), []).append(i)
 
         for (family, _, _), members in groups.items():
             if len(members) < 2:
@@ -603,6 +639,84 @@ class BatchCertifier:
                     self.presolve_stats["answered"] += 1
         return answered, screened
 
+    def _bulk_split(
+        self, pending: list[tuple[int, CertificationQuery]]
+    ) -> dict[int, BatchResult]:
+        """Decide each group of pending local split queries in lockstep.
+
+        Local split queries past the presolve tier that share a group
+        key (:func:`_group_key`) and their split knobs form a group; it
+        runs in the submitting process, in chunks of at most
+        :data:`_LOCKSTEP_CHUNK` queries (a lone leftover is dispatched).
+        Each round of a chunk is one batched bound propagation and one
+        batched attack over all its queries, and one fan-out of the
+        round's leaf MILPs over the engine's workers.  Certificates
+        equal the per-query split tier's bit for bit; each result's
+        ``elapsed`` is the query's share of the rounds plus its own leaf
+        solves.
+
+        Runs under ``bulk_presolve``.  Global queries, queries with a
+        finite ``time_limit``, and every query of an engine with a
+        ``query_timeout`` keep per-query dispatch: lockstep was measured
+        on local batches only, a round shares wall time, and the
+        watchdog kills per query.  A chunk whose lockstep run fails
+        falls back to per-query dispatch (counted in ``split_stats``).
+        """
+        from repro.certify.splitting import _local_run, _run_lockstep
+
+        self.split_stats = dict(_SPLIT_STATS_ZERO)
+        answered: dict[int, BatchResult] = {}
+        if not self.bulk_presolve or self.query_timeout is not None:
+            return answered
+        groups: dict[tuple, list[int]] = {}
+        configs = {}
+        for i, query in pending:
+            if (
+                not query.split
+                or query.kind != "local-exact"
+                or query.wants_presolve()
+                or _exact_parity_limit(query) is not None
+            ):
+                continue
+            configs[i] = _split_config(query)
+            # Lockstep leaves always fan over the engine's workers.
+            knobs = astuple(replace(configs[i], leaf_workers=None))
+            groups.setdefault(_group_key(query) + (knobs,), []).append(i)
+        queries = dict(pending)
+        workers = self.max_workers or os.cpu_count() or 1
+        chunks = [
+            members[start : start + _LOCKSTEP_CHUNK]
+            for members in groups.values()
+            for start in range(0, len(members), _LOCKSTEP_CHUNK)
+        ]
+        for chunk in chunks:
+            if len(chunk) < 2:
+                continue
+            self.split_stats["groups"] += 1
+            self.split_stats["queries"] += len(chunk)
+            try:
+                runs = [
+                    _local_run(
+                        queries[i].layers, queries[i].center, queries[i].delta,
+                        queries[i].epsilon, queries[i].domain, configs[i],
+                    )
+                    for i in chunk
+                ]
+                results = _run_lockstep(runs, workers)
+            except _sanitize.SanitizerError:
+                raise
+            # repro-lint: ignore[RPR005] — a failing lockstep group must not sink the submission; its queries fall back to per-query dispatch, whose per-query error capture reports whatever is actually wrong
+            except Exception:
+                self.split_stats["fallback"] += len(chunk)
+                continue
+            for i, run, result in zip(chunk, runs, results):
+                answered[i] = BatchResult(
+                    index=i, tag=queries[i].tag,
+                    certificate=run.certificate(result),
+                    elapsed=result["solve_time"],
+                )
+        return answered
+
     def run(
         self,
         queries: Sequence[CertificationQuery],
@@ -610,8 +724,9 @@ class BatchCertifier:
     ) -> list[BatchResult]:
         """Execute all queries; return one :class:`BatchResult` each.
 
-        The bulk-presolve prefilter runs first (see ``bulk_presolve``);
-        only the queries it leaves unanswered are dispatched to worker
+        The bulk-presolve prefilter runs first (see ``bulk_presolve``),
+        then the lockstep split groups (:meth:`_bulk_split`); only the
+        queries they leave unanswered are dispatched to worker
         processes, as copies that skip the presolve tier.  The caller's
         query objects are never modified, so the same queries can be
         run again with the same results.
@@ -644,6 +759,9 @@ class BatchCertifier:
             for i, q in enumerate(queries)
             if results[i] is None
         ]
+        for index, result in sorted(self._bulk_split(pending).items()):
+            finish(index, result)
+        pending = [(i, query) for i, query in pending if results[i] is None]
         workers = self.max_workers or os.cpu_count() or 1
         workers = min(workers, len(pending))
         if (

@@ -6,7 +6,8 @@ lazily.  That change only moves *when* numbers are computed, never what
 they are (batched rows are bit-identical to scalar ones), so every
 verdict, ε, count and leaf box must stay equal to the bit.  Leaf boxes
 are pinned by count and by a SHA-256 prefix of their ``lo``/``hi``
-bytes in recording order.
+bytes in recording order.  The same pins hold when the runs of one
+network are driven together in lockstep, whatever rows share a batch.
 """
 
 import hashlib
@@ -161,13 +162,13 @@ def test_pooled_leaf_bounds_equal_scalar_propagation(kind, monkeypatch):
     """A leaf's bounds, sliced from a frontier wave's batched record,
     equal the scalar ``propagate`` on its box bit for bit."""
     seen = []
-    solve = splitting._solve_leaves
+    payloads = splitting._leaf_payloads
 
     def spy(kind_, layers, leaves, *rest):
         seen.extend(leaves)
-        return solve(kind_, layers, leaves, *rest)
+        return payloads(kind_, layers, leaves, *rest)
 
-    monkeypatch.setattr(splitting, "_solve_leaves", spy)
+    monkeypatch.setattr(splitting, "_leaf_payloads", spy)
     case = (
         ("local", 4, 8, MID, 0.3649331193801771, 16, 1, 8) if kind == "local"
         else ("global", 1, 5, None, 0.3963304032340008, 64, 1, 8)
@@ -191,3 +192,106 @@ def test_pooled_leaf_bounds_equal_scalar_propagation(kind, monkeypatch):
         for pooled, alone in pairs:
             np.testing.assert_array_equal(pooled.lo, alone.lo)
             np.testing.assert_array_equal(pooled.hi, alone.hi)
+
+
+def _pinned_groups():
+    """The pinned cases grouped by network: (kind, seed, width) -> cases."""
+    groups: dict = {}
+    for case, expected in CASES:
+        groups.setdefault(case[:3], []).append((case, expected))
+    return groups
+
+
+@pytest.mark.parametrize(
+    "group", list(_pinned_groups()), ids=lambda g: f"{g[0]}{g[1]}-w{g[2]}"
+)
+def test_lockstep_group_reproduces_pinned_runs(group):
+    """Every pinned run of one network, driven together in lockstep
+    (each with its own config), reproduces its solo pinned values."""
+    kind, seed, width = group
+    members = _pinned_groups()[group]
+    assert len(members) >= 2
+    layers = chain(seed, width)
+    runs = []
+    for (_, _, _, center, epsilon, max_domains, samples, frontier_batch), _ in members:
+        config = SplitConfig(
+            max_domains=max_domains, attack_samples=samples,
+            frontier_batch=frontier_batch, record_boxes=True,
+        )
+        runs.append(
+            splitting._local_run(layers, np.array(center), 0.2, epsilon, DOMAIN, config)
+            if kind == "local"
+            else splitting._global_run(layers, DOMAIN, 0.1, epsilon, config)
+        )
+    results = splitting._run_lockstep(runs, leaf_workers=2)
+    for run_, result, (_, expected) in zip(runs, results, members):
+        verdict, eps, domains, bisections, by_bounds, leaves, n_boxes, box_digest, \
+            out_lo, out_hi = expected
+        cert = run_.certificate(result)
+        detail = cert.detail
+        assert cert.verdict == verdict
+        np.testing.assert_array_equal(cert.epsilons, eps)
+        assert (
+            detail["domains"], detail["bisections"], detail["proved_by_bounds"],
+            detail["milp_leaves"],
+        ) == (domains, bisections, by_bounds, leaves)
+        assert len(detail["leaf_boxes"]) == n_boxes
+        assert digest(detail["leaf_boxes"]) == box_digest
+        if out_lo is not None:
+            np.testing.assert_array_equal(cert.output_lo, out_lo)
+            np.testing.assert_array_equal(cert.output_hi, out_hi)
+        assert cert.solve_time >= 0.0
+
+
+def _local_runs(centers, epsilons, config):
+    layers = chain(3, 8)
+    return [
+        splitting._local_run(layers, np.array(c), 0.2, eps, DOMAIN, config)
+        for c, eps in zip(centers, epsilons)
+    ]
+
+
+def test_lockstep_sanitizer_catches_shifted_bound_rows(monkeypatch):
+    """``split-lockstep`` fails a lockstep whose bound rows are shifted
+    by one between runs: every run then splits on its neighbour's bounds."""
+    from repro._sanitize import SanitizerError, sanitizing
+
+    real = splitting._answer_bounds
+
+    def shifted(runs, requests):
+        if len(requests) < 2:  # a run alone (the re-run) is left intact
+            return real(runs, requests)
+        boxes = [box for request in requests for box in request.boxes]
+        boxes = boxes[1:] + boxes[:1]
+        moved, start = [], 0
+        for request in requests:
+            moved.append(splitting._BoundWave(boxes[start : start + request.rows]))
+            start += request.rows
+        return real(runs, moved)
+
+    centers = [MID, OFF, [0.6, 0.3, 0.5]]
+    epsilons = [0.99, 0.43, 0.6]
+    config = SplitConfig(max_domains=64)
+    with sanitizing():
+        # Unmutated, the contract holds.
+        splitting._run_lockstep(_local_runs(centers, epsilons, config))
+        monkeypatch.setattr(splitting, "_answer_bounds", shifted)
+        with pytest.raises(SanitizerError, match="split-lockstep"):
+            splitting._run_lockstep(_local_runs(centers, epsilons, config))
+
+
+def test_lockstep_rejects_a_time_limit():
+    """A lockstep round has no per-query wall clock to stop."""
+    runs = _local_runs([MID, OFF], [0.5, 0.5], SplitConfig(time_limit=5.0))
+    with pytest.raises(ValueError, match="time limit"):
+        splitting._run_lockstep(runs)
+
+
+def test_lockstep_rejects_global_runs_of_different_deltas():
+    """A round's one global propagation takes one δ."""
+    runs = [
+        splitting._global_run(chain(3, 8), DOMAIN, delta, 0.5, SplitConfig())
+        for delta in (0.1, 0.2)
+    ]
+    with pytest.raises(ValueError, match="share"):
+        splitting._run_lockstep(runs)

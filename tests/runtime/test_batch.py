@@ -1,6 +1,7 @@
 """Batch certification engine: ordering, parity, failures, fan-out."""
 
 import json
+import math
 import os
 import signal
 import subprocess
@@ -454,6 +455,166 @@ class TestParity:
         )
         assert out[0].ok and out[0].tag == "g"
         np.testing.assert_allclose(out[0].certificate.epsilons, ref.epsilons, atol=1e-7)
+
+
+@pytest.fixture(scope="module")
+def split_queries():
+    """Eight local split queries on a seeded 3-8-8-2 chain, past presolve,
+    whose verdicts mix attack refutations, proofs by bounds alone, a
+    leaf-MILP proof and a leaf-MILP witness (``max_domains=8``)."""
+    from repro.bounds import SymbolicPropagator
+    from repro.certify.presolve import perturbation_ball, variation_from_reference
+    from repro.nn.affine import affine_chain_forward
+
+    rng = np.random.default_rng(7)
+    dims = [3, 8, 8, 2]
+    net = [
+        AffineLayer(
+            1.5 * rng.standard_normal((dims[i + 1], dims[i])) / np.sqrt(dims[i]),
+            0.2 * rng.standard_normal(dims[i + 1]),
+            relu=i < 2,
+        )
+        for i in range(3)
+    ]
+    domain = Box.uniform(3, 0.0, 1.0)
+    centers = np.random.default_rng(3).uniform(0.2, 0.8, (8, 3))
+    queries = local_queries(
+        net, centers, 0.2, domain=domain, epsilon=1.0, split=True,
+        presolve=False, max_domains=8,
+    )
+    fractions = [0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.85, 0.97]
+    targets = []
+    for query, fraction in zip(queries, fractions):
+        out = SymbolicPropagator().propagate(
+            net, perturbation_ball(query.center, 0.2, domain)
+        ).output
+        root = variation_from_reference(
+            out.lo, out.hi, affine_chain_forward(net, query.center)
+        )
+        targets.append(fraction * float(root.max()))
+    return [replace(q, epsilon=eps) for q, eps in zip(queries, targets)]
+
+
+def _assert_same_split_certificate(got, want):
+    assert got.method == want.method == "split"
+    for name in ("epsilons", "output_lo", "output_hi"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.exact == want.exact
+    assert got.detail.keys() == want.detail.keys()
+    for name, value in want.detail.items():
+        if isinstance(value, np.ndarray):
+            assert value.tobytes() == got.detail[name].tobytes(), name
+        else:
+            assert got.detail[name] == value, name
+
+
+class TestBulkSplit:
+    """Groups of local split queries run in lockstep in the submitting
+    process; ``split_stats`` counts the groups and their fallbacks."""
+
+    @pytest.fixture
+    def per_query(self, monkeypatch):
+        """Count split runs dispatched one query at a time."""
+        calls = {"runs": 0}
+        real_run_split = batch_mod._run_split
+
+        def run_split(query):
+            calls["runs"] += 1
+            return real_run_split(query)
+
+        monkeypatch.setattr(batch_mod, "_run_split", run_split)
+        return calls
+
+    def test_group_equals_each_query_alone(self, split_queries, per_query):
+        engine = BatchCertifier(max_workers=2)
+        results = engine.run(split_queries)
+        assert engine.split_stats == {"groups": 1, "queries": 8, "fallback": 0}
+        assert per_query["runs"] == 0
+        verdicts = {r.certificate.detail["verdict"] for r in results}
+        assert verdicts == {"certified", "refuted"}
+        assert any(r.certificate.detail["milp_leaves"] for r in results)
+        assert any("witness" in r.certificate.detail for r in results)
+        for query, result in zip(split_queries, results):
+            assert result.ok and result.tag == query.tag
+            # Its share of the rounds plus its own leaves.
+            assert result.elapsed == result.certificate.solve_time > 0
+            alone = BatchCertifier(max_workers=2).run([query])[0]
+            _assert_same_split_certificate(result.certificate, alone.certificate)
+        assert per_query["runs"] == len(split_queries)
+
+    def test_large_group_runs_in_chunks(self, split_queries, per_query, monkeypatch):
+        whole = BatchCertifier(max_workers=1).run(split_queries)
+        monkeypatch.setattr(batch_mod, "_LOCKSTEP_CHUNK", 3)
+        engine = BatchCertifier(max_workers=1)
+        chunked = engine.run(split_queries)
+        assert engine.split_stats == {"groups": 3, "queries": 8, "fallback": 0}
+        # A lone leftover goes per query: chunks of 7 leave one.
+        monkeypatch.setattr(batch_mod, "_LOCKSTEP_CHUNK", 7)
+        engine = BatchCertifier(max_workers=1)
+        leftover = engine.run(split_queries)
+        assert engine.split_stats == {"groups": 1, "queries": 7, "fallback": 0}
+        assert per_query["runs"] == 1
+        for got, other, want in zip(chunked, leftover, whole):
+            _assert_same_split_certificate(got.certificate, want.certificate)
+            _assert_same_split_certificate(other.certificate, want.certificate)
+
+    def test_lockstep_failure_falls_back_per_query(
+        self, split_queries, per_query, monkeypatch
+    ):
+        from repro.certify import splitting
+
+        lockstep = BatchCertifier(max_workers=1).run(split_queries)
+        real = splitting._run_lockstep
+
+        def broken(runs, *args, **kwargs):
+            if len(runs) > 1:  # a run alone still works
+                raise RuntimeError("lockstep failed")
+            return real(runs, *args, **kwargs)
+
+        monkeypatch.setattr(splitting, "_run_lockstep", broken)
+        engine = BatchCertifier(max_workers=1)
+        fallback = engine.run(split_queries)
+        assert engine.split_stats == {"groups": 1, "queries": 8, "fallback": 8}
+        assert per_query["runs"] == len(split_queries)
+        for got, want in zip(fallback, lockstep):
+            assert got.ok and got.detail == {"attempts": 1}
+            _assert_same_split_certificate(got.certificate, want.certificate)
+
+    def test_time_limited_queries_go_per_query(self, split_queries, per_query):
+        queries = list(split_queries[:4])
+        queries[1] = replace(queries[1], time_limit=60.0)
+        queries[2] = replace(queries[2], time_limit=math.inf)  # unlimited
+        engine = BatchCertifier(max_workers=1)
+        results = engine.run(queries)
+        assert all(r.ok for r in results)
+        assert engine.split_stats["queries"] == 3 and per_query["runs"] == 1
+
+    def test_global_queries_go_per_query(self, split_queries, per_query):
+        layers, domain = split_queries[0].layers, split_queries[0].domain
+        queries = [
+            global_query(
+                layers, domain, 0.1, exact=True, epsilon=eps, split=True,
+                presolve=False, max_domains=4,
+            )
+            for eps in (1e3, 1e-6)  # proved at the root, refuted by attack
+        ]
+        engine = BatchCertifier(max_workers=1)
+        results = engine.run(queries)
+        assert [r.certificate.detail["verdict"] for r in results] == [
+            "certified", "refuted",
+        ]
+        assert engine.split_stats["groups"] == 0 and per_query["runs"] == 2
+
+    def test_query_timeout_keeps_per_query_dispatch(self, split_queries, per_query):
+        engine = BatchCertifier(max_workers=1, query_timeout=60.0)
+        results = engine.run(split_queries[:3])
+        assert all(r.ok for r in results)
+        assert engine.split_stats["groups"] == 0 and per_query["runs"] == 3
+
+    def test_bulk_presolve_off_keeps_per_query_dispatch(self, split_queries, per_query):
+        engine = BatchCertifier(max_workers=1, bulk_presolve=False)
+        engine.run(split_queries[:3])
+        assert engine.split_stats["groups"] == 0 and per_query["runs"] == 3
 
 
 class TestEngineMechanics:
